@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Tuple
 
@@ -457,10 +458,25 @@ def all_symbols(n: int, d: int) -> List[BasisSymbol]:
 def build_table(
     n: int, d: int, cap: int | None = None
 ) -> Dict[Tuple[BasisSymbol, BasisSymbol], Dict[BasisSymbol, int]]:
-    """All pairwise integer structure constants, keyed by symbol pairs."""
+    """All pairwise integer structure constants, keyed by symbol pairs.
+
+    A product of two symbols vanishes unless the upper degree sequence of the
+    left graph equals the lower degree sequence of the right one (the weight
+    idempotents are orthogonal), so only those pairs are convolved; every
+    other pair maps to ``{}``, as :func:`convolve` would return for it.
+    """
     check_basis_budget(n, d, cap)
     syms = all_symbols(n, d)
-    return {(a, b): structure_constants(a, b) for a in syms for b in syms}
+    by_lower: Dict[Tuple[int, ...], List[BasisSymbol]] = {}
+    for b in syms:
+        by_lower.setdefault(b.graph.lower_degrees, []).append(b)
+    table: Dict[Tuple[BasisSymbol, BasisSymbol], Dict[BasisSymbol, int]] = {}
+    for a in syms:
+        for b in syms:
+            table[(a, b)] = {}
+        for b in by_lower.get(a.graph.upper_degrees, ()):
+            table[(a, b)] = structure_constants(a, b)
+    return table
 
 
 def save_table(
@@ -469,33 +485,70 @@ def save_table(
     d: int,
     path: str,
 ) -> None:
-    entries = []
-    for (a, b), terms in sorted(table.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key())):
-        if not terms:
-            continue
-        entries.append(
-            {
-                "left": a.to_json_dict(),
-                "right": b.to_json_dict(),
-                "terms": [
-                    [s.to_json_dict(), c]
-                    for s, c in sorted(terms.items(), key=lambda kv: kv[0].sort_key())
-                ],
-            }
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"n": n, "d": d, "entries": entries}, fh, separators=(",", ":"), sort_keys=True)
+    """Write the nonzero entries of ``table`` as canonical JSON.
+
+    The file is written under a temporary name in the target directory and
+    renamed into place, so ``path`` either holds a complete table or does
+    not exist.
+    """
+    nonzero = sorted(
+        ((a, b, terms) for (a, b), terms in table.items() if terms),
+        key=lambda entry: (entry[0].sort_key(), entry[1].sort_key()),
+    )
+    entries = [
+        {
+            "left": a.to_json_dict(),
+            "right": b.to_json_dict(),
+            "terms": [
+                [s.to_json_dict(), c]
+                for s, c in sorted(terms.items(), key=lambda kv: kv[0].sort_key())
+            ],
+        }
+        for a, b, terms in nonzero
+    ]
+    text = json.dumps({"n": n, "d": d, "entries": entries}, separators=(",", ":"), sort_keys=True)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_table(path: str) -> Tuple[int, int, Dict[Tuple[BasisSymbol, BasisSymbol], Dict[BasisSymbol, int]]]:
+    """Read a table written by :func:`save_table`; absent pairs map to ``{}``.
+
+    Raises ``ValueError`` when a required key is missing or mistyped, or
+    when the file names a symbol outside the basis at its own (n, d).
+    """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    n, d = data["n"], data["d"]
-    table: Dict[Tuple[BasisSymbol, BasisSymbol], Dict[BasisSymbol, int]] = {
-        (a, b): {} for a in all_symbols(n, d) for b in all_symbols(n, d)
-    }
-    for rec in data["entries"]:
-        a = BasisSymbol.from_json_dict(rec["left"])
-        b = BasisSymbol.from_json_dict(rec["right"])
-        table[(a, b)] = {BasisSymbol.from_json_dict(s): c for s, c in rec["terms"]}
+    try:
+        n, d, records = data["n"], data["d"], data["entries"]
+        if not (isinstance(n, int) and isinstance(d, int) and n >= 1 and d >= 0):
+            raise ValueError(f"(n, d) = ({n!r}, {d!r}) is not a pair of parameters")
+        syms = all_symbols(n, d)
+        by_key = {(s.parity, s.graph.adj): s for s in syms}
+
+        def resolve(rec: dict) -> BasisSymbol:
+            sym = by_key.get((rec["parity"], tuple(tuple(row) for row in rec["adj"])))
+            if sym is None:
+                raise ValueError(f"symbol {rec} is not in the basis at (n,d)=({n},{d})")
+            return sym
+
+        table: Dict[Tuple[BasisSymbol, BasisSymbol], Dict[BasisSymbol, int]] = {
+            (a, b): {} for a in syms for b in syms
+        }
+        for rec in records:
+            terms = {}
+            for s, c in rec["terms"]:
+                if not isinstance(c, int):
+                    raise ValueError(f"coefficient {c!r} is not an integer")
+                terms[resolve(s)] = c
+            table[(resolve(rec["left"]), resolve(rec["right"]))] = terms
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"missing or mistyped field: {exc!r}") from exc
     return n, d, table

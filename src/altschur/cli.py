@@ -26,6 +26,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from .fields import FieldSpec
 from .enumeration import (
     BudgetExceededError,
+    basis_size,
     check_basis_budget,
     check_power_budget,
     enum_Lambda,
@@ -151,7 +152,10 @@ def cmd_table(args: argparse.Namespace) -> int:
     check_basis_budget(n, d, args.max_basis)
     path = args.out or os.path.join(_cache_dir(args), f"table_n{n}_d{d}.json")
     if os.path.exists(path):
-        stored_n, stored_d, table = load_table(path)
+        try:
+            stored_n, stored_d, table = load_table(path)
+        except ValueError as exc:
+            raise _Failure(EXIT_IO, f"cache file {path} is malformed: {exc}")
         if (stored_n, stored_d) != (n, d):
             raise _Failure(EXIT_IO, f"cache file {path} is for ({stored_n},{stored_d}), not ({n},{d})")
         _note(f"cache loaded: {path}")
@@ -162,9 +166,11 @@ def cmd_table(args: argparse.Namespace) -> int:
         _note(f"cache written: {path}")
     counts = {"even*even": 0, "even*odd": 0, "odd*even": 0, "odd*odd": 0}
     for (a, b), terms in table.items():
+        if not terms:
+            continue
         case = f"{'odd' if a.is_odd else 'even'}*{'odd' if b.is_odd else 'even'}"
         counts[case] += sum(1 for c in terms.values() if field.from_int(c))
-    n_syms = len(all_symbols(n, d))
+    n_syms = basis_size(n, d)
     if args.json:
         _emit_json(
             {

@@ -159,10 +159,10 @@ def _conjugation_index(w: Sequence[int], n: int) -> np.ndarray:
 _MATRIX_CACHE: Dict[BasisSymbol, np.ndarray] = {}
 
 
-def _cached_matrix(sym: BasisSymbol) -> np.ndarray:
+def _cached_matrix(sym: BasisSymbol, cap: int | None = None) -> np.ndarray:
     m = _MATRIX_CACHE.get(sym)
     if m is None:
-        m = operator_matrix(sym).matrix
+        m = operator_matrix(sym, cap).matrix
         _MATRIX_CACHE[sym] = m
     return m
 
@@ -269,12 +269,13 @@ def verify_table(n: int, d: int, field: FieldSpec = QQ, cap: int | None = None) 
     matrices must equal the combination of kernel matrices dictated by the
     convolution structure constants; over a prime field the comparison is
     entrywise mod p.  Returns a report rather than raising, so callers can
-    render diagnostics.
+    render diagnostics.  ``cap`` bounds n^d (see :func:`check_power_budget`);
+    the basis size is checked against the default basis cap.
     """
     check_power_budget(n, d, cap)
-    check_basis_budget(n, d, cap)
+    check_basis_budget(n, d)
     syms = all_symbols(n, d)
-    mats = {sym: _cached_matrix(sym) for sym in syms}
+    mats = {sym: _cached_matrix(sym, cap) for sym in syms}
     p = field.characteristic
     report = VerifyReport(n, d, field.label, 0)
     for a in syms:

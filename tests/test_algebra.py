@@ -2,7 +2,10 @@
 constant cases, identity, anti-involution, the factorization diagnostics,
 rectangular composition, and table persistence."""
 
+import errno
+import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -36,6 +39,7 @@ from altschur import (
     xi,
     zeta,
 )
+from altschur import algebra
 from altschur.algebra import all_symbols, build_table, convolve, load_table, save_table
 from altschur.enumeration import act_word, lambda_factorial
 from altschur.graphs import pair_sign
@@ -397,24 +401,108 @@ def test_structure_constants_parameter_mismatch():
 # -- tables ------------------------------------------------------------------------
 
 
-def test_table_roundtrip(tmp_path):
-    table = build_table(2, 2)
-    syms = all_symbols(2, 2)
+TABLE_SIZES = [(2, 2), (2, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("n,d", TABLE_SIZES)
+def test_table_roundtrip(tmp_path, n, d):
+    table = build_table(n, d)
+    syms = all_symbols(n, d)
     assert set(table) == {(a, b) for a in syms for b in syms}
     path = tmp_path / "table.json"
-    save_table(table, 2, 2, str(path))
-    n, d, loaded = load_table(str(path))
-    assert (n, d) == (2, 2)
+    save_table(table, n, d, str(path))
+    loaded_n, loaded_d, loaded = load_table(str(path))
+    assert (loaded_n, loaded_d) == (n, d)
     for key, terms in table.items():
         assert loaded[key] == terms
     # loaded tables answer every pair, including zero products
     assert all((a, b) in loaded for a in syms for b in syms)
 
 
-def test_table_agrees_with_multiply():
-    table = build_table(2, 2)
+@pytest.mark.parametrize("n,d", TABLE_SIZES)
+def test_table_agrees_with_multiply(n, d):
+    table = build_table(n, d)
     for (a, b), terms in table.items():
         assert terms == structure_constants(a, b)
+
+
+def test_table_file_bytes_are_stable(tmp_path):
+    # digest recorded when every pair was convolved: skipping pairs must not change the bytes
+    path = tmp_path / "table.json"
+    save_table(build_table(2, 3), 2, 3, str(path))
+    assert [p.name for p in tmp_path.iterdir()] == ["table.json"]
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "e55341e25a1900a9d12b0287158a52a5747fa98f1de70c21539c832c3f595539"
+
+
+def test_save_table_failure_leaves_no_file(tmp_path, monkeypatch):
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+            return False
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(algebra, "open", lambda *a, **k: HalfWriter(open(*a, **k)), raising=False)
+    path = tmp_path / "table.json"
+    with pytest.raises(OSError):
+        save_table(build_table(2, 2), 2, 2, str(path))
+    assert list(tmp_path.iterdir()) == []
+
+
+def _write_json(path, data):
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def test_load_table_rejects_symbol_outside_basis(tmp_path):
+    path = tmp_path / "table.json"
+    save_table(build_table(2, 2), 2, 2, str(path))
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["entries"][0]["left"]["adj"] = [[3, 0], [1, 1]]  # degree 5 at d = 2
+    with pytest.raises(ValueError, match="not in the basis"):
+        load_table(_write_json(path, data))
+
+
+def test_load_table_rejects_invalid_odd_symbol(tmp_path):
+    entry = {
+        "left": {"parity": "odd", "adj": [[2, 0], [0, 0]]},
+        "right": {"parity": "even", "adj": [[2, 0], [0, 0]]},
+        "terms": [],
+    }
+    with pytest.raises(ValueError, match="not in the basis"):
+        load_table(_write_json(tmp_path / "t.json", {"n": 2, "d": 2, "entries": [entry]}))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 2, "d": 2},
+        {"d": 2, "entries": []},
+        {"n": 2, "d": 2, "entries": [{"left": {"parity": "even", "adj": [[2, 0], [0, 0]]}}]},
+        {"n": 2, "d": 2, "entries": [{"left": {"adj": [[2, 0], [0, 0]]}, "right": {}, "terms": []}]},
+        {"n": "2", "d": 2, "entries": []},
+        [],
+    ],
+)
+def test_load_table_rejects_missing_or_mistyped_keys(tmp_path, data):
+    with pytest.raises(ValueError):
+        load_table(_write_json(tmp_path / "t.json", data))
+
+
+def test_load_table_rejects_non_integer_coefficient(tmp_path):
+    sym = {"parity": "even", "adj": [[2, 0], [0, 0]]}
+    entry = {"left": sym, "right": sym, "terms": [[sym, "1"]]}
+    with pytest.raises(ValueError, match="not an integer"):
+        load_table(_write_json(tmp_path / "t.json", {"n": 2, "d": 2, "entries": [entry]}))
 
 
 def test_build_table_budget():

@@ -193,6 +193,28 @@ def test_table_wrong_cache_params(capsys, tmp_path):
     assert "is for (2,2), not (1,2)" in err
 
 
+def test_table_rejects_stale_cache_entry(capsys, tmp_path):
+    path = tmp_path / "table_n2_d2.json"
+    run(capsys, ["table", "2", "2", "--out", str(path)])
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["entries"][0]["left"]["adj"] = [[3, 0], [1, 1]]  # a degree-5 graph
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, ["table", "2", "2", "--out", str(path)])
+    assert code == 4
+    assert out == ""
+    assert f"error: cache file {path} is malformed: " in err
+
+
+def test_table_rejects_cache_without_entries(capsys, tmp_path):
+    path = tmp_path / "table_n2_d2.json"
+    path.write_text(json.dumps({"n": 2, "d": 2}), encoding="utf-8")
+    code, out, err = run(capsys, ["table", "2", "2", "--out", str(path)])
+    assert code == 4
+    assert out == ""
+    assert f"error: cache file {path} is malformed: " in err
+    assert "entries" in err
+
+
 def test_table_cache_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
     code, _, err = run(capsys, ["table", "2", "2"])
@@ -309,6 +331,13 @@ def test_verify_budget(capsys):
     code, _, err = run(capsys, ["verify", "2", "20"])
     assert code == 3
     assert "refused" in err
+
+
+def test_verify_power_cap_is_not_a_basis_cap(capsys):
+    # n^d = 4 fits the power cap; the 16 basis symbols fit the basis cap
+    code, out, err = run(capsys, ["verify", "2", "2", "--max-power", "4", "--max-basis", "100"])
+    assert code == 0, err
+    assert out.splitlines()[-1] == "verify (2,2) over Q: 6/6 suites passed"
 
 
 def test_verify_reports_failure(capsys, monkeypatch):
