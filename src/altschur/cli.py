@@ -266,13 +266,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _suite_oracle(n: int, d: int, field: FieldSpec, power_cap: Optional[int]) -> Tuple[bool, int, str]:
-    report = verify_table(n, d, field, cap=power_cap)
+# (power cap, basis cap) as given on the command line; None means the default
+_Caps = Tuple[Optional[int], Optional[int]]
+
+
+def _suite_oracle(n: int, d: int, field: FieldSpec, caps: _Caps) -> Tuple[bool, int, str]:
+    power_cap, basis_cap = caps
+    report = verify_table(n, d, field, cap=power_cap, basis_cap=basis_cap)
     detail = "" if report.ok else report.mismatches[0]
     return report.ok, report.pairs_checked, detail
 
 
-def _suite_identity(n: int, d: int, field: FieldSpec, power_cap: Optional[int]) -> Tuple[bool, int, str]:
+def _suite_identity(n: int, d: int, field: FieldSpec, caps: _Caps) -> Tuple[bool, int, str]:
     e = identity(n, d, field)
     checks = 0
     for sym in all_symbols(n, d):
@@ -285,7 +290,7 @@ def _suite_identity(n: int, d: int, field: FieldSpec, power_cap: Optional[int]) 
     return True, checks, ""
 
 
-def _suite_associativity(n: int, d: int, field: FieldSpec, power_cap: Optional[int]) -> Tuple[bool, int, str]:
+def _suite_associativity(n: int, d: int, field: FieldSpec, caps: _Caps) -> Tuple[bool, int, str]:
     syms = all_symbols(n, d)
     rng = random.Random(97)
     trials = 60
@@ -296,7 +301,7 @@ def _suite_associativity(n: int, d: int, field: FieldSpec, power_cap: Optional[i
     return True, trials, ""
 
 
-def _suite_involution(n: int, d: int, field: FieldSpec, power_cap: Optional[int]) -> Tuple[bool, int, str]:
+def _suite_involution(n: int, d: int, field: FieldSpec, caps: _Caps) -> Tuple[bool, int, str]:
     syms = all_symbols(n, d)
     checks = 0
     for sym in syms:
@@ -314,7 +319,7 @@ def _suite_involution(n: int, d: int, field: FieldSpec, power_cap: Optional[int]
     return True, checks, ""
 
 
-def _suite_factorization(n: int, d: int, field: FieldSpec, power_cap: Optional[int]) -> Tuple[bool, int, str]:
+def _suite_factorization(n: int, d: int, field: FieldSpec, caps: _Caps) -> Tuple[bool, int, str]:
     if n < d:
         return True, 0, ""  # the factorization needs the matching graph, so n >= d
     checks = 0
@@ -326,7 +331,7 @@ def _suite_factorization(n: int, d: int, field: FieldSpec, power_cap: Optional[i
     return True, checks, ""
 
 
-def _suite_delta(n: int, d: int, field: FieldSpec, power_cap: Optional[int]) -> Tuple[bool, int, str]:
+def _suite_delta(n: int, d: int, field: FieldSpec, caps: _Caps) -> Tuple[bool, int, str]:
     if n < d:
         return True, 0, ""
     checks = 0
@@ -348,11 +353,11 @@ _VERIFY_SUITES: List[Tuple[str, Callable]] = [
 ]
 
 
-def _run_verify_suite(payload: Tuple[str, int, int, str, Optional[int]]) -> Dict[str, object]:
-    name, n, d, field_label, power_cap = payload
+def _run_verify_suite(payload: Tuple[str, int, int, str, _Caps]) -> Dict[str, object]:
+    name, n, d, field_label, caps = payload
     field = FieldSpec.from_label(field_label)
     fn = dict(_VERIFY_SUITES)[name]
-    ok, checks, detail = fn(n, d, field, power_cap)
+    ok, checks, detail = fn(n, d, field, caps)
     return {"name": name, "ok": ok, "checks": checks, "detail": detail}
 
 
@@ -361,7 +366,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     field = _parse_field(args.field)
     check_power_budget(n, d, args.max_power)
     check_basis_budget(n, d, args.max_basis)
-    payloads = [(name, n, d, field.label, args.max_power) for name, _ in _VERIFY_SUITES]
+    caps = (args.max_power, args.max_basis)
+    payloads = [(name, n, d, field.label, caps) for name, _ in _VERIFY_SUITES]
     results = _run_pool(_run_verify_suite, payloads, args.workers)
     all_ok = all(r["ok"] for r in results)
     if args.json:

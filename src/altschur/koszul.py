@@ -13,6 +13,14 @@ arithmetic:
 * the equivalence between modules over the whole algebra and pairs (M, θ)
   of an S-module with a compatible map θ: D(M) → M.
 
+The diagonal idempotents e_λ = ξ(γ0_λ) sum to the identity, so every linear
+system behind phi and psi splits into weight-space blocks keyed by a pair of
+compositions (λ, μ).  Both analyses stream their relation rows once, route
+each row to the block of its first coordinate and reduce it there in a small
+:class:`~altschur.linalg.SparseEchelon` over local coordinates.  A block
+stops taking rows once its rank reaches the bound set by the image of the
+map under study on that block, and the stream stops once every block has.
+
 Large quotients over Q are handled with a mod-p certificate: ranks over a
 prime field only bound the rational answer, so the certificate is accepted
 only when the bound pinches against an exact rational computation; otherwise
@@ -33,7 +41,6 @@ from .linalg import (
     SparseEchelon,
     SpanSolver,
     intertwiner_space,
-    modp_rank_dense,
     sparse_kernel,
 )
 from .graphs import BipartiteGraph, gamma0_lambda
@@ -65,8 +72,9 @@ __all__ = [
     "find_module_isomorphism",
 ]
 
-# Modulus for rank certificates over Q.  Must stay below 2^21 so that
-# modp_rank_dense's int64 accumulator cannot overflow.
+# Modulus for rank certificates over Q.  The per-block echelons reduce with
+# Python ints, so any prime works; a large one makes a rank drop mod p (and
+# with it the exact fallback) unlikely.
 _CERT_PRIME = 999983
 
 # Above this many ambient coordinates, rational analyses try the mod-p
@@ -85,18 +93,35 @@ class IncompatibleTheta(ValueError):
 # ---------------------------------------------------------------------------
 
 
+Margin = Tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def _odd_margins(n: int, d: int) -> Tuple[Tuple[Margin, ...], Tuple[Margin, ...]]:
+    """Lower and upper degree sequences of every odd symbol, in enum_N order."""
+    Ns = enum_N(n, d)
+    return tuple(a.lower_degrees for a in Ns), tuple(a.upper_degrees for a in Ns)
+
+
+def _positions(keys: Iterable[Margin]) -> Dict[Margin, List[int]]:
+    """Indices grouped by key, increasing within each group."""
+    out: Dict[Margin, List[int]] = {}
+    for i, key in enumerate(keys):
+        out.setdefault(key, []).append(i)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _left_dicts(n: int, d: int) -> Tuple[Dict[int, Dict[int, int]], ...]:
     """Per even index g: {a: {c: coeff of ζ_c in ξ_g ζ_a}} over odd indices."""
     Ms, Ns = enum_M(n, d), enum_N(n, d)
     n_idx = graph_index("N", n, d)
+    by_lower = _positions(_odd_margins(n, d)[0])
     out: List[Dict[int, Dict[int, int]]] = []
     for g in Ms:
         per: Dict[int, Dict[int, int]] = {}
-        for ai, a in enumerate(Ns):
-            if g.upper_degrees != a.lower_degrees:
-                continue
-            sc = structure_constants(xi(g), zeta(a))
+        for ai in by_lower.get(g.upper_degrees, ()):
+            sc = structure_constants(xi(g), zeta(Ns[ai]))
             if sc:
                 per[ai] = {n_idx[s.graph]: c for s, c in sc.items()}
         out.append(per)
@@ -108,13 +133,12 @@ def _right_dicts(n: int, d: int) -> Tuple[Dict[int, Dict[int, int]], ...]:
     """Per even index g: {a: {c: coeff of ζ_c in ζ_a ξ_g}} over odd indices."""
     Ms, Ns = enum_M(n, d), enum_N(n, d)
     n_idx = graph_index("N", n, d)
+    by_upper = _positions(_odd_margins(n, d)[1])
     out: List[Dict[int, Dict[int, int]]] = []
     for g in Ms:
         per: Dict[int, Dict[int, int]] = {}
-        for ai, a in enumerate(Ns):
-            if a.upper_degrees != g.lower_degrees:
-                continue
-            sc = structure_constants(zeta(a), xi(g))
+        for ai in by_upper.get(g.lower_degrees, ()):
+            sc = structure_constants(zeta(Ns[ai]), xi(g))
             if sc:
                 per[ai] = {n_idx[s.graph]: c for s, c in sc.items()}
         out.append(per)
@@ -350,6 +374,81 @@ def bimodule_data(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) -
 
 
 # ---------------------------------------------------------------------------
+# weight-space blocks
+# ---------------------------------------------------------------------------
+
+
+def _even_keys(n: int, d: int) -> List[Tuple[Margin, Margin]]:
+    """Weight block (lower, upper) of every even symbol, in enum_M order."""
+    return [(g.lower_degrees, g.upper_degrees) for g in enum_M(n, d)]
+
+
+def _direct_method(field: FieldSpec) -> str:
+    """Report label of a rank computed over the analysis field itself."""
+    if field.kind == "Q":
+        return "exact"
+    # both labels name the same block solver; the split at 2^21 keeps the
+    # labels of earlier reports
+    return "modp" if field.p < 2**21 else "sparse"
+
+
+class _Blocks:
+    """Ambient coordinates grouped into weight-space blocks.
+
+    Blocks are numbered in order of first appearance.  Each coordinate gets a
+    local index inside its block that preserves coordinate order, so a
+    block's echelon works on small consecutive keys.
+    """
+
+    def __init__(self, keys: Iterable[object]):
+        self.ids: Dict[object, int] = {}
+        self.block_of: List[int] = []
+        self.local_of: List[int] = []
+        self.sizes: List[int] = []
+        for key in keys:
+            b = self.ids.setdefault(key, len(self.sizes))
+            if b == len(self.sizes):
+                self.sizes.append(0)
+            self.block_of.append(b)
+            self.local_of.append(self.sizes[b])
+            self.sizes[b] += 1
+
+    def count(self, keys: Iterable[object]) -> List[int]:
+        """How many of ``keys`` fall into each block (others are ignored)."""
+        counts = [0] * len(self.sizes)
+        for key in keys:
+            b = self.ids.get(key)
+            if b is not None:
+                counts[b] += 1
+        return counts
+
+    def ranks(self, rows: Iterable[Dict[int, int]], bounds: Sequence[int], field: FieldSpec) -> List[int]:
+        """Per-block rank over ``field`` of integer rows that never cross blocks.
+
+        A row goes to the block of its first coordinate.  ``bounds[b]`` must
+        bound the rank of block b from above: the block takes no more rows
+        once it is reached, and reading stops once every block has.
+        """
+        block_of, local_of, from_int = self.block_of, self.local_of, field.from_int
+        echelons = [SparseEchelon(field) for _ in bounds]
+        ranks = [0] * len(bounds)
+        unfinished = sum(1 for bound in bounds if bound > 0)
+        if not unfinished:
+            return ranks
+        for row in rows:
+            b = block_of[next(iter(row))]
+            if ranks[b] >= bounds[b]:
+                continue
+            if echelons[b].add_row({local_of[k]: from_int(v) for k, v in row.items()}):
+                ranks[b] += 1
+                if ranks[b] == bounds[b]:
+                    unfinished -= 1
+                    if not unfinished:
+                        break
+        return ranks
+
+
+# ---------------------------------------------------------------------------
 # phi: multiplication of the odd component over the even subalgebra
 # ---------------------------------------------------------------------------
 
@@ -386,26 +485,19 @@ def _phi_surviving(n: int, d: int) -> Tuple[List[Tuple[int, int]], Dict[Tuple[in
     projectors, so the coordinate ζ_a ⊗ ζ_b survives exactly when the upper
     degree sequence of a matches the lower one of b.
     """
-    Ns = enum_N(n, d)
-    surviving = [
-        (ai, bi)
-        for ai, a in enumerate(Ns)
-        for bi, b in enumerate(Ns)
-        if a.upper_degrees == b.lower_degrees
-    ]
+    lower, upper = _odd_margins(n, d)
+    by_lower = _positions(lower)
+    surviving = [(ai, bi) for ai, mu in enumerate(upper) for bi in by_lower.get(mu, ())]
     return surviving, {pair: k for k, pair in enumerate(surviving)}
 
 
 def _phi_relation_rows(n: int, d: int) -> Iterator[Dict[int, int]]:
     """Non-diagonal tensor relations (ζ_a ξ_g) ⊗ ζ_b − ζ_a ⊗ (ξ_g ζ_b),
     projected to the surviving coordinates (integer rows)."""
-    Ms, Ns = enum_M(n, d), enum_N(n, d)
+    Ms = enum_M(n, d)
     _, coord = _phi_surviving(n, d)
-    by_upper: Dict[Tuple[int, ...], List[int]] = {}
-    by_lower: Dict[Tuple[int, ...], List[int]] = {}
-    for ai, a in enumerate(Ns):
-        by_upper.setdefault(a.upper_degrees, []).append(ai)
-        by_lower.setdefault(a.lower_degrees, []).append(ai)
+    lower, upper = _odd_margins(n, d)
+    by_upper, by_lower = _positions(upper), _positions(lower)
     right, left = _right_dicts(n, d), _left_dicts(n, d)
     for gi, g in enumerate(Ms):
         if _is_diagonal(g):
@@ -441,23 +533,19 @@ def _product_rows(n: int, d: int) -> List[Dict[int, int]]:
     return rows
 
 
-def _sparse_rank(rows: Iterable[Dict[int, int]], field: FieldSpec) -> int:
-    ech = SparseEchelon(field)
-    for row in rows:
-        ech.add_row({k: field.from_int(v) for k, v in row.items()})
-    return ech.rank
-
-
 def phi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) -> PhiReport:
     """Rank data for the multiplication map out of the odd-odd tensor square.
 
     ``tensor_dim`` is the dimension of the quotient of the |N|²-dimensional
     space by the basis-triple relations; ``phi_rank`` the dimension of its
-    image in the even subalgebra.  Over Q on large quotients the relation
-    rank is first computed modulo a certificate prime: the mod-p quotient
-    dimension is an upper bound for the rational one and the rational image
-    dimension a lower bound, so when the two meet the answer is exact; if
-    they disagree the code falls back to exact elimination.
+    image in the even subalgebra.  Both split over the weight blocks: the
+    tensor coordinate ζ_a ⊗ ζ_b lies in block (a.lower, b.upper), and so do
+    its relations and the even symbols in the expansion of ζ_a ζ_b.  Over Q
+    on large quotients the relation rank is first computed modulo a
+    certificate prime: the mod-p quotient dimension is an upper bound for the
+    rational one and the rational image dimension a lower bound, so when the
+    two meet the answer is exact; if they disagree the code falls back to
+    exact elimination.
     """
     check_basis_budget(n, d, cap)
     nM = len(enum_M(n, d))
@@ -465,32 +553,37 @@ def phi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) ->
     S = len(surviving)
     if S == 0:
         return PhiReport(n, d, field, 0, 0, nM, False, True, False, "empty")
+    lower, upper = _odd_margins(n, d)
+    blocks = _Blocks((lower[a], upper[b]) for a, b in surviving)
+    even_keys = _even_keys(n, d)
     prod_rows = _product_rows(n, d)
-    phi_rank = _sparse_rank(prod_rows, field)
-    if field.kind == "GF" and field.p < 2**21:
-        # rank of the relations cannot exceed S - phi_rank: the product map
-        # kills every relation, so the quotient is at least phi_rank wide
-        rank = modp_rank_dense(_phi_relation_rows(n, d), S, field.p, stop_at_rank=S - phi_rank)
-        tensor_dim = S - rank
-        method = "modp"
-    elif field.kind == "GF":
-        tensor_dim = S - _sparse_rank(_phi_relation_rows(n, d), field)
-        method = "sparse"
-    elif S <= _EXACT_CUTOFF:
-        tensor_dim = S - _sparse_rank(_phi_relation_rows(n, d), field)
-        method = "exact"
+
+    def image(f: FieldSpec) -> List[int]:
+        # per-block rank of the product map: its pivots are even symbols
+        ech = SparseEchelon(f)
+        for row in prod_rows:
+            ech.add_row({k: f.from_int(v) for k, v in row.items()})
+        return blocks.count(even_keys[h] for h in ech.pivot_rows)
+
+    def tensor_dim_over(f: FieldSpec, image_f: List[int]) -> int:
+        # the product map kills every relation, so a block's relation rank
+        # cannot exceed its size minus its image
+        bounds = [size - im for size, im in zip(blocks.sizes, image_f)]
+        return S - sum(blocks.ranks(_phi_relation_rows(n, d), bounds, f))
+
+    image_q = image(field)
+    phi_rank = sum(image_q)
+    if field.kind == "GF" or S <= _EXACT_CUTOFF:
+        tensor_dim = tensor_dim_over(field, image_q)
+        method = _direct_method(field)
     else:
         cert = GF(_CERT_PRIME)
-        rank_cert_image = _sparse_rank(prod_rows, cert)
-        rank_p = modp_rank_dense(
-            _phi_relation_rows(n, d), S, _CERT_PRIME, stop_at_rank=S - rank_cert_image
-        )
-        if S - rank_p == phi_rank:
-            # pinched: phi_rank <= tensor_dim <= S - rank_p
-            tensor_dim = S - rank_p
+        tensor_dim = tensor_dim_over(cert, image(cert))
+        if tensor_dim == phi_rank:
+            # pinched: phi_rank <= tensor_dim over Q <= tensor_dim mod p
             method = "certificate"
         else:
-            tensor_dim = S - _sparse_rank(_phi_relation_rows(n, d), field)
+            tensor_dim = tensor_dim_over(field, image_q)
             method = "exact-fallback"
     return PhiReport(
         n,
@@ -561,24 +654,18 @@ def _commutant_vars(n: int, d: int) -> Tuple[List[Tuple[int, int]], Dict[Tuple[i
     entry θ[c, a] is free exactly when c and a have the same upper degree
     sequence, and zero otherwise.
     """
-    Ns = enum_N(n, d)
-    pairs = [
-        (ci, ai)
-        for ci, c in enumerate(Ns)
-        for ai, a in enumerate(Ns)
-        if c.upper_degrees == a.upper_degrees
-    ]
+    upper = _odd_margins(n, d)[1]
+    by_upper = _positions(upper)
+    pairs = [(ci, ai) for ci, mu in enumerate(upper) for ai in by_upper[mu]]
     return pairs, {pair: k for k, pair in enumerate(pairs)}
 
 
 def _commutant_rows(n: int, d: int) -> Iterator[Dict[int, int]]:
     """Constraint rows of θ·R_g = R_g·θ over the block variables, for every
     non-diagonal even symbol g."""
-    Ms, Ns = enum_M(n, d), enum_N(n, d)
+    Ms = enum_M(n, d)
     _, var = _commutant_vars(n, d)
-    by_upper: Dict[Tuple[int, ...], List[int]] = {}
-    for ai, a in enumerate(Ns):
-        by_upper.setdefault(a.upper_degrees, []).append(ai)
+    by_upper = _positions(_odd_margins(n, d)[1])
     right, rrows = _right_dicts(n, d), _right_rows(n, d)
     for gi, g in enumerate(Ms):
         if _is_diagonal(g):
@@ -607,46 +694,50 @@ def psi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) ->
     The map is injective iff the kernel is zero and surjective iff the image
     dimension |M| − kernel_dim equals the commutant dimension.  The commutant
     system is solved against all |M| generators: the diagonal ones in closed
-    form (they force block-diagonal shape) and the rest as linear rows.
+    form (they force block-diagonal shape) and the rest as linear rows.  It
+    splits over the weight blocks: the variable θ[c, a] lies in block
+    (c.lower, a.lower), and so do its constraint rows and the images of the
+    even symbols h with (h.lower, h.upper) equal to that pair.
     """
     check_basis_budget(n, d, cap)
     nM = len(enum_M(n, d))
-    kernel_rows = [
-        {k: field.from_int(v) for k, v in row.items()} for row in _psi_kernel_rows(n, d)
-    ]
-    kernel = sparse_kernel(kernel_rows, nM, field)
-    kernel_dim = len(kernel)
-    image_dim = nM - kernel_dim
+    kernel_rows = _psi_kernel_rows(n, d)
     vars_, _ = _commutant_vars(n, d)
     V = len(vars_)
-    if field.kind == "GF" and field.p < 2**21:
-        # the image of the map lands in the commutant, so the constraint rank
-        # cannot exceed V - image_dim
-        rank = modp_rank_dense(_commutant_rows(n, d), V, field.p, stop_at_rank=V - image_dim)
-        commutant_dim = V - rank
-        method = "modp"
-    elif field.kind == "GF":
-        commutant_dim = V - _sparse_rank(_commutant_rows(n, d), field)
-        method = "sparse"
-    elif V <= _EXACT_CUTOFF:
-        commutant_dim = V - _sparse_rank(_commutant_rows(n, d), field)
-        method = "exact"
+    lower = _odd_margins(n, d)[0]
+    blocks = _Blocks((lower[c], lower[a]) for c, a in vars_)
+    even_keys = _even_keys(n, d)
+    even_count = blocks.count(even_keys)
+
+    def kernel_of(f: FieldSpec) -> List[Dict[int, Scalar]]:
+        return sparse_kernel([{k: f.from_int(v) for k, v in row.items()} for row in kernel_rows], nM, f)
+
+    def image(kernel_f: List[Dict[int, Scalar]]) -> List[int]:
+        # the kernel rows never cross blocks, so neither does a kernel vector
+        in_kernel = blocks.count(even_keys[next(iter(vec))] for vec in kernel_f)
+        return [total - k for total, k in zip(even_count, in_kernel)]
+
+    def commutant_dim_over(f: FieldSpec, image_f: List[int]) -> int:
+        # the image of the map lands in the commutant, so a block's
+        # constraint rank cannot exceed its size minus its image
+        bounds = [size - im for size, im in zip(blocks.sizes, image_f)]
+        return V - sum(blocks.ranks(_commutant_rows(n, d), bounds, f))
+
+    kernel = kernel_of(field)
+    kernel_dim = len(kernel)
+    image_dim = nM - kernel_dim
+    image_q = image(kernel)
+    if field.kind == "GF" or V <= _EXACT_CUTOFF:
+        commutant_dim = commutant_dim_over(field, image_q)
+        method = _direct_method(field)
     else:
         cert = GF(_CERT_PRIME)
-        kernel_p = sparse_kernel(
-            [{k: cert.from_int(v) for k, v in row.items()} for row in _psi_kernel_rows(n, d)],
-            nM,
-            cert,
-        )
-        rank_p = modp_rank_dense(
-            _commutant_rows(n, d), V, _CERT_PRIME, stop_at_rank=V - (nM - len(kernel_p))
-        )
-        if V - rank_p == image_dim:
+        commutant_dim = commutant_dim_over(cert, image(kernel_of(cert)))
+        if commutant_dim == image_dim:
             # pinched: image_dim <= commutant over Q <= commutant mod p
-            commutant_dim = V - rank_p
             method = "certificate"
         else:
-            commutant_dim = V - _sparse_rank(_commutant_rows(n, d), field)
+            commutant_dim = commutant_dim_over(field, image_q)
             method = "exact-fallback"
     return PsiReport(
         n,
@@ -673,7 +764,12 @@ def _dual_relations(M: SModule) -> List[Dict[int, Scalar]]:
     nN = len(enum_N(M.n, M.d))
     rels: List[Dict[int, Scalar]] = []
     for gi in range(len(right)):
-        Ag = M.action[gi]
+        # the non-zero entries (j, A_g[j, i]) of each column i, j increasing
+        cols: List[List[Tuple[int, Scalar]]] = [[] for _ in range(dim)]
+        for j, arow in enumerate(M.action[gi].rows):
+            for i, a in enumerate(arow):
+                if a:
+                    cols[i].append((j, a))
         per = right[gi]
         for ai in range(nN):
             rsc = per.get(ai, {})
@@ -681,11 +777,9 @@ def _dual_relations(M: SModule) -> List[Dict[int, Scalar]]:
                 row: Dict[int, Scalar] = {}
                 for ci, v in rsc.items():
                     row[ci * dim + i] = f.from_int(v)
-                for j in range(dim):
-                    a = Ag.rows[j][i]
-                    if a:
-                        key = ai * dim + j
-                        row[key] = f.sub(row.get(key, f.zero), a)
+                for j, a in cols[i]:
+                    key = ai * dim + j
+                    row[key] = f.sub(row.get(key, f.zero), a)
                 row = {k: v for k, v in row.items() if v}
                 if row:
                     rels.append(row)

@@ -8,17 +8,16 @@ platforms.  Dense matrices are plain lists of lists of raw scalars
 
 For the very large, very redundant relation systems that arise when forming
 tensor-product quotients, dense elimination is hopeless; those go through
-:class:`SparseEchelon` (dict-keyed rows, forward reduction only) or, over a
-prime field, through :func:`modp_rank_dense`, a numpy accumulator that keeps
-every entry reduced mod p.
+:class:`SparseEchelon` (dict-keyed rows, forward reduction only).  The callers
+in :mod:`altschur.koszul` split such a system into its weight-space blocks and
+run one small echelon per block, so no elimination ever spans the whole
+ambient space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .fields import FieldSpec, Scalar
 
@@ -31,7 +30,6 @@ __all__ = [
     "rref_sparse",
     "sparse_kernel",
     "intertwiner_space",
-    "modp_rank_dense",
 ]
 
 SparseVec = Dict[int, Scalar]
@@ -242,7 +240,8 @@ class SparseEchelon:
 
     def reduce(self, row: SparseVec) -> SparseVec:
         """Return the residue of ``row`` after elimination (not stored)."""
-        f = self.field
+        # field arithmetic inlined: this loop carries every large elimination
+        p, zero = self.field.p, self.field.zero
         pivot_rows = self.pivot_rows
         row = {k: v for k, v in row.items() if v}
         while row:
@@ -252,7 +251,9 @@ class SparseEchelon:
                 return row
             coef = row[lead]
             for k, v in prow.items():
-                new = f.sub(row.get(k, f.zero), f.mul(coef, v))
+                new = row.get(k, zero) - coef * v
+                if p:
+                    new %= p
                 if new:
                     row[k] = new
                 else:
@@ -552,47 +553,3 @@ def intertwiner_space(
         {c: f.one} for c in range(dim)
     ]
 
-
-def modp_rank_dense(
-    relations: Iterable[SparseVec],
-    ncols: int,
-    p: int,
-    stop_at_rank: Optional[int] = None,
-) -> int:
-    """Rank over GF(p) of a stream of sparse integer rows, numpy-accelerated.
-
-    The accumulator is a dense int64 echelon (one row per pivot, entries kept
-    in ``range(p)``); each incoming row is densified and swept.  Intended for
-    the huge redundant relation systems where dict-based reduction is too
-    slow; requires ``p**2 * ncols`` to fit comfortably in int64, which holds
-    for every modulus this package uses.
-
-    ``stop_at_rank`` stops reading rows once that rank is reached; callers
-    pass it only when the rank is known a priori not to exceed it.
-    """
-    if p >= 2**21:
-        raise ValueError("modulus too large for the int64 accumulator")
-    pivot_of: Dict[int, int] = {}
-    rows: List[np.ndarray] = []
-    buf = np.zeros(ncols, dtype=np.int64)
-    for rel in relations:
-        if stop_at_rank is not None and len(rows) >= stop_at_rank:
-            break
-        buf[:] = 0
-        for k, v in rel.items():
-            buf[k] = int(v) % p
-        work = buf
-        while True:
-            nz = np.nonzero(work)[0]
-            if nz.size == 0:
-                break
-            lead = int(nz[0])
-            stored = pivot_of.get(lead)
-            if stored is None:
-                inv = pow(int(work[lead]), -1, p)
-                rows.append((work * inv) % p)
-                pivot_of[lead] = len(rows) - 1
-                break
-            coef = int(work[lead])
-            work = (work - coef * rows[stored]) % p
-    return len(rows)

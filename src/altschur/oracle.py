@@ -262,18 +262,20 @@ class VerifyReport:
         }
 
 
-def verify_table(n: int, d: int, field: FieldSpec = QQ, cap: int | None = None) -> VerifyReport:
+def verify_table(
+    n: int, d: int, field: FieldSpec = QQ, cap: int | None = None, basis_cap: int | None = None
+) -> VerifyReport:
     """Check every basis product against the matrix oracle.
 
     For each ordered pair of basis symbols, the product of their kernel
     matrices must equal the combination of kernel matrices dictated by the
     convolution structure constants; over a prime field the comparison is
     entrywise mod p.  Returns a report rather than raising, so callers can
-    render diagnostics.  ``cap`` bounds n^d (see :func:`check_power_budget`);
-    the basis size is checked against the default basis cap.
+    render diagnostics.  ``cap`` bounds n^d (see :func:`check_power_budget`)
+    and ``basis_cap`` bounds |M| + |N| (see :func:`check_basis_budget`).
     """
     check_power_budget(n, d, cap)
-    check_basis_budget(n, d)
+    check_basis_budget(n, d, basis_cap)
     syms = all_symbols(n, d)
     mats = {sym: _cached_matrix(sym, cap) for sym in syms}
     p = field.characteristic

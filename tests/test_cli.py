@@ -340,6 +340,14 @@ def test_verify_power_cap_is_not_a_basis_cap(capsys):
     assert out.splitlines()[-1] == "verify (2,2) over Q: 6/6 suites passed"
 
 
+def test_verify_max_basis_reaches_the_oracle(capsys, monkeypatch):
+    # the 16 basis symbols exceed the environment's cap but not the flag's
+    monkeypatch.setenv("ALTSCHUR_MAX_BASIS", "10")
+    code, out, err = run(capsys, ["verify", "2", "2", "--max-basis", "100"])
+    assert code == 0, err
+    assert out.splitlines()[-1] == "verify (2,2) over Q: 6/6 suites passed"
+
+
 def test_verify_reports_failure(capsys, monkeypatch):
     def broken(n, d, field, power_cap):
         return False, 1, "forced failure for the exit-code path"

@@ -3,7 +3,7 @@ functor D with its natural transformations, and the (M, theta) equivalence."""
 
 import pytest
 
-from altschur import GF, QQ, BipartiteGraph
+from altschur import GF, QQ, BipartiteGraph, koszul
 from altschur.enumeration import enum_M, enum_N, graph_index
 from altschur.koszul import (
     ASModule,
@@ -25,7 +25,7 @@ from altschur.koszul import (
     ringel_dual,
     zero_smodule,
 )
-from altschur.linalg import ExactMatrix, SpanSolver
+from altschur.linalg import ExactMatrix, SparseEchelon, SpanSolver, sparse_kernel
 
 
 # -- bimodule data ----------------------------------------------------------------
@@ -183,6 +183,124 @@ def test_psi_kernel_elements_annihilate():
 def test_psi_json_keys():
     data = psi_analysis(2, 2, QQ).to_json_dict()
     assert set(data) == {"kernel_dim", "commutant_dim", "source_dim", "iso", "method"}
+
+
+# -- weight blocks ----------------------------------------------------------------
+
+BLOCK_CELLS = [(n, d) for n in range(1, 4) for d in range(1, 5)] + [(2, 5), (2, 6)]
+
+
+def _even_key(g):
+    return (g.lower_degrees, g.upper_degrees)
+
+
+@pytest.mark.parametrize("n,d", BLOCK_CELLS)
+def test_phi_rows_stay_in_one_block(n, d):
+    """Every relation row of phi lies in one block (a.lower, b.upper), and the
+    product row of a tensor coordinate only reaches even symbols whose
+    margins are that coordinate's block."""
+    Ms, Ns = enum_M(n, d), enum_N(n, d)
+    surviving, _ = koszul._phi_surviving(n, d)
+    key = [(Ns[a].lower_degrees, Ns[b].upper_degrees) for a, b in surviving]
+    for row in koszul._phi_relation_rows(n, d):
+        assert len({key[k] for k in row}) == 1
+    for k, row in enumerate(koszul._product_rows(n, d)):
+        assert {_even_key(Ms[h]) for h in row} <= {key[k]}
+
+
+@pytest.mark.parametrize("n,d", BLOCK_CELLS)
+def test_psi_rows_stay_in_one_block(n, d):
+    """Every commutant row of psi lies in one block (c.lower, a.lower), and
+    the kernel row of the entry (c, a) only involves even symbols whose
+    margins are that block."""
+    Ms, Ns = enum_M(n, d), enum_N(n, d)
+    vars_, _ = koszul._commutant_vars(n, d)
+    key = [(Ns[c].lower_degrees, Ns[a].lower_degrees) for c, a in vars_]
+    for row in koszul._commutant_rows(n, d):
+        assert len({key[k] for k in row}) == 1
+    for gi, per in enumerate(koszul._left_dicts(n, d)):
+        for a, col in per.items():
+            for c in col:
+                assert _even_key(Ms[gi]) == (Ns[c].lower_degrees, Ns[a].lower_degrees)
+
+
+def _global_rank(rows, field, bound=None):
+    ech = SparseEchelon(field)
+    for row in rows:
+        if ech.rank == bound:
+            break
+        ech.add_row({k: field.from_int(v) for k, v in row.items()})
+    return ech.rank
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)])
+@pytest.mark.parametrize("n,d", BLOCK_CELLS)
+def test_blockwise_reports_match_one_global_echelon(n, d, field):
+    """The block solver against a reference that eliminates all rows of each
+    system in one echelon, stopping only at the global rank bound (the map
+    under study kills every relation, so the relation rank is at most the
+    ambient dimension minus the image dimension)."""
+    phi = phi_analysis(n, d, field)
+    S = len(koszul._phi_surviving(n, d)[0])
+    phi_rank = _global_rank(koszul._product_rows(n, d), field)
+    assert phi.phi_rank == phi_rank
+    assert phi.tensor_dim == S - _global_rank(koszul._phi_relation_rows(n, d), field, S - phi_rank)
+
+    psi = psi_analysis(n, d, field)
+    nM = len(enum_M(n, d))
+    kernel_rows = [{k: field.from_int(v) for k, v in row.items()} for row in koszul._psi_kernel_rows(n, d)]
+    kernel = sparse_kernel(kernel_rows, nM, field)
+    assert psi.kernel_vectors == kernel
+    V = len(koszul._commutant_vars(n, d)[0])
+    bound = V - (nM - len(kernel))
+    assert psi.commutant_dim == V - _global_rank(koszul._commutant_rows(n, d), field, bound)
+
+
+FORCED_CELLS = [(2, 2), (2, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("n,d", FORCED_CELLS)
+def test_certificate_branch_matches_exact(n, d, monkeypatch):
+    exact_phi, exact_psi = phi_analysis(n, d, QQ), psi_analysis(n, d, QQ)
+    assert (exact_phi.method, exact_psi.method) == ("exact", "exact")
+    monkeypatch.setattr(koszul, "_EXACT_CUTOFF", 0)
+    phi, psi = phi_analysis(n, d, QQ), psi_analysis(n, d, QQ)
+    assert (phi.method, psi.method) == ("certificate", "certificate")
+    assert {**phi.to_json_dict(), "method": "exact"} == exact_phi.to_json_dict()
+    assert {**psi.to_json_dict(), "method": "exact"} == exact_psi.to_json_dict()
+    assert psi.kernel_vectors == exact_psi.kernel_vectors
+
+
+@pytest.mark.parametrize("n,d", FORCED_CELLS)
+def test_exact_fallback_branch_matches_exact(n, d, monkeypatch):
+    """A relation rank that drops modulo the certificate prime widens the
+    mod-p quotient past the rational image, so the pinch misses and the
+    analyses must eliminate over Q instead."""
+    exact_phi, exact_psi = phi_analysis(n, d, QQ), psi_analysis(n, d, QQ)
+    ranks = koszul._Blocks.ranks
+
+    def dropped(self, rows, bounds, field):
+        out = ranks(self, rows, bounds, field)
+        if field == GF(koszul._CERT_PRIME):
+            out[out.index(max(out))] -= 1
+        return out
+
+    monkeypatch.setattr(koszul, "_EXACT_CUTOFF", 0)
+    monkeypatch.setattr(koszul._Blocks, "ranks", dropped)
+    phi, psi = phi_analysis(n, d, QQ), psi_analysis(n, d, QQ)
+    assert (phi.method, psi.method) == ("exact-fallback", "exact-fallback")
+    assert {**phi.to_json_dict(), "method": "exact"} == exact_phi.to_json_dict()
+    assert {**psi.to_json_dict(), "method": "exact"} == exact_psi.to_json_dict()
+    assert psi.kernel_vectors == exact_psi.kernel_vectors
+
+
+@pytest.mark.stretch
+@pytest.mark.parametrize("field,method", [(GF(5), "modp"), (QQ, "certificate")])
+def test_phi_psi_4_3(field, method):
+    phi, psi = phi_analysis(4, 3, field), psi_analysis(4, 3, field)
+    assert phi.iso and psi.iso
+    assert phi.tensor_dim == phi.phi_rank == psi.commutant_dim == 816
+    assert (phi.method, psi.method) == (method, method)
 
 
 # -- the functor D ----------------------------------------------------------------

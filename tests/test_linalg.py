@@ -1,5 +1,5 @@
 """Exact linear algebra: dense matrices, sparse elimination, quotients,
-span solving, intertwiners, and the mod-p rank accelerator."""
+span solving and intertwiners."""
 
 import random
 from fractions import Fraction
@@ -13,7 +13,6 @@ from altschur.linalg import (
     SpanSolver,
     SparseEchelon,
     intertwiner_space,
-    modp_rank_dense,
     quotient_dim,
     rref_sparse,
     sparse_kernel,
@@ -264,29 +263,3 @@ def test_intertwiner_incompatible_pair_is_empty():
         # A V = 0 forces the second row of V to vanish
         assert all(k < 2 for k in vec)
 
-
-# -- mod-p rank accelerator -----------------------------------------------------
-
-
-def test_modp_rank_matches_exact():
-    rng = random.Random(31)
-    p = 999983
-    for _ in range(6):
-        rows = [[rng.randrange(-5, 6) for _ in range(9)] for _ in range(7)]
-        sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
-        got = modp_rank_dense(sparse, 9, p)
-        ech = SparseEchelon(GF(p))
-        for row in sparse:
-            ech.add_row({j: v % p for j, v in row.items()})
-        assert got == ech.rank
-
-
-def test_modp_rank_stop_at_rank():
-    rows = [{i: 1} for i in range(5)]
-    assert modp_rank_dense(rows, 5, 7) == 5
-    assert modp_rank_dense(rows, 5, 7, stop_at_rank=3) == 3
-
-
-def test_modp_rank_modulus_guard():
-    with pytest.raises(ValueError):
-        modp_rank_dense([], 3, 2**21)

@@ -196,3 +196,10 @@ def test_verify_table_2_4_gf5():
 def test_verify_table_budget():
     with pytest.raises(BudgetExceededError):
         verify_table(2, 20)
+
+
+def test_verify_table_basis_cap_overrides_environment(monkeypatch):
+    monkeypatch.setenv("ALTSCHUR_MAX_BASIS", "10")
+    with pytest.raises(BudgetExceededError):
+        verify_table(2, 2)
+    assert verify_table(2, 2, basis_cap=100).ok
