@@ -7,17 +7,19 @@ symbol of a graph g has kernel value 1 at each configuration pair whose pair
 graph is g, and the odd symbol has kernel value equal to the ball-labelling
 sign at such pairs (necessarily transverse since g is simple).
 
-Products are computed by convolution over a middle configuration.  Fix a
-configuration S realizing the lower degree sequence of the left factor; then
+Products follow the Schur-algebra product rule (Green, *Polynomial
+Representations of GL_n*, LNM 830, section 2.3).  The coefficient of a target
+graph g in a product is the product kernel at one configuration pair (S, U)
+realizing g, a sum over middle configurations T:
 
-    (product kernel)(S, U) = sum over T of kernel1(S, T) * kernel2(T, U),
+    (product kernel)(S, U) = sum over T of kernel1(S, T) * kernel2(T, U).
 
-and the T with kernel1(S, T) != 0 are exactly the ways of scattering each box
-of S according to the corresponding column of the left graph, and similarly
-for U given T.  The coefficient of a target graph is the kernel value at any
-pair realizing it, corrected by the ball sign for odd targets; the code reads
-every realized pair and checks they all agree, which guards the orientation
-conventions at run time.
+Grouping the T by how many balls go from each box of U through each middle
+box to each box of S turns this into a sum over 3-way contingency tables
+whose margins are the two factor graphs and the target.  Each table
+contributes its number of T, times a ball-labelling sign that is constant on
+the table when a factor is odd; :func:`convolve` gives the argument.  The test
+suite keeps an independent walk over middle and target words as the reference.
 
 All structure constants are integers; they are computed once over the
 integers, memoized, and reduced into a field at the point of use.
@@ -25,25 +27,24 @@ integers, memoized, and reduced into a field at the point of use.
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .fields import FieldSpec, Scalar
 from .graphs import (
     BipartiteGraph,
-    Word,
     gamma0_lambda,
     gamma_lambda,
     labelling_sign,
-    pair_graph,
     pair_sign,
+    representative_pair,
     d_of,
     u_of,
 )
-from .enumeration import check_basis_budget, enum_Lambda, enum_M, enum_N, words_with_content
+from .enumeration import check_basis_budget, enum_Lambda, enum_M, enum_N
 
 __all__ = [
     "BasisSymbol",
@@ -220,6 +221,39 @@ class GradedElement:
 
 _CONVOLVE_CACHE: Dict[Tuple[BipartiteGraph, BipartiteGraph, bool, bool], Dict[BipartiteGraph, int]] = {}
 
+# a partial table of convolve: its cell sums and the (middle box, slice) pairs
+_State = Tuple[Tuple[int, ...], Tuple[Tuple[int, Tuple[int, ...]], ...]]
+
+
+def _tables(rows: Sequence[int], cols: Sequence[int]) -> List[Tuple[int, ...]]:
+    """Every matrix of non-negative ints with row sums ``rows`` and column
+    sums ``cols`` (non-empty, equal totals), flattened row-major."""
+    n_rows, n_cols = len(rows), len(cols)
+    out: List[Tuple[int, ...]] = []
+    cells = [0] * (n_rows * n_cols)
+    left = list(cols)
+    last = (n_rows - 1) * n_cols
+
+    def fill(k: int, row_left: int, room: int) -> None:
+        # cell k = (i, j) takes x balls; the row's later cells have ``room``
+        if k == last:
+            out.append(tuple(cells[:last]) + tuple(left))
+            return
+        j = k % n_cols
+        cap = left[j]
+        room -= cap
+        for x in range(max(0, row_left - room), min(row_left, cap) + 1):
+            cells[k] = x
+            left[j] = cap - x
+            if j == n_cols - 1:
+                fill(k + 1, rows[k // n_cols + 1], sum(left))
+            else:
+                fill(k + 1, row_left - x, room)
+        left[j] = cap
+
+    fill(0, rows[0], sum(cols))
+    return out
+
 
 def convolve(
     g1: BipartiteGraph, g2: BipartiteGraph, odd1: bool, odd2: bool
@@ -229,6 +263,35 @@ def convolve(
     Works for rectangular graphs as well: g1 on [m]' + [l], g2 on [n]' + [m];
     the targets live on [n]' + [l].  Returns {} when the middle degree
     sequences disagree (the product is zero).
+
+    The coefficient of a target g is the product kernel at the pair
+    (S, U) = representative_pair(g), whose ball sign is +1:
+
+        sum over T of kernel1(S, T) * kernel2(T, U).
+
+    Each such T puts the balls of cell (i, j) of g (U-box i, S-box j) into
+    middle boxes; let z[i][m][j] count the balls of cell (i, j) in middle
+    box m.  T contributes only if row m of g1 is the S-margin of slice
+    z[.][m][.] and column m of g2 its U-margin, and g = sum over m of the
+    slices.  So the tables z are products over m of 2-way tables, and one
+    table is realized by prod g_ij! / prod z_imj! middle configurations T.
+
+    Two T of one table differ by permuting balls inside cells.  Swapping two
+    balls of cell (i, j) that sit in distinct middle boxes m != m' swaps the
+    edges (m, j) and (m', j) of the pair (S, T), and the edges (i, m) and
+    (i, m') of (T, U): each ball sign flips once.  Hence
+
+    * even * even: the weight of a table is its count of T;
+    * odd * odd: every T of a table has the same sign product, read off one
+      representative T (the balls of each cell in ascending middle boxes),
+      and z <= 1, so the weight is that sign times prod g_ij!;
+    * exactly one odd factor: z <= 1, so in a cell with g_ij >= 2 the swap
+      pairs each T with one of opposite sign and the table sums to 0.
+      Partial sums are pruned at 1; each surviving table is one signed T.
+
+    The tables are built one middle box at a time.  A partial sum P gains
+    a slice A with weight prod C(P_ij + A_ij, A_ij), and even products merge
+    equal partial sums; signed products keep the slices for the sign.
     """
     if g1.n_up != g2.n_down:
         raise ValueError(
@@ -248,62 +311,53 @@ def convolve(
         _CONVOLVE_CACHE[key] = {}
         return {}
 
-    d = g1.degree
-    mu = g1.lower_degrees
-    s_word: Word = tuple(j for j in range(1, g1.n_down + 1) for _ in range(mu[j - 1]))
-    s_boxes: List[List[int]] = []
-    pos = 0
-    for part in mu:
-        s_boxes.append(list(range(pos, pos + part)))
-        pos += part
-
-    t_choices = [
-        words_with_content(tuple(g1.adj[i][j] for i in range(g1.n_up))) for j in range(g1.n_down)
-    ]
-    u_choices = [
-        words_with_content(tuple(g2.adj[i][j] for i in range(g2.n_up))) for j in range(g2.n_down)
-    ]
-
-    entries: Dict[Word, int] = {}
-    t_buf = [0] * d
-    u_buf = [0] * d
-    for t_combo in itertools.product(*t_choices):
-        for balls, assignment in zip(s_boxes, t_combo):
-            for ball, box in zip(balls, assignment):
-                t_buf[ball] = box
-        t_word = tuple(t_buf)
-        sign1 = pair_sign(s_word, t_word) if odd1 else 1
-        t_boxes: List[List[int]] = [[] for _ in range(g1.n_up)]
-        for ball, box in enumerate(t_word):
-            t_boxes[box - 1].append(ball)
-        for u_combo in itertools.product(*u_choices):
-            for balls, assignment in zip(t_boxes, u_combo):
-                for ball, box in zip(balls, assignment):
-                    u_buf[ball] = box
-            u_word = tuple(u_buf)
-            sign = sign1 * pair_sign(t_word, u_word) if odd2 else sign1
-            entries[u_word] = entries.get(u_word, 0) + sign
-
-    odd_target = odd1 != odd2
-    coeffs: Dict[BipartiteGraph, int] = {}
-    for u_word, entry in entries.items():
-        target = pair_graph(s_word, u_word, g1.n_down, g2.n_up)
-        if odd_target and not target.is_simple():
-            if entry != 0:
-                raise RuntimeError(
-                    "convention breach: odd product has a non-zero kernel value "
-                    f"at a non-transverse pair (target {target})"
-                )
+    # only the upper boxes of g2 and the lower boxes of g1 that hold balls
+    # can carry them; the tables live on those cells
+    up = [i for i, deg in enumerate(g2.upper_degrees) if deg]
+    down = [j for j, deg in enumerate(g1.lower_degrees) if deg]
+    signed = odd1 or odd2
+    prune = odd1 != odd2
+    comb = math.comb
+    # (partial sum, (m, slice) so far) -> number of middle configurations;
+    # the slices are kept only when the sign needs them
+    states: Dict[_State, int] = {((0,) * (len(up) * len(down)), ()): 1}
+    for m, row in enumerate(g1.adj):
+        if not g1.upper_degrees[m]:
             continue
-        coeff = entry * pair_sign(s_word, u_word) if odd_target else entry
-        if target in coeffs:
-            if coeffs[target] != coeff:
-                raise RuntimeError(
-                    "convention breach: kernel values disagree across pairs "
-                    f"realizing {target}: {coeffs[target]} vs {coeff}"
-                )
-        else:
-            coeffs[target] = coeff
+        slices = _tables([g2.adj[i][m] for i in up], [row[j] for j in down])
+        moves = [(a, [(k, x) for k, x in enumerate(a) if x]) for a in slices]
+        nxt: Dict[_State, int] = {}
+        for (partial, path), count in states.items():
+            for a, nonzero in moves:
+                weight = count
+                total = list(partial)
+                for k, x in nonzero:
+                    p = partial[k]
+                    if p:
+                        if prune:
+                            break
+                        weight *= comb(p + x, x)
+                    total[k] = p + x
+                else:
+                    state = (tuple(total), path + ((m, a),) if signed else ())
+                    nxt[state] = nxt.get(state, 0) + weight
+        states = nxt
+
+    n_up, n_down, width = g2.n_up, g1.n_down, len(down)
+    coeffs: Dict[BipartiteGraph, int] = {}
+    for (flat, path), count in states.items():
+        adj = [[0] * n_down for _ in range(n_up)]
+        for k, x in enumerate(flat):
+            adj[up[k // width]][down[k % width]] = x
+        target = BipartiteGraph(n_up, n_down, tuple(map(tuple, adj)))
+        if signed:
+            s_word, u_word = representative_pair(target)
+            t_word = tuple(m + 1 for k in range(len(flat)) for m, a in path for _ in range(a[k]))
+            if odd1:
+                count *= pair_sign(s_word, t_word)
+            if odd2:
+                count *= pair_sign(t_word, u_word)
+        coeffs[target] = coeffs.get(target, 0) + count
     result = {g: c for g, c in coeffs.items() if c}
     _CONVOLVE_CACHE[key] = result
     return dict(result)

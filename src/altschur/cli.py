@@ -10,7 +10,8 @@ Subcommands:
 
 Every command prints canonical, byte-reproducible output on stdout (cache
 and progress notes go to stderr).  Exit codes: 0 success, 1 verification
-failure, 2 invalid input, 3 budget refusal, 4 I/O or parse error.
+failure, 2 invalid input, 3 budget refusal, 4 I/O or parse error, 5 internal
+error (a ``RuntimeError`` raised by the library, other than a budget refusal).
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ EXIT_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 CACHE_ENV = "ALTSCHUR_CACHE_DIR"
 
@@ -452,6 +454,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceededError as exc:
         _note(f"refused: {exc}")
         return EXIT_BUDGET
+    except RuntimeError as exc:
+        _note(f"internal error: {exc}")
+        return EXIT_INTERNAL
     except json.JSONDecodeError as exc:
         _note(f"error: invalid JSON: {exc}")
         return EXIT_IO

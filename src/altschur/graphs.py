@@ -75,6 +75,12 @@ class BipartiteGraph:
             for x in row:
                 if not isinstance(x, int) or x < 0:
                     raise ValueError(f"edge multiplicities must be non-negative ints, got {x!r}")
+        # margins are read far more often than graphs are built; they are not
+        # dataclass fields, so equality and hashing still see only the matrix
+        upper = tuple(sum(row) for row in self.adj)
+        object.__setattr__(self, "_upper_degrees", upper)
+        object.__setattr__(self, "_lower_degrees", tuple(map(sum, zip(*self.adj))) if self.adj else ())
+        object.__setattr__(self, "_degree", sum(upper))
 
     @classmethod
     def from_adj(cls, adj: Sequence[Sequence[int]]) -> "BipartiteGraph":
@@ -83,15 +89,15 @@ class BipartiteGraph:
 
     @property
     def degree(self) -> int:
-        return sum(sum(row) for row in self.adj)
+        return self._degree
 
     @property
     def upper_degrees(self) -> Tuple[int, ...]:
-        return tuple(sum(row) for row in self.adj)
+        return self._upper_degrees
 
     @property
     def lower_degrees(self) -> Tuple[int, ...]:
-        return tuple(sum(col) for col in zip(*self.adj)) if self.adj else ()
+        return self._lower_degrees
 
     def is_simple(self) -> bool:
         return all(x <= 1 for row in self.adj for x in row)

@@ -6,11 +6,11 @@ code paths under test, so a match is evidence rather than tautology.
 """
 
 import itertools
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from altschur import BipartiteGraph, NonTransverseError, pair_graph
 from altschur.algebra import GradedElement
-from altschur.enumeration import enum_B
+from altschur.enumeration import enum_B, words_with_content
 from altschur.fields import Scalar
 from altschur.graphs import Word, pair_sign
 
@@ -80,3 +80,76 @@ def latin_count(n: int) -> int:
 
     extend([])
     return count
+
+
+def convolve_by_words(
+    g1: BipartiteGraph, g2: BipartiteGraph, odd1: bool, odd2: bool
+) -> Dict[BipartiteGraph, int]:
+    """Structure constants of (g1 symbol) * (g2 symbol) by walking words.
+
+    Fix the sorted word S with the lower degrees of g1.  Every middle word T
+    with pair graph (S, T) = g1 is built by scattering each box of S along a
+    column of g1, and every U with pair graph (T, U) = g2 likewise; the
+    product kernel at (S, U) sums the signed products over T.  The
+    coefficient of a target is the kernel value at any pair realizing it,
+    times the ball sign for odd targets.  Every realizing pair is read, and
+    a disagreement between two of them, or a non-zero odd kernel value at a
+    non-transverse pair, raises ``RuntimeError``.  The margins must match.
+    """
+    d = g1.degree
+    mu = g1.lower_degrees
+    s_word: Word = tuple(j for j in range(1, g1.n_down + 1) for _ in range(mu[j - 1]))
+    s_boxes: List[List[int]] = []
+    pos = 0
+    for part in mu:
+        s_boxes.append(list(range(pos, pos + part)))
+        pos += part
+
+    t_choices = [
+        words_with_content(tuple(g1.adj[i][j] for i in range(g1.n_up))) for j in range(g1.n_down)
+    ]
+    u_choices = [
+        words_with_content(tuple(g2.adj[i][j] for i in range(g2.n_up))) for j in range(g2.n_down)
+    ]
+
+    entries: Dict[Word, int] = {}
+    t_buf = [0] * d
+    u_buf = [0] * d
+    for t_combo in itertools.product(*t_choices):
+        for balls, assignment in zip(s_boxes, t_combo):
+            for ball, box in zip(balls, assignment):
+                t_buf[ball] = box
+        t_word = tuple(t_buf)
+        sign1 = pair_sign(s_word, t_word) if odd1 else 1
+        t_boxes: List[List[int]] = [[] for _ in range(g1.n_up)]
+        for ball, box in enumerate(t_word):
+            t_boxes[box - 1].append(ball)
+        for u_combo in itertools.product(*u_choices):
+            for balls, assignment in zip(t_boxes, u_combo):
+                for ball, box in zip(balls, assignment):
+                    u_buf[ball] = box
+            u_word = tuple(u_buf)
+            sign = sign1 * pair_sign(t_word, u_word) if odd2 else sign1
+            entries[u_word] = entries.get(u_word, 0) + sign
+
+    odd_target = odd1 != odd2
+    coeffs: Dict[BipartiteGraph, int] = {}
+    for u_word, entry in entries.items():
+        target = pair_graph(s_word, u_word, g1.n_down, g2.n_up)
+        if odd_target and not target.is_simple():
+            if entry != 0:
+                raise RuntimeError(
+                    "convention breach: odd product has a non-zero kernel value "
+                    f"at a non-transverse pair (target {target})"
+                )
+            continue
+        coeff = entry * pair_sign(s_word, u_word) if odd_target else entry
+        if target in coeffs:
+            if coeffs[target] != coeff:
+                raise RuntimeError(
+                    "convention breach: kernel values disagree across pairs "
+                    f"realizing {target}: {coeffs[target]} vs {coeff}"
+                )
+        else:
+            coeffs[target] = coeff
+    return {g: c for g, c in coeffs.items() if c}

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import random
+import time
 
 import pytest
 
@@ -41,10 +42,10 @@ from altschur import (
 )
 from altschur import algebra
 from altschur.algebra import all_symbols, build_table, convolve, load_table, save_table
-from altschur.enumeration import act_word, lambda_factorial
+from altschur.enumeration import act_word, enum_M_rect, lambda_factorial
 from altschur.graphs import pair_sign
 
-from bruteforce import convolution_value, kernel_value, latin_count
+from bruteforce import convolution_value, convolve_by_words, kernel_value, latin_count
 
 
 def elem(sym, field=QQ, coeff=None):
@@ -396,6 +397,121 @@ def test_convolve_error_paths():
 def test_structure_constants_parameter_mismatch():
     with pytest.raises(ValueError):
         structure_constants(xi(gamma_perm((1, 2))), xi(gamma_perm((1, 2, 3))))
+
+
+# -- the table rule against the word walk -------------------------------------------
+
+PARITY_CASES = [(False, False), (False, True), (True, False), (True, True)]
+
+
+def _graphs(odd, n_up, n_down, d):
+    graphs = enum_M_rect(n_up, n_down, d)
+    return [g for g in graphs if g.is_simple()] if odd else graphs
+
+
+def _margin_matched_pairs(n, d):
+    """Every (g1, g2, odd1, odd2) at (n, d) whose middle margins agree."""
+    syms = [(g, False) for g in enum_M(n, d)] + [(g, True) for g in enum_N(n, d)]
+    by_lower = {}
+    for g, odd in syms:
+        by_lower.setdefault(g.lower_degrees, []).append((g, odd))
+    return [
+        (g1, g2, odd1, odd2)
+        for g1, odd1 in syms
+        for g2, odd2 in by_lower.get(g1.upper_degrees, ())
+    ]
+
+
+def _random_pairs(rng, count, left_shape, right_shape, d):
+    """``count`` seeded margin-matched pairs, cycling through the parity cases.
+
+    ``left_shape`` and ``right_shape`` are the (upper, lower) vertex counts
+    of g1 and g2; g1's upper count must be g2's lower count.
+    """
+    lefts = {odd: _graphs(odd, *left_shape, d) for odd in (False, True)}
+    by_lower = {False: {}, True: {}}
+    for odd, bucket in by_lower.items():
+        for g in _graphs(odd, *right_shape, d):
+            bucket.setdefault(g.lower_degrees, []).append(g)
+    cases = []
+    for k in range(count):
+        odd1, odd2 = PARITY_CASES[k % 4]
+        while True:
+            g1 = rng.choice(lefts[odd1])
+            rights = by_lower[odd2].get(g1.upper_degrees)
+            if rights:
+                break
+        cases.append((g1, rng.choice(rights), odd1, odd2))
+    return cases
+
+
+def _assert_matches_words(cases):
+    for g1, g2, odd1, odd2 in cases:
+        assert convolve(g1, g2, odd1, odd2) == convolve_by_words(g1, g2, odd1, odd2), (
+            g1, g2, odd1, odd2,
+        )
+
+
+@pytest.mark.parametrize(
+    "n,d",
+    [(n, d) for n in (1, 2, 3) for d in (1, 2, 3)] + [(2, 4), (2, 5), (2, 6)],
+)
+def test_convolve_matches_word_walk_on_every_pair(n, d):
+    cases = _margin_matched_pairs(n, d)
+    parities = (False, True) if enum_N(n, d) else (False,)
+    assert {(o1, o2) for _, _, o1, o2 in cases} == {(a, b) for a in parities for b in parities}
+    _assert_matches_words(cases)
+
+
+@pytest.mark.parametrize("n,d", [(3, 4), (3, 5), (4, 3), (4, 4)])
+def test_convolve_matches_word_walk_on_random_pairs(n, d):
+    rng = random.Random(1000 * n + d)
+    _assert_matches_words(_random_pairs(rng, 76, (n, n), (n, n), d))
+
+
+@pytest.mark.parametrize("left_shape,right_shape", [((2, 3), (3, 2)), ((3, 2), (2, 3))])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_convolve_matches_word_walk_on_rectangular_pairs(left_shape, right_shape, d):
+    rng = random.Random(100 * left_shape[0] + d)
+    _assert_matches_words(_random_pairs(rng, 24, left_shape, right_shape, d))
+
+
+@pytest.mark.stretch
+def test_convolve_matches_word_walk_on_every_pair_3_4():
+    _assert_matches_words(_margin_matched_pairs(3, 4))
+
+
+def _column_multinomials(g):
+    """Number of words U with pair graph (S, U) = g, for a fixed sorted S."""
+    out = 1
+    for j in range(g.n_down):
+        col = [g.adj[i][j] for i in range(g.n_up)]
+        out *= math.factorial(sum(col)) // math.prod(math.factorial(x) for x in col)
+    return out
+
+
+def _assert_column_count(g1, g2):
+    """Counting the (T, U) of a fixed S two ways: by target, or T then U."""
+    product = convolve(g1, g2, False, False)
+    assert sum(c * _column_multinomials(g) for g, c in product.items()) == (
+        _column_multinomials(g1) * _column_multinomials(g2)
+    )
+
+
+@pytest.mark.parametrize("n,d", [(3, 4), (4, 4), (3, 6)])
+def test_even_products_satisfy_column_count_identity(n, d):
+    rng = random.Random(7 * n + d)
+    # every fourth pair is even * even
+    for g1, g2, _, _ in _random_pairs(rng, 40, (n, n), (n, n), d)[::4]:
+        _assert_column_count(g1, g2)
+
+
+def test_column_count_identity_for_k4_squared():
+    k4 = complete_bipartite(4)
+    algebra._CONVOLVE_CACHE.pop((k4, k4, False, False), None)
+    start = time.perf_counter()
+    _assert_column_count(k4, k4)
+    assert time.perf_counter() - start < 5.0
 
 
 # -- tables ------------------------------------------------------------------------

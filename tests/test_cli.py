@@ -357,3 +357,14 @@ def test_verify_reports_failure(capsys, monkeypatch):
     assert code == 1
     assert "FAIL broken: forced failure for the exit-code path" in out
     assert out.splitlines()[-1] == "verify (2,2) over Q: 1/2 suites passed"
+
+
+def test_internal_error_exits_5(capsys, monkeypatch):
+    def broken(n, d, field, cap=None):
+        raise RuntimeError("eta does not vanish on the tensor relations")
+
+    monkeypatch.setattr(cli, "phi_analysis", broken)
+    code, out, err = run(capsys, ["sweep", "--n-max", "1", "--d-max", "1"])
+    assert code == cli.EXIT_INTERNAL == 5
+    assert out == ""
+    assert err == "internal error: eta does not vanish on the tensor relations\n"

@@ -1,7 +1,9 @@
 """Bipartite multigraphs, labellings and signs, configuration pairs, and the
 canonical graph constructions."""
 
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -25,7 +27,7 @@ from altschur import (
     representative_pair,
     u_of,
 )
-from altschur.enumeration import act_word, enum_Lambda, sign_of_permutation
+from altschur.enumeration import act_word, enum_Lambda, enum_M_rect, sign_of_permutation
 
 
 # -- construction and basic queries -------------------------------------------
@@ -39,6 +41,24 @@ def test_from_adj_and_degrees():
     assert g.lower_degrees == (3, 1)
     assert not g.is_simple()
     assert BipartiteGraph.from_adj([[1, 0], [0, 1]]).is_simple()
+
+
+def test_margins_are_stored_properties():
+    # margins stay properties (readable through property.fget) and are
+    # computed once; equality, hashing and pickling still work on the matrix
+    for attr in ("degree", "upper_degrees", "lower_degrees"):
+        assert isinstance(vars(BipartiteGraph)[attr], property)
+    assert [f.name for f in dataclasses.fields(BipartiteGraph)] == ["n_up", "n_down", "adj"]
+    for g in enum_M_rect(2, 3, 3) + enum_M(3, 2):
+        assert g.degree == sum(sum(row) for row in g.adj)
+        assert g.upper_degrees == tuple(sum(row) for row in g.adj)
+        assert g.lower_degrees == tuple(sum(col) for col in zip(*g.adj))
+        twin = BipartiteGraph.from_adj(g.adj)
+        assert twin == g and hash(twin) == hash(g)
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and copy.lower_degrees == g.lower_degrees
+    empty = BipartiteGraph(0, 0, ())
+    assert (empty.degree, empty.upper_degrees, empty.lower_degrees) == (0, (), ())
 
 
 def test_adj_validation():
