@@ -21,10 +21,13 @@ each row to the block of its first coordinate and reduce it there in a small
 stops taking rows once its rank reaches the bound set by the image of the
 map under study on that block, and the stream stops once every block has.
 
-Large quotients over Q are handled with a mod-p certificate: ranks over a
-prime field only bound the rational answer, so the certificate is accepted
-only when the bound pinches against an exact rational computation; otherwise
-the code falls back to exact sparse elimination.
+Both share one rank path, ``_certified_dim``.  Large quotients over Q get
+a mod-p certificate: ranks over a prime field only bound the rational
+answer, so the certificate is accepted only when the bound pinches against
+an exact rational computation; otherwise the code falls back to exact
+sparse elimination.  Every module axiom (the even action, the three mixed
+parity products, the square of θ) goes through one product check,
+``_check_products``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dataclass_field, InitVar
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .fields import FieldSpec, GF, Scalar
 from .linalg import (
@@ -45,7 +48,7 @@ from .linalg import (
 )
 from .graphs import BipartiteGraph, gamma0_lambda
 from .enumeration import check_basis_budget, enum_Lambda, enum_M, enum_N, graph_index
-from .algebra import GradedElement, structure_constants, xi, zeta
+from .algebra import BasisSymbol, GradedElement, structure_constants, xi, zeta
 
 __all__ = [
     "SModule",
@@ -158,17 +161,30 @@ def _right_rows(n: int, d: int) -> Tuple[Dict[int, Dict[int, int]], ...]:
     return tuple(out)
 
 
+def _fill(
+    m: ExactMatrix, columns: Iterable[Tuple[int, Dict[int, int]]], row0: int = 0, col0: int = 0
+) -> ExactMatrix:
+    """Write integer columns into ``m`` in place and return it: entry v at
+    row r of column k lands at (row0 + r, col0 + k)."""
+    rows, from_int = m.rows, m.field.from_int
+    for k, col in columns:
+        for r, v in col.items():
+            rows[row0 + r][col0 + k] = from_int(v)
+    return m
+
+
+def _products(
+    x: BasisSymbol, ys: Sequence[BasisSymbol], index: Dict[BipartiteGraph, int]
+) -> Iterator[Tuple[int, Dict[int, int]]]:
+    """Column k: the coefficients of x·ys[k], each at row index[graph]."""
+    for k, y in enumerate(ys):
+        yield k, {index[s.graph]: c for s, c in structure_constants(x, y).items()}
+
+
 def _dicts_to_matrices(
     dicts: Sequence[Dict[int, Dict[int, int]]], size: int, field: FieldSpec
 ) -> List[ExactMatrix]:
-    mats = []
-    for per in dicts:
-        m = ExactMatrix.zeros(field, size, size)
-        for a, col in per.items():
-            for c, v in col.items():
-                m.rows[c][a] = field.from_int(v)
-        mats.append(m)
-    return mats
+    return [_fill(ExactMatrix.zeros(field, size, size), per.items()) for per in dicts]
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +199,43 @@ def _is_diagonal(g: BipartiteGraph) -> bool:
 def _diag_indices(n: int, d: int) -> List[int]:
     m_idx = graph_index("M", n, d)
     return [m_idx[gamma0_lambda(lam, n)] for lam in enum_Lambda(n, d)]
+
+
+def _check_products(
+    n: int,
+    d: int,
+    pairs: Iterable[Tuple[int, int]],
+    left: Sequence[ExactMatrix],
+    left_odd: bool,
+    right: Sequence[ExactMatrix],
+    right_odd: bool,
+    target: Sequence[ExactMatrix],
+    error: Callable[[str], Exception],
+    message: str,
+) -> None:
+    """Check ``left[i] @ right[j] == sum_s c_s target[s]`` for every pair (i, j).
+
+    ``sum_s c_s s`` is the product of the i-th and the j-th basis symbol of
+    the given parities; ``target`` holds the matrices of the basis of the
+    product's parity.  A mismatch raises ``error(message.format(g, h))``
+    with the graphs g, h of the two symbols.
+    """
+    Ms, Ns = enum_M(n, d), enum_N(n, d)
+    index = graph_index("N" if left_odd != right_odd else "M", n, d)
+    for i, j in pairs:
+        g, h = (Ns if left_odd else Ms)[i], (Ns if right_odd else Ms)[j]
+        lhs = left[i] @ right[j]
+        f = lhs.field
+        rhs = ExactMatrix.zeros(f, lhs.nrows, lhs.ncols)
+        product = structure_constants(zeta(g) if left_odd else xi(g), zeta(h) if right_odd else xi(h))
+        for s, c in product.items():
+            cf = f.from_int(c)
+            for acc, row in zip(rhs.rows, target[index[s.graph]].rows):
+                for k, x in enumerate(row):
+                    if x:
+                        acc[k] = f.add(acc[k], f.mul(cf, x))
+        if lhs != rhs:
+            raise error(message.format(g, h))
 
 
 def _check_even_action(
@@ -203,22 +256,16 @@ def _check_even_action(
         ident = ident + action[i]
     if ident != ExactMatrix.identity(field, dim):
         raise ValueError("identity element does not act as the identity matrix")
-    m_idx = graph_index("M", n, d)
     nM = len(Ms)
     if level == "full":
         pairs: Iterable[Tuple[int, int]] = ((i, j) for i in range(nM) for j in range(nM))
     else:
         rng = random.Random(rng_seed)
         pairs = {(rng.randrange(nM), rng.randrange(nM)) for _ in range(_SAMPLE_PAIRS)}
-    for i, j in pairs:
-        lhs = action[i] @ action[j]
-        rhs = ExactMatrix.zeros(field, dim, dim)
-        for s, c in structure_constants(xi(Ms[i]), xi(Ms[j])).items():
-            rhs = rhs + action[m_idx[s.graph]].scale(field.from_int(c))
-        if lhs != rhs:
-            raise ValueError(
-                f"even action is not multiplicative at basis pair ({Ms[i]}, {Ms[j]})"
-            )
+    _check_products(
+        n, d, pairs, action, False, action, False, action,
+        ValueError, "even action is not multiplicative at basis pair ({}, {})",
+    )
 
 
 def _resolve_level(validate: str, n: int, d: int) -> str:
@@ -285,10 +332,8 @@ class ASModule:
             self._check_mixed_blocks(level)
 
     def _check_mixed_blocks(self, level: str) -> None:
-        n, d, f, dim = self.n, self.d, self.field, self.dim
-        Ms, Ns = enum_M(n, d), enum_N(n, d)
-        m_idx, n_idx = graph_index("M", n, d), graph_index("N", n, d)
-        nM, nN = len(Ms), len(Ns)
+        n, d = self.n, self.d
+        nM, nN = len(enum_M(n, d)), len(enum_N(n, d))
         if nN == 0:
             return
         rng = random.Random(1)
@@ -300,28 +345,16 @@ class ASModule:
             even_odd = [(rng.randrange(nM), rng.randrange(nN)) for _ in range(_SAMPLE_PAIRS)]
             odd_even = [(rng.randrange(nN), rng.randrange(nM)) for _ in range(_SAMPLE_PAIRS)]
             odd_odd = [(rng.randrange(nN), rng.randrange(nN)) for _ in range(_SAMPLE_PAIRS)]
-        zero = ExactMatrix.zeros(f, dim, dim)
-        for i, j in even_odd:
-            lhs = self.action[i] @ self.odd_action[j]
-            rhs = zero
-            for s, c in structure_constants(xi(Ms[i]), zeta(Ns[j])).items():
-                rhs = rhs + self.odd_action[n_idx[s.graph]].scale(f.from_int(c))
-            if lhs != rhs:
-                raise ValueError(f"even*odd action mismatch at ({Ms[i]}, {Ns[j]})")
-        for j, i in odd_even:
-            lhs = self.odd_action[j] @ self.action[i]
-            rhs = zero
-            for s, c in structure_constants(zeta(Ns[j]), xi(Ms[i])).items():
-                rhs = rhs + self.odd_action[n_idx[s.graph]].scale(f.from_int(c))
-            if lhs != rhs:
-                raise ValueError(f"odd*even action mismatch at ({Ns[j]}, {Ms[i]})")
-        for a, b in odd_odd:
-            lhs = self.odd_action[a] @ self.odd_action[b]
-            rhs = zero
-            for s, c in structure_constants(zeta(Ns[a]), zeta(Ns[b])).items():
-                rhs = rhs + self.action[m_idx[s.graph]].scale(f.from_int(c))
-            if lhs != rhs:
-                raise ValueError(f"odd*odd action mismatch at ({Ns[a]}, {Ns[b]})")
+        even, odd = self.action, self.odd_action
+        for pairs, left, left_odd, right, right_odd, target, name in (
+            (even_odd, even, False, odd, True, odd, "even*odd"),
+            (odd_even, odd, True, even, False, odd, "odd*even"),
+            (odd_odd, odd, True, odd, True, even, "odd*odd"),
+        ):
+            _check_products(
+                n, d, pairs, left, left_odd, right, right_odd, target,
+                ValueError, name + " action mismatch at ({}, {})",
+            )
 
     def even_part(self) -> SModule:
         return SModule(self.n, self.d, self.field, self.dim, self.action, validate="none")
@@ -383,15 +416,6 @@ def _even_keys(n: int, d: int) -> List[Tuple[Margin, Margin]]:
     return [(g.lower_degrees, g.upper_degrees) for g in enum_M(n, d)]
 
 
-def _direct_method(field: FieldSpec) -> str:
-    """Report label of a rank computed over the analysis field itself."""
-    if field.kind == "Q":
-        return "exact"
-    # both labels name the same block solver; the split at 2^21 keeps the
-    # labels of earlier reports
-    return "modp" if field.p < 2**21 else "sparse"
-
-
 class _Blocks:
     """Ambient coordinates grouped into weight-space blocks.
 
@@ -446,6 +470,44 @@ class _Blocks:
                     if not unfinished:
                         break
         return ranks
+
+
+def _certified_dim(
+    blocks: _Blocks,
+    rows: Callable[[], Iterable[Dict[int, int]]],
+    field: FieldSpec,
+    image: Sequence[int],
+    image_over: Callable[[FieldSpec], Sequence[int]],
+) -> Tuple[int, str]:
+    """Dimension of the blocks' span modulo the relation ``rows()``, and the
+    method label of the rank path that found it.
+
+    ``image`` holds, per block, the dimension over ``field`` of the image of
+    a map that kills every relation, and ``image_over(p)`` the same over the
+    certificate prime field; a block's relation rank is at most its size
+    minus its image.  Over GF(p), and over Q up to ``_EXACT_CUTOFF``
+    coordinates, the rank is taken over the field itself.  Otherwise it is
+    first taken modulo ``_CERT_PRIME``: the quotient dimension mod p bounds
+    the rational one from above and the rational image from below, so when
+    the two meet the answer is exact; else exact elimination decides.
+    """
+    size = sum(blocks.sizes)
+
+    def dim_over(f: FieldSpec, image_f: Sequence[int]) -> int:
+        bounds = [s - im for s, im in zip(blocks.sizes, image_f)]
+        return size - sum(blocks.ranks(rows(), bounds, f))
+
+    if field.kind == "GF":
+        # both labels name the same block solver; the split at 2^21 keeps
+        # the labels of earlier reports
+        return dim_over(field, image), "modp" if field.p < 2**21 else "sparse"
+    if size <= _EXACT_CUTOFF:
+        return dim_over(field, image), "exact"
+    cert = GF(_CERT_PRIME)
+    dim = dim_over(cert, image_over(cert))
+    if dim == sum(image):
+        return dim, "certificate"
+    return dim_over(field, image), "exact-fallback"
 
 
 # ---------------------------------------------------------------------------
@@ -540,12 +602,9 @@ def phi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) ->
     space by the basis-triple relations; ``phi_rank`` the dimension of its
     image in the even subalgebra.  Both split over the weight blocks: the
     tensor coordinate ζ_a ⊗ ζ_b lies in block (a.lower, b.upper), and so do
-    its relations and the even symbols in the expansion of ζ_a ζ_b.  Over Q
-    on large quotients the relation rank is first computed modulo a
-    certificate prime: the mod-p quotient dimension is an upper bound for the
-    rational one and the rational image dimension a lower bound, so when the
-    two meet the answer is exact; if they disagree the code falls back to
-    exact elimination.
+    its relations and the even symbols in the expansion of ζ_a ζ_b.  The
+    product map kills every relation; :func:`_certified_dim` picks the rank
+    path from that bound.
     """
     check_basis_budget(n, d, cap)
     nM = len(enum_M(n, d))
@@ -565,26 +624,9 @@ def phi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) ->
             ech.add_row({k: f.from_int(v) for k, v in row.items()})
         return blocks.count(even_keys[h] for h in ech.pivot_rows)
 
-    def tensor_dim_over(f: FieldSpec, image_f: List[int]) -> int:
-        # the product map kills every relation, so a block's relation rank
-        # cannot exceed its size minus its image
-        bounds = [size - im for size, im in zip(blocks.sizes, image_f)]
-        return S - sum(blocks.ranks(_phi_relation_rows(n, d), bounds, f))
-
     image_q = image(field)
     phi_rank = sum(image_q)
-    if field.kind == "GF" or S <= _EXACT_CUTOFF:
-        tensor_dim = tensor_dim_over(field, image_q)
-        method = _direct_method(field)
-    else:
-        cert = GF(_CERT_PRIME)
-        tensor_dim = tensor_dim_over(cert, image(cert))
-        if tensor_dim == phi_rank:
-            # pinched: phi_rank <= tensor_dim over Q <= tensor_dim mod p
-            method = "certificate"
-        else:
-            tensor_dim = tensor_dim_over(field, image_q)
-            method = "exact-fallback"
+    tensor_dim, method = _certified_dim(blocks, lambda: _phi_relation_rows(n, d), field, image_q, image)
     return PhiReport(
         n,
         d,
@@ -697,13 +739,14 @@ def psi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) ->
     form (they force block-diagonal shape) and the rest as linear rows.  It
     splits over the weight blocks: the variable θ[c, a] lies in block
     (c.lower, a.lower), and so do its constraint rows and the images of the
-    even symbols h with (h.lower, h.upper) equal to that pair.
+    even symbols h with (h.lower, h.upper) equal to that pair.  The image of
+    the map lies in the commutant; :func:`_certified_dim` picks the rank path
+    from that bound.
     """
     check_basis_budget(n, d, cap)
     nM = len(enum_M(n, d))
     kernel_rows = _psi_kernel_rows(n, d)
     vars_, _ = _commutant_vars(n, d)
-    V = len(vars_)
     lower = _odd_margins(n, d)[0]
     blocks = _Blocks((lower[c], lower[a]) for c, a in vars_)
     even_keys = _even_keys(n, d)
@@ -717,28 +760,12 @@ def psi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) ->
         in_kernel = blocks.count(even_keys[next(iter(vec))] for vec in kernel_f)
         return [total - k for total, k in zip(even_count, in_kernel)]
 
-    def commutant_dim_over(f: FieldSpec, image_f: List[int]) -> int:
-        # the image of the map lands in the commutant, so a block's
-        # constraint rank cannot exceed its size minus its image
-        bounds = [size - im for size, im in zip(blocks.sizes, image_f)]
-        return V - sum(blocks.ranks(_commutant_rows(n, d), bounds, f))
-
     kernel = kernel_of(field)
     kernel_dim = len(kernel)
     image_dim = nM - kernel_dim
-    image_q = image(kernel)
-    if field.kind == "GF" or V <= _EXACT_CUTOFF:
-        commutant_dim = commutant_dim_over(field, image_q)
-        method = _direct_method(field)
-    else:
-        cert = GF(_CERT_PRIME)
-        commutant_dim = commutant_dim_over(cert, image(kernel_of(cert)))
-        if commutant_dim == image_dim:
-            # pinched: image_dim <= commutant over Q <= commutant mod p
-            method = "certificate"
-        else:
-            commutant_dim = commutant_dim_over(field, image_q)
-            method = "exact-fallback"
+    commutant_dim, method = _certified_dim(
+        blocks, lambda: _commutant_rows(n, d), field, image(kernel), lambda f: image(kernel_of(f))
+    )
     return PsiReport(
         n,
         d,
@@ -784,6 +811,23 @@ def _dual_relations(M: SModule) -> List[Dict[int, Scalar]]:
                 if row:
                     rels.append(row)
     return rels
+
+
+def _kills(
+    relations: Iterable[Dict[int, Scalar]], column: Callable[[int], List[Scalar]], field: FieldSpec, dim: int
+) -> bool:
+    """Whether the linear map sending ambient coordinate k to ``column(k)``
+    (a vector of length ``dim``) vanishes on every relation."""
+    f = field
+    for rel in relations:
+        acc = [f.zero] * dim
+        for coord, v in rel.items():
+            for r, x in enumerate(column(coord)):
+                if x:
+                    acc[r] = f.add(acc[r], f.mul(v, x))
+        if any(acc):
+            return False
+    return True
 
 
 def koszul_dual(M: SModule, validate: str = "auto") -> SModule:
@@ -839,6 +883,7 @@ def eta_map(M: SModule) -> EtaReport:
     rels2 = _dual_relations(D1)
     outer = QuotientSpace(f, len(Ns) * D1.dim, rels2)
 
+    @lru_cache(maxsize=None)  # a coordinate recurs in many relations
     def ambient_column(coord: int) -> List[Scalar]:
         bi, k = divmod(coord, D1.dim)
         ai, i = divmod(inner.basis_coords[k], dim)
@@ -853,15 +898,8 @@ def eta_map(M: SModule) -> EtaReport:
 
     # the map must kill the relations defining the outer quotient, otherwise
     # the basis columns below would depend on the chosen lifts
-    for rel in rels2:
-        acc = [f.zero] * dim
-        for coord, v in rel.items():
-            col = ambient_column(coord)
-            for r in range(dim):
-                if col[r]:
-                    acc[r] = f.add(acc[r], f.mul(v, col[r]))
-        if any(acc):
-            raise RuntimeError("eta does not vanish on the tensor relations")
+    if not _kills(rels2, ambient_column, f, dim):
+        raise RuntimeError("eta does not vanish on the tensor relations")
 
     cols = [ambient_column(outer.basis_coords[k]) for k in range(outer.dim)]
     matrix = ExactMatrix.from_columns(f, cols, nrows=dim)
@@ -924,8 +962,7 @@ def pair_to_as_module(pair: ThetaPair, validate: str = "auto") -> ASModule:
     M = pair.base
     f, dim = M.field, M.dim
     n, d = M.n, M.d
-    Ns = enum_N(n, d)
-    m_idx = graph_index("M", n, d)
+    nN = len(enum_N(n, d))
     D1 = koszul_dual(M, validate="none")
     quotient = D1.quotient
     assert quotient is not None
@@ -936,22 +973,17 @@ def pair_to_as_module(pair: ThetaPair, validate: str = "auto") -> ASModule:
         if theta @ D1.action[gi] != M.action[gi] @ theta:
             raise IncompatibleTheta("theta is not a module map")
     odd_action = []
-    for ai in range(len(Ns)):
+    for ai in range(nN):
         cols = []
         for i in range(dim):
             coords = quotient.project({ai * dim + i: f.one})
             cols.append(theta.apply(coords))
         odd_action.append(ExactMatrix.from_columns(f, cols, nrows=dim))
-    for bi in range(len(Ns)):
-        for ai in range(len(Ns)):
-            lhs = odd_action[bi] @ odd_action[ai]
-            rhs = ExactMatrix.zeros(f, dim, dim)
-            for s, c in structure_constants(zeta(Ns[bi]), zeta(Ns[ai])).items():
-                rhs = rhs + M.action[m_idx[s.graph]].scale(f.from_int(c))
-            if lhs != rhs:
-                raise IncompatibleTheta(
-                    f"theta squared misses the even product at odd pair ({Ns[bi]}, {Ns[ai]})"
-                )
+    _check_products(
+        n, d, ((bi, ai) for bi in range(nN) for ai in range(nN)),
+        odd_action, True, odd_action, True, M.action,
+        IncompatibleTheta, "theta squared misses the even product at odd pair ({}, {})",
+    )
     return ASModule(n, d, f, dim, list(M.action), odd_action, validate=validate)
 
 
@@ -968,15 +1000,8 @@ def as_module_to_pair(module: ASModule) -> ThetaPair:
         ai, i = divmod(coord, dim)
         return module.odd_action[ai].column(i)
 
-    for rel in _dual_relations(base):
-        acc = [f.zero] * dim
-        for coord, v in rel.items():
-            col = odd_column(coord)
-            for r in range(dim):
-                if col[r]:
-                    acc[r] = f.add(acc[r], f.mul(v, col[r]))
-        if any(acc):
-            raise IncompatibleTheta("odd action does not descend to the tensor quotient")
+    if not _kills(_dual_relations(base), odd_column, f, dim):
+        raise IncompatibleTheta("odd action does not descend to the tensor quotient")
     cols = [odd_column(quotient.basis_coords[k]) for k in range(quotient.dim)]
     theta = ExactMatrix.from_columns(f, cols, nrows=dim)
     return ThetaPair(base=base, theta=theta)
@@ -989,16 +1014,10 @@ def as_module_to_pair(module: ASModule) -> ThetaPair:
 
 def regular_smodule(n: int, d: int, field: FieldSpec, validate: str = "auto") -> SModule:
     """The even subalgebra acting on itself from the left."""
-    Ms = enum_M(n, d)
+    evens = [xi(g) for g in enum_M(n, d)]
     m_idx = graph_index("M", n, d)
-    nM = len(Ms)
-    action = []
-    for g in Ms:
-        m = ExactMatrix.zeros(field, nM, nM)
-        for hi, h in enumerate(Ms):
-            for s, c in structure_constants(xi(g), xi(h)).items():
-                m.rows[m_idx[s.graph]][hi] = field.from_int(c)
-        action.append(m)
+    nM = len(evens)
+    action = [_fill(ExactMatrix.zeros(field, nM, nM), _products(x, evens, m_idx)) for x in evens]
     return SModule(n, d, field, nM, action, validate=validate)
 
 
@@ -1007,30 +1026,18 @@ def regular_as_module(n: int, d: int, field: FieldSpec, validate: str = "auto") 
 
     Basis order: even symbols (enum_M) then odd symbols (enum_N).
     """
-    Ms, Ns = enum_M(n, d), enum_N(n, d)
+    evens, odds = [xi(g) for g in enum_M(n, d)], [zeta(a) for a in enum_N(n, d)]
     m_idx, n_idx = graph_index("M", n, d), graph_index("N", n, d)
-    nM, nN = len(Ms), len(Ns)
-    dim = nM + nN
+    nM = len(evens)
+    dim = nM + len(odds)
     action = []
-    for g in Ms:
-        m = ExactMatrix.zeros(field, dim, dim)
-        for hi, h in enumerate(Ms):
-            for s, c in structure_constants(xi(g), xi(h)).items():
-                m.rows[m_idx[s.graph]][hi] = field.from_int(c)
-        for bi, b in enumerate(Ns):
-            for s, c in structure_constants(xi(g), zeta(b)).items():
-                m.rows[nM + n_idx[s.graph]][nM + bi] = field.from_int(c)
-        action.append(m)
+    for x in evens:
+        m = _fill(ExactMatrix.zeros(field, dim, dim), _products(x, evens, m_idx))
+        action.append(_fill(m, _products(x, odds, n_idx), nM, nM))
     odd_action = []
-    for a in Ns:
-        m = ExactMatrix.zeros(field, dim, dim)
-        for hi, h in enumerate(Ms):
-            for s, c in structure_constants(zeta(a), xi(h)).items():
-                m.rows[nM + n_idx[s.graph]][hi] = field.from_int(c)
-        for bi, b in enumerate(Ns):
-            for s, c in structure_constants(zeta(a), zeta(b)).items():
-                m.rows[m_idx[s.graph]][nM + bi] = field.from_int(c)
-        odd_action.append(m)
+    for x in odds:
+        m = _fill(ExactMatrix.zeros(field, dim, dim), _products(x, evens, n_idx), nM, 0)
+        odd_action.append(_fill(m, _products(x, odds, m_idx), 0, nM))
     return ASModule(n, d, field, dim, action, odd_action, validate=validate)
 
 
@@ -1041,17 +1048,12 @@ def column_module(
     ``lam``: spanned by the even symbols with upper degree sequence lam."""
     lam = tuple(lam)
     Ms = enum_M(n, d)
-    members = [gi for gi, g in enumerate(Ms) if g.upper_degrees == lam]
-    local = {gi: k for k, gi in enumerate(members)}
-    m_idx = graph_index("M", n, d)
-    action = []
-    for g in Ms:
-        m = ExactMatrix.zeros(field, len(members), len(members))
-        for gi in members:
-            for s, c in structure_constants(xi(g), xi(Ms[gi])).items():
-                m.rows[local[m_idx[s.graph]]][local[gi]] = field.from_int(c)
-        action.append(m)
-    return SModule(n, d, field, len(members), action, validate=validate)
+    members = [g for g in Ms if g.upper_degrees == lam]
+    local = {g: k for k, g in enumerate(members)}
+    ys = [xi(g) for g in members]
+    size = len(members)
+    action = [_fill(ExactMatrix.zeros(field, size, size), _products(xi(g), ys, local)) for g in Ms]
+    return SModule(n, d, field, size, action, validate=validate)
 
 
 def zero_smodule(n: int, d: int, field: FieldSpec) -> SModule:

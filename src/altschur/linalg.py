@@ -1,23 +1,27 @@
 """Exact dense and sparse linear algebra over a :class:`~altschur.fields.FieldSpec`.
 
-Everything here is deterministic: elimination always takes the first non-zero
-entry (scanning rows in their given order, columns left to right) as the
-pivot, so ranks, kernels and reduced forms are reproducible across runs and
-platforms.  Dense matrices are plain lists of lists of raw scalars
-(``Fraction`` over Q, canonical ints over GF(p)).
+There is one elimination core, :class:`SparseEchelon`: dict-keyed rows,
+forward reduction only, the smallest key of a row as its pivot.  Everything
+else is built on it: the rank of a dense :class:`ExactMatrix`, the fully
+reduced form :func:`rref_sparse` (back-substitution over the echelon), the
+kernels of :func:`sparse_kernel`, the quotients of :class:`QuotientSpace`,
+the span coordinates of :class:`SpanSolver` (rows extended by unit
+coordinates that record their combinations) and the hom spaces of
+:func:`intertwiner_space`.
 
-For the very large, very redundant relation systems that arise when forming
-tensor-product quotients, dense elimination is hopeless; those go through
-:class:`SparseEchelon` (dict-keyed rows, forward reduction only).  The callers
-in :mod:`altschur.koszul` split such a system into its weight-space blocks and
-run one small echelon per block, so no elimination ever spans the whole
-ambient space.
+Everything here is deterministic: rows are reduced in their given order, so
+ranks, kernels and reduced forms are reproducible across runs and platforms.
+Dense matrices are plain lists of lists of raw scalars (``Fraction`` over Q,
+canonical ints over GF(p)).  The large, redundant relation systems of
+:mod:`altschur.koszul` are split into their weight-space blocks by the
+caller and run one small echelon per block, so no elimination ever spans
+the whole ambient space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .fields import FieldSpec, Scalar
 
@@ -26,7 +30,6 @@ __all__ = [
     "SparseEchelon",
     "SpanSolver",
     "QuotientSpace",
-    "quotient_dim",
     "rref_sparse",
     "sparse_kernel",
     "intertwiner_space",
@@ -115,19 +118,21 @@ class ExactMatrix:
                         acc[j] = f.add(acc[j], f.mul(a, b))
         return out
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        f = self.field
+    def _entrywise(
+        self, other: "ExactMatrix", op: Callable[[Scalar, Scalar], Scalar], sym: str
+    ) -> "ExactMatrix":
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} {sym} {other.shape}")
         return ExactMatrix(
-            f,
-            [[f.add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+            self.field,
+            [[op(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
         )
 
+    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self._entrywise(other, self.field.add, "+")
+
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        f = self.field
-        return ExactMatrix(
-            f,
-            [[f.sub(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
+        return self._entrywise(other, self.field.sub, "-")
 
     def scale(self, c: Scalar) -> "ExactMatrix":
         f = self.field
@@ -147,77 +152,12 @@ class ExactMatrix:
             out.append(s)
         return out
 
-    # -- elimination --------------------------------------------------------
-
-    def rref(self) -> Tuple["ExactMatrix", List[int]]:
-        """Reduced row-echelon form and the list of pivot columns.
-
-        Deterministic: within each column the first row (top to bottom) with a
-        non-zero entry is the pivot; pivots are normalized to 1 and cleared
-        from every other row.
-        """
-        f = self.field
-        rows = [row[:] for row in self.rows]
-        nrows, ncols = self.nrows, self.ncols
-        pivots: List[int] = []
-        r = 0
-        for c in range(ncols):
-            if r >= nrows:
-                break
-            sel = None
-            for i in range(r, nrows):
-                if rows[i][c]:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            rows[r], rows[sel] = rows[sel], rows[r]
-            inv = f.inv(rows[r][c])
-            rows[r] = [f.mul(inv, x) for x in rows[r]]
-            prow = rows[r]
-            for i in range(nrows):
-                if i != r and rows[i][c]:
-                    coef = rows[i][c]
-                    rows[i] = [f.sub(x, f.mul(coef, p)) for x, p in zip(rows[i], prow)]
-            pivots.append(c)
-            r += 1
-        return ExactMatrix(f, rows), pivots
-
     def rank(self) -> int:
-        return len(self.rref()[1])
-
-    def kernel_basis(self) -> List[List[Scalar]]:
-        """Basis of ``{v : self @ v = 0}``, one vector per free column.
-
-        The basis is deterministic: free columns in increasing order, with the
-        free coordinate set to 1.
-        """
-        f = self.field
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        basis: List[List[Scalar]] = []
-        for free in range(self.ncols):
-            if free in pivot_set:
-                continue
-            v = [f.zero] * self.ncols
-            v[free] = f.one
-            for r, p in enumerate(pivots):
-                coef = red.rows[r][free]
-                if coef:
-                    v[p] = f.neg(coef)
-            basis.append(v)
-        return basis
-
-    def inverse(self) -> "ExactMatrix":
-        if self.nrows != self.ncols:
-            raise ValueError("only square matrices invert")
-        f = self.field
-        n = self.nrows
-        aug = ExactMatrix(f, [row[:] + ident_row[:] for row, ident_row in zip(self.rows, ExactMatrix.identity(f, n).rows)])
-        red, pivots = aug.rref()
-        if pivots != list(range(n)):
-            raise ValueError("matrix is singular")
-        return ExactMatrix(f, [row[n:] for row in red.rows])
+        """Rank by forward elimination of the non-zero entries of each row."""
+        ech = SparseEchelon(self.field)
+        for row in self.rows:
+            ech.add_row({j: x for j, x in enumerate(row) if x})
+        return ech.rank
 
 
 class SparseEchelon:
@@ -272,14 +212,6 @@ class SparseEchelon:
         return True
 
 
-def quotient_dim(ambient_dim: int, relations: Iterable[SparseVec], field: FieldSpec) -> int:
-    """Dimension of ambient space modulo the span of the given relation rows."""
-    ech = SparseEchelon(field)
-    for rel in relations:
-        ech.add_row(rel)
-    return ambient_dim - ech.rank
-
-
 def rref_sparse(rows: Iterable[SparseVec], field: FieldSpec) -> Dict[int, SparseVec]:
     """Fully reduced sparse echelon: pivot -> row, each row clear of all other
     pivots, leading coefficient 1.  The span of the rows is preserved."""
@@ -307,16 +239,11 @@ def sparse_kernel(rows: Iterable[SparseVec], ncols: int, field: FieldSpec) -> Li
 
     Returns sparse vectors, one per free column in increasing column order
     (free coordinate 1).  Columns never touched by any row are free and yield
-    unit vectors, so this stays cheap when the system only constrains a small
-    corner of a huge space.
+    unit vectors, so the vectors stay sparse when the system only constrains
+    a small corner of a huge space.
     """
     f = field
     reduced = rref_sparse(rows, f)
-    pivots = sorted(reduced)
-    touched = set()
-    for row in reduced.values():
-        touched.update(row)
-    pivot_set = set(pivots)
     # invert: for each free column, which pivot rows mention it
     col_uses: Dict[int, List[Tuple[int, Scalar]]] = {}
     for p, row in reduced.items():
@@ -324,17 +251,10 @@ def sparse_kernel(rows: Iterable[SparseVec], ncols: int, field: FieldSpec) -> Li
             if k != p:
                 col_uses.setdefault(k, []).append((p, v))
     basis: List[SparseVec] = []
-    constrained_free = sorted((touched | pivot_set) - pivot_set)
-    free_iter: Iterable[int]
-    if len(touched) < ncols // 2:
-        # mostly-untouched ambient: unit vectors for untouched columns
-        untouched = [c for c in range(ncols) if c not in touched and c not in pivot_set]
-        free_iter = sorted(untouched + constrained_free)
-    else:
-        free_iter = (c for c in range(ncols) if c not in pivot_set)
-    one = f.one
-    for free in free_iter:
-        v: SparseVec = {free: one}
+    for free in range(ncols):
+        if free in reduced:
+            continue
+        v: SparseVec = {free: f.one}
         for p, coef in col_uses.get(free, ()):
             v[p] = f.neg(coef)
         basis.append(v)
@@ -390,68 +310,32 @@ class QuotientSpace:
 class SpanSolver:
     """Express vectors in the span of a fixed list of sparse basis vectors.
 
-    Maintains an echelon of the basis together with the combination that
-    produced each pivot row, so :meth:`coordinates` can answer "write w as a
-    combination of the basis" (or report that w is outside the span).
+    Basis vector i enters one :class:`SparseEchelon` extended by the unit
+    coordinate ``offset + i``, where ``offset`` lies past every ambient key,
+    so each stored row carries the combination of basis vectors that
+    produced it.  Reducing a vector w leaves ``w - sum c_i basis_i`` on the
+    ambient keys and ``-c`` on the extension keys.
     """
 
     def __init__(self, field: FieldSpec, basis: Sequence[SparseVec]):
         self.field = field
         self.n = len(basis)
-        # pivot -> (row, combo) with combo a sparse dict over basis indices
-        self.rows: Dict[int, Tuple[SparseVec, SparseVec]] = {}
+        self.offset = 1 + max((k for vec in basis for k in vec), default=-1)
+        self.echelon = SparseEchelon(field)
         for i, vec in enumerate(basis):
-            row = dict(vec)
-            combo: SparseVec = {i: field.one}
-            self._insert(row, combo)
-
-    def _reduce(self, row: SparseVec, combo: SparseVec) -> Tuple[SparseVec, SparseVec]:
-        f = self.field
-        while row:
-            lead = min(row)
-            stored = self.rows.get(lead)
-            if stored is None:
-                return row, combo
-            prow, pcombo = stored
-            coef = row[lead]
-            for k, v in prow.items():
-                new = f.sub(row.get(k, f.zero), f.mul(coef, v))
-                if new:
-                    row[k] = new
-                else:
-                    row.pop(k, None)
-            for k, v in pcombo.items():
-                new = f.sub(combo.get(k, f.zero), f.mul(coef, v))
-                if new:
-                    combo[k] = new
-                else:
-                    combo.pop(k, None)
-        return row, combo
-
-    def _insert(self, row: SparseVec, combo: SparseVec) -> None:
-        f = self.field
-        row = {k: v for k, v in row.items() if v}
-        row, combo = self._reduce(row, combo)
-        if not row:
-            return
-        lead = min(row)
-        inv = f.inv(row[lead])
-        self.rows[lead] = (
-            {k: f.mul(inv, v) for k, v in row.items()},
-            {k: f.mul(inv, v) for k, v in combo.items()},
-        )
+            self.echelon.add_row({**vec, self.offset + i: field.one})
 
     def coordinates(self, vec: SparseVec) -> Optional[List[Scalar]]:
         """Coefficients c with ``sum c_i basis_i == vec``, or None if outside."""
-        f = self.field
-        row = {k: v for k, v in vec.items() if v}
-        combo: SparseVec = {}
-        row, combo = self._reduce(row, combo)
-        if row:
+        f, offset = self.field, self.offset
+        if any(k >= offset for k, v in vec.items() if v):
+            return None
+        residue = self.echelon.reduce(vec)
+        if any(k < offset for k in residue):
             return None
         out = [f.zero] * self.n
-        for i, c in combo.items():
-            out[i] = f.neg(c)
+        for k, c in residue.items():
+            out[k - offset] = f.neg(c)
         return out
 
 
@@ -466,8 +350,10 @@ def intertwiner_space(
     Returns sparse vectors over row-major coordinates ``r * ncols + c``.  The
     space is cut down one constraint at a time; constraints are imposed in
     order of increasing support so that near-diagonal ones (whose kernels are
-    coordinate subspaces) collapse the dimension before any dense elimination
-    happens.  Every pair is imposed, none is assumed redundant.
+    coordinate subspaces) collapse the dimension early.  Starting from the
+    unit basis, each pair maps the current basis through ``V -> P V - V Q``
+    and keeps the combinations in the kernel.  Every pair is imposed, none
+    is assumed redundant.
     """
 
     def nnz(m: ExactMatrix) -> int:
@@ -475,8 +361,7 @@ def intertwiner_space(
 
     order = sorted(range(len(pairs)), key=lambda i: (nnz(pairs[i][0]) + nnz(pairs[i][1]), i))
     f = field
-    dim = nrows * ncols
-    basis: Optional[List[SparseVec]] = None  # None = full space
+    basis: List[SparseVec] = [{c: f.one} for c in range(nrows * ncols)]
 
     for idx in order:
         P, Q = pairs[idx]
@@ -509,47 +394,23 @@ def intertwiner_space(
                         out.pop(key, None)
             return out
 
-        if basis is None:
-            # constraint rows over ambient coordinates, one per output coord
-            rows: Dict[int, SparseVec] = {}
-            for coord in range(dim):
-                k, c = divmod(coord, ncols)
-                for r, pv in p_cols[k].items():
-                    row = rows.setdefault(r * ncols + c, {})
-                    row[coord] = f.add(row.get(coord, f.zero), pv)
-            for coord in range(dim):
-                r, k = divmod(coord, ncols)
-                for c2, qv in q_rows[k].items():
-                    row = rows.setdefault(r * ncols + c2, {})
-                    new = f.sub(row.get(coord, f.zero), qv)
+        # kernel of the (output coords) x len(basis) sparse system
+        rows_by_out: Dict[int, SparseVec] = {}
+        for col, b in enumerate(basis):
+            for out_coord, val in constraint_image(b).items():
+                rows_by_out.setdefault(out_coord, {})[col] = val
+        new_basis: List[SparseVec] = []
+        for combo in sparse_kernel(rows_by_out.values(), len(basis), f):
+            acc: SparseVec = {}
+            for col, cv in combo.items():
+                for coord, bv in basis[col].items():
+                    new = f.add(acc.get(coord, f.zero), f.mul(cv, bv))
                     if new:
-                        row[coord] = new
+                        acc[coord] = new
                     else:
-                        row.pop(coord, None)
-            basis = sparse_kernel(rows.values(), dim, f)
-        else:
-            images = [constraint_image(b) for b in basis]
-            # kernel of the (output coords) x len(basis) sparse system
-            rows_by_out: Dict[int, SparseVec] = {}
-            for col, img in enumerate(images):
-                for out_coord, val in img.items():
-                    rows_by_out.setdefault(out_coord, {})[col] = val
-            coeff_kernel = sparse_kernel(rows_by_out.values(), len(basis), f)
-            new_basis: List[SparseVec] = []
-            for combo in coeff_kernel:
-                acc: SparseVec = {}
-                for col, cv in combo.items():
-                    for coord, bv in basis[col].items():
-                        new = f.add(acc.get(coord, f.zero), f.mul(cv, bv))
-                        if new:
-                            acc[coord] = new
-                        else:
-                            acc.pop(coord, None)
-                new_basis.append(acc)
-            basis = new_basis
+                        acc.pop(coord, None)
+            new_basis.append(acc)
+        basis = new_basis
         if not basis:
             return []
-    return basis if basis is not None else [
-        {c: f.one} for c in range(dim)
-    ]
-
+    return basis

@@ -138,17 +138,14 @@ def permutation_matrix(w: Sequence[int], n: int) -> np.ndarray:
     Row f, column f.w carries a 1; conjugating a kernel matrix by this
     permutation replaces the kernel K(S, U) by K(S.w, U.w).
     """
-    d = len(w)
-    size = n**d
-    perm = np.empty(size, dtype=np.int64)
-    for f in enum_B(n, d):
-        perm[word_index(f, n)] = word_index(act_word(f, w), n)
+    size = n ** len(w)
     out = np.zeros((size, size), dtype=np.int64)
-    out[np.arange(size), perm] = 1
+    out[np.arange(size), _conjugation_index(w, n)] = 1
     return out
 
 
 def _conjugation_index(w: Sequence[int], n: int) -> np.ndarray:
+    """perm[i] is the index of f.w for the configuration f of index i."""
     d = len(w)
     perm = np.empty(n**d, dtype=np.int64)
     for f in enum_B(n, d):

@@ -6,12 +6,12 @@ code paths under test, so a match is evidence rather than tautology.
 """
 
 import itertools
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from altschur import BipartiteGraph, NonTransverseError, pair_graph
 from altschur.algebra import GradedElement
 from altschur.enumeration import enum_B, words_with_content
-from altschur.fields import Scalar
+from altschur.fields import FieldSpec, Scalar
 from altschur.graphs import Word, pair_sign
 
 
@@ -153,3 +153,55 @@ def convolve_by_words(
         else:
             coeffs[target] = coeff
     return {g: c for g, c in coeffs.items() if c}
+
+
+def dense_rref(
+    rows: Sequence[Sequence[Scalar]], ncols: int, field: FieldSpec
+) -> Tuple[List[List[Scalar]], List[int]]:
+    """Gauss–Jordan reduced row-echelon form and the list of pivot columns.
+
+    Dense and column by column, sharing no code with the sparse echelon:
+    within each column the first remaining row (top to bottom) with a
+    non-zero entry is the pivot; pivots are normalized to 1 and cleared from
+    every other row.
+    """
+    f = field
+    rows = [list(row) for row in rows]
+    nrows = len(rows)
+    pivots: List[int] = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        sel = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = f.inv(rows[r][c])
+        rows[r] = [f.mul(inv, x) for x in rows[r]]
+        prow = rows[r]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                coef = rows[i][c]
+                rows[i] = [f.sub(x, f.mul(coef, p)) for x, p in zip(rows[i], prow)]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def dense_kernel(rows: Sequence[Sequence[Scalar]], ncols: int, field: FieldSpec) -> List[List[Scalar]]:
+    """Basis of ``{v : rows @ v = 0}`` read off :func:`dense_rref`: one
+    vector per free column in increasing order, free coordinate 1."""
+    f = field
+    red, pivots = dense_rref(rows, ncols, f)
+    basis: List[List[Scalar]] = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [f.zero] * ncols
+        v[free] = f.one
+        for r, p in enumerate(pivots):
+            if red[r][free]:
+                v[p] = f.neg(red[r][free])
+        basis.append(v)
+    return basis

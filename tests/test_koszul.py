@@ -1,6 +1,9 @@
 """Duality diagnostics: the odd-component bimodule, the phi and psi maps, the
 functor D with its natural transformations, and the (M, theta) equivalence."""
 
+import hashlib
+import json
+
 import pytest
 
 from altschur import GF, QQ, BipartiteGraph, koszul
@@ -372,6 +375,76 @@ def test_module_homs_of_regular():
 def test_module_homs_parameter_mismatch():
     with pytest.raises(ValueError, match="matching parameters"):
         module_homs(regular_smodule(2, 2, QQ), regular_smodule(2, 2, GF(5)))
+
+
+def _entries(m):
+    return None if m is None else [[str(x) for x in row] for row in m.rows]
+
+
+def _digest(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of Hom(M, M), Hom(D(M), M), the action of the Ringel dual and the
+# isomorphism witness M -> M (entries as strings), with eta's (rank,
+# source_dim), on the regular module; recorded while ExactMatrix.rank,
+# SpanSolver and intertwiner_space still ran their own elimination loops.
+PINNED_HOMS = [
+    (QQ, 2, 2, 10, 10, (
+        "47cae0eb4b6d60c69bb5e016bad08c772b4ed9555271bb1ebb3446a56ff3a57f",
+        "9f7dab44b019a8cd7c276401f4e73a072866d44ea6c0a12259ea092c1bda0667",
+        "2d15a8eb1bee43474a2c02f1c5030fb543633ecaad1df7336c13b89e5fbb857b",
+        "321d95d44c2f6962d06f1599d0bdcf5617026e8c4ff84c3a373befb38226009a",
+    )),
+    (QQ, 2, 3, 4, 4, (
+        "7ebf975ba61061d35d901e65ca1a8d89fb2e94821eb733d4860e17f7827401d9",
+        "3add794bc54e78708aaeebe6a520f3d50eae0c9cd4196bbc531b21b6517fb7e0",
+        "4c94a9dddf73c213880e5c28b9844e8204edfed94f9e8e993a66a76ab5602fd9",
+        "c9cfd48317b4e11d4ab4e130282d2da93bff60c3e0dc24d745f320bf972305a6",
+    )),
+    (QQ, 3, 2, 45, 45, (
+        "5650b3ddbba93c9b7dc3c07a0e042dec9bfbc02716b535680af7ee7590ab222f",
+        "5974e93bbcce037b6d8ac0e92ad1f2c87b63283bf118e55acd9f26bad51eeb9b",
+        "5719a0e0a3e68108a45ce6ac4f546438b0717a89339538499505dbbd8ed6bae1",
+        "7f4cb3baac09759b0615414803a5da78d7a2a98efbdef13b04b63d35a55a5102",
+    )),
+    (GF(5), 2, 2, 10, 10, (
+        "c1c04b9f21f165325ecfef7450731d539cb14cf9e6204d218f433329f3b30d09",
+        "4107935a357c363d3e895d4460eb759c5b511b96125d0ac3c8114b93c473f32a",
+        "41c60c36d8627c4bf09b51cfe39931ad6013c11bacab76ddb8c20c0e3890b8a3",
+        "99f9a66bc847d3cd3b09f630e62fd01c552e15dead6a1b369a02ea72f46314eb",
+    )),
+    (GF(5), 2, 3, 4, 4, (
+        "ff153ae425759b4b0e8f16625b70f028fcd5ae150fe5b5d1188eedaf27a7de12",
+        "860965b411ce7775a248f4d3d7550c50e03617340d94ea2a206cdcf664bbcb03",
+        "f6fc27feed574b0b4fa634f5b724c797b29c379b75225f26085314dfd0dcf97d",
+        "713e7e74ef9b4bd3445b71cebac69a72c1339b120aeeaf5180999b8e2fe7819b",
+    )),
+    (GF(5), 3, 2, 45, 45, (
+        "c3f288f3c2e5ca59d4c3969eba497b5ee7794496dba6e39fcf275bec2b198925",
+        "8bb8752fa14ec8e5f2ec845f566ac53ef37a509e4c32d6054dfcd59a9fa237d1",
+        "716e770fab6892b69be6cf2c12f4636d778d83245d71e0add4e48b082ddabad6",
+        "c2309a60ed479c69ea7d7445612bcf10f33b72b1291d35acaf20db95abf1ea36",
+    )),
+]
+
+
+@pytest.mark.parametrize(
+    "field,n,d,eta_rank,eta_source,digests",
+    PINNED_HOMS,
+    ids=[f"{field.label}-{n}-{d}" for field, n, d, *_ in PINNED_HOMS],
+)
+def test_hom_spaces_match_pinned_digests(field, n, d, eta_rank, eta_source, digests):
+    M = regular_smodule(n, d, field)
+    got = (
+        _digest([_entries(h) for h in module_homs(M, M)]),
+        _digest([_entries(h) for h in module_homs(koszul_dual(M), M)]),
+        _digest([_entries(a) for a in ringel_dual(M).action]),
+        _digest(_entries(find_module_isomorphism(M, M))),
+    )
+    assert got == digests
+    eta = eta_map(M)
+    assert (eta.rank, eta.source_dim) == (eta_rank, eta_source)
 
 
 # -- modules over the full algebra as pairs ----------------------------------------
