@@ -52,9 +52,9 @@ from .koszul import (
     SModule,
     ThetaPair,
     as_module_to_pair,
-    bimodule_data,
     eta_map,
     koszul_dual,
+    odd_smodule,
     pair_to_as_module,
     phi_analysis,
     psi_analysis,
@@ -108,9 +108,9 @@ __all__ = [
     "SModule",
     "ThetaPair",
     "as_module_to_pair",
-    "bimodule_data",
     "eta_map",
     "koszul_dual",
+    "odd_smodule",
     "pair_to_as_module",
     "phi_analysis",
     "psi_analysis",

@@ -13,6 +13,14 @@ arithmetic:
 * the equivalence between modules over the whole algebra and pairs (M, θ)
   of an S-module with a compatible map θ: D(M) → M.
 
+Every linear map a module carries (the even action, the odd action, θ, the
+actions built by D and by Hom_S(S⁻, −), and S⁻ itself from
+``odd_smodule``) is a list of sparse columns: column i is the image of
+basis vector i, a zero-free dict {row: scalar} with rows in increasing
+order.  Module routines walk these columns; dense
+:class:`~altschur.linalg.ExactMatrix` values appear only as reports (eta,
+hom spaces, isomorphism witnesses).
+
 The diagonal idempotents e_λ = ξ(γ0_λ) sum to the identity, so every linear
 system behind phi and psi splits into weight-space blocks keyed by a pair of
 compositions (λ, μ).  Both analyses stream their relation rows once, route
@@ -35,6 +43,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dataclass_field, InitVar
 from functools import lru_cache
+from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .fields import FieldSpec, GF, Scalar
@@ -42,7 +51,10 @@ from .linalg import (
     ExactMatrix,
     QuotientSpace,
     SparseEchelon,
+    SparseVec,
     SpanSolver,
+    add_scaled,
+    compose,
     intertwiner_space,
     sparse_kernel,
 )
@@ -54,12 +66,11 @@ __all__ = [
     "SModule",
     "ASModule",
     "ThetaPair",
-    "BimoduleData",
     "IncompatibleTheta",
     "PhiReport",
     "PsiReport",
     "EtaReport",
-    "bimodule_data",
+    "odd_smodule",
     "phi_analysis",
     "psi_analysis",
     "koszul_dual",
@@ -85,6 +96,9 @@ _CERT_PRIME = 999983
 _EXACT_CUTOFF = 600
 
 _SAMPLE_PAIRS = 25
+
+# A linear map as its list of sparse columns (see the module docstring).
+Columns = List[SparseVec]
 
 
 class IncompatibleTheta(ValueError):
@@ -161,30 +175,24 @@ def _right_rows(n: int, d: int) -> Tuple[Dict[int, Dict[int, int]], ...]:
     return tuple(out)
 
 
-def _fill(
-    m: ExactMatrix, columns: Iterable[Tuple[int, Dict[int, int]]], row0: int = 0, col0: int = 0
-) -> ExactMatrix:
-    """Write integer columns into ``m`` in place and return it: entry v at
-    row r of column k lands at (row0 + r, col0 + k)."""
-    rows, from_int = m.rows, m.field.from_int
-    for k, col in columns:
-        for r, v in col.items():
-            rows[row0 + r][col0 + k] = from_int(v)
-    return m
+def _int_column(col: Dict[int, int], field: FieldSpec, offset: int = 0) -> SparseVec:
+    """An integer column coerced into ``field``: rows shifted by ``offset``,
+    in increasing order, entries that vanish in the field dropped."""
+    out: SparseVec = {}
+    for r in sorted(col):
+        x = field.from_int(col[r])
+        if x:
+            out[offset + r] = x
+    return out
 
 
 def _products(
-    x: BasisSymbol, ys: Sequence[BasisSymbol], index: Dict[BipartiteGraph, int]
-) -> Iterator[Tuple[int, Dict[int, int]]]:
-    """Column k: the coefficients of x·ys[k], each at row index[graph]."""
-    for k, y in enumerate(ys):
-        yield k, {index[s.graph]: c for s, c in structure_constants(x, y).items()}
-
-
-def _dicts_to_matrices(
-    dicts: Sequence[Dict[int, Dict[int, int]]], size: int, field: FieldSpec
-) -> List[ExactMatrix]:
-    return [_fill(ExactMatrix.zeros(field, size, size), per.items()) for per in dicts]
+    x: BasisSymbol, ys: Sequence[BasisSymbol], index: Dict[BipartiteGraph, int], field: FieldSpec, offset: int = 0
+) -> Columns:
+    """Column k: the coefficients of x·ys[k], each at row offset + index[graph]."""
+    return [
+        _int_column({index[s.graph]: c for s, c in structure_constants(x, y).items()}, field, offset) for y in ys
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -201,22 +209,54 @@ def _diag_indices(n: int, d: int) -> List[int]:
     return [m_idx[gamma0_lambda(lam, n)] for lam in enum_Lambda(n, d)]
 
 
+def _check_columns(what: str, columns: Sequence[SparseVec], nrows: int, field: FieldSpec) -> None:
+    """Every row key in range(nrows) and every entry a non-zero scalar of
+    ``field``: a ``Fraction`` over Q, an int in 1..p-1 over GF(p)."""
+    p = field.p
+    for col in columns:
+        for r, x in col.items():
+            if not 0 <= r < nrows:
+                raise ValueError(f"{what} has an entry in row {r}, outside its shape ({nrows}, {len(columns)})")
+            if not ((type(x) is int and 0 < x < p) if p else (isinstance(x, Fraction) and x != 0)):
+                raise ValueError(f"{what} entry {x!r} is not a non-zero scalar of {field.label}")
+
+
+def _check_maps(what: str, maps: Sequence[Columns], count: int, dim: int, field: FieldSpec) -> None:
+    """``count`` square maps of size ``dim`` with entries in ``field``."""
+    if len(maps) != count:
+        raise ValueError(f"expected {count} {what} matrices, got {len(maps)}")
+    for columns in maps:
+        if len(columns) != dim:
+            raise ValueError(f"{what} matrix has shape ({dim}, {len(columns)}), expected {(dim, dim)}")
+        _check_columns(f"{what} matrix", columns, dim, field)
+
+
+def _pairs(level: str, rng: random.Random, n1: int, n2: int) -> List[Tuple[int, int]]:
+    """The basis pairs a module check multiplies: every pair of
+    range(n1) × range(n2) at level "full", else ``_SAMPLE_PAIRS`` draws from
+    ``rng`` (first index, then second), each checked once."""
+    if level == "full":
+        return [(i, j) for i in range(n1) for j in range(n2)]
+    return list(dict.fromkeys((rng.randrange(n1), rng.randrange(n2)) for _ in range(_SAMPLE_PAIRS)))
+
+
 def _check_products(
     n: int,
     d: int,
+    field: FieldSpec,
     pairs: Iterable[Tuple[int, int]],
-    left: Sequence[ExactMatrix],
+    left: Sequence[Columns],
     left_odd: bool,
-    right: Sequence[ExactMatrix],
+    right: Sequence[Columns],
     right_odd: bool,
-    target: Sequence[ExactMatrix],
+    target: Sequence[Columns],
     error: Callable[[str], Exception],
     message: str,
 ) -> None:
-    """Check ``left[i] @ right[j] == sum_s c_s target[s]`` for every pair (i, j).
+    """Check ``left[i] ∘ right[j] == sum_s c_s target[s]`` for every pair (i, j).
 
     ``sum_s c_s s`` is the product of the i-th and the j-th basis symbol of
-    the given parities; ``target`` holds the matrices of the basis of the
+    the given parities; ``target`` holds the maps of the basis of the
     product's parity.  A mismatch raises ``error(message.format(g, h))``
     with the graphs g, h of the two symbols.
     """
@@ -224,46 +264,29 @@ def _check_products(
     index = graph_index("N" if left_odd != right_odd else "M", n, d)
     for i, j in pairs:
         g, h = (Ns if left_odd else Ms)[i], (Ns if right_odd else Ms)[j]
-        lhs = left[i] @ right[j]
-        f = lhs.field
-        rhs = ExactMatrix.zeros(f, lhs.nrows, lhs.ncols)
+        expected: Columns = [{} for _ in right[j]]
         product = structure_constants(zeta(g) if left_odd else xi(g), zeta(h) if right_odd else xi(h))
         for s, c in product.items():
-            cf = f.from_int(c)
-            for acc, row in zip(rhs.rows, target[index[s.graph]].rows):
-                for k, x in enumerate(row):
-                    if x:
-                        acc[k] = f.add(acc[k], f.mul(cf, x))
-        if lhs != rhs:
+            cf = field.from_int(c)
+            for acc, col in zip(expected, target[index[s.graph]]):
+                add_scaled(acc, cf, col, field)
+        if compose(left[i], right[j], field) != expected:
             raise error(message.format(g, h))
 
 
-def _check_even_action(
-    n: int, d: int, field: FieldSpec, dim: int, action: Sequence[ExactMatrix], level: str, rng_seed: int
-) -> None:
+def _check_even_action(n: int, d: int, field: FieldSpec, dim: int, action: Sequence[Columns], level: str) -> None:
     Ms = enum_M(n, d)
-    if len(action) != len(Ms):
-        raise ValueError(f"expected {len(Ms)} action matrices, got {len(action)}")
-    for a in action:
-        if a.shape != (dim, dim):
-            raise ValueError(f"action matrix has shape {a.shape}, expected {(dim, dim)}")
-        if a.field != field:
-            raise ValueError("action matrix lives over the wrong field")
+    _check_maps("action", action, len(Ms), dim, field)
     if level == "none":
         return
-    ident = ExactMatrix.zeros(field, dim, dim)
+    ident: Columns = [{} for _ in range(dim)]
     for i in _diag_indices(n, d):
-        ident = ident + action[i]
-    if ident != ExactMatrix.identity(field, dim):
+        for acc, col in zip(ident, action[i]):
+            add_scaled(acc, field.one, col, field)
+    if ident != [{k: field.one} for k in range(dim)]:
         raise ValueError("identity element does not act as the identity matrix")
-    nM = len(Ms)
-    if level == "full":
-        pairs: Iterable[Tuple[int, int]] = ((i, j) for i in range(nM) for j in range(nM))
-    else:
-        rng = random.Random(rng_seed)
-        pairs = {(rng.randrange(nM), rng.randrange(nM)) for _ in range(_SAMPLE_PAIRS)}
     _check_products(
-        n, d, pairs, action, False, action, False, action,
+        n, d, field, _pairs(level, random.Random(0), len(Ms), len(Ms)), action, False, action, False, action,
         ValueError, "even action is not multiplicative at basis pair ({}, {})",
     )
 
@@ -280,54 +303,52 @@ def _resolve_level(validate: str, n: int, d: int) -> str:
 class SModule:
     """A finite-dimensional left module over the even subalgebra.
 
-    ``action[i]`` is the matrix of the i-th even basis symbol (enum_M order)
-    on a fixed basis of the carrier space.  Multiplicativity against the
-    structure constants is checked on construction: in full for small (n, d),
-    on a seeded sample otherwise, or not at all with ``validate="none"``.
+    ``action[i]`` is the map of the i-th even basis symbol (enum_M order)
+    on a fixed basis of the carrier space, as ``dim`` sparse columns:
+    column k is the image of basis vector k, a zero-free dict
+    {row: scalar} with rows in increasing order.  Construction always
+    checks the symbol count, the shape and that every entry is a non-zero
+    scalar of ``field``.  Multiplicativity against the structure constants
+    is checked in full for small (n, d), on a seeded sample otherwise, or
+    not at all with ``validate="none"``.
     """
 
     n: int
     d: int
     field: FieldSpec
     dim: int
-    action: List[ExactMatrix]
+    action: List[Columns]
     quotient: Optional[QuotientSpace] = dataclass_field(default=None, repr=False, compare=False)
     validate: InitVar[str] = "auto"
 
     def __post_init__(self, validate: str) -> None:
         level = _resolve_level(validate, self.n, self.d)
-        _check_even_action(self.n, self.d, self.field, self.dim, self.action, level, rng_seed=0)
-
-    def act(self, g_index: int, vec: Sequence[Scalar]) -> List[Scalar]:
-        return self.action[g_index].apply(vec)
+        _check_even_action(self.n, self.d, self.field, self.dim, self.action, level)
 
 
 @dataclass
 class ASModule:
     """A module over the full algebra: even action plus odd action.
 
-    ``odd_action[j]`` is the matrix of the j-th odd basis symbol (enum_N
-    order).  Construction checks multiplicativity across all four parity
-    blocks at the same full/sample/none levels as :class:`SModule`.
+    ``odd_action[j]`` is the map of the j-th odd basis symbol (enum_N
+    order), in the same sparse column format as ``action``.  Construction
+    checks both actions' counts, shapes and entries, and multiplicativity
+    across all four parity blocks at the same full/sample/none levels as
+    :class:`SModule`.
     """
 
     n: int
     d: int
     field: FieldSpec
     dim: int
-    action: List[ExactMatrix]
-    odd_action: List[ExactMatrix]
+    action: List[Columns]
+    odd_action: List[Columns]
     validate: InitVar[str] = "auto"
 
     def __post_init__(self, validate: str) -> None:
         level = _resolve_level(validate, self.n, self.d)
-        _check_even_action(self.n, self.d, self.field, self.dim, self.action, level, rng_seed=0)
-        Ns = enum_N(self.n, self.d)
-        if len(self.odd_action) != len(Ns):
-            raise ValueError(f"expected {len(Ns)} odd action matrices, got {len(self.odd_action)}")
-        for b in self.odd_action:
-            if b.shape != (self.dim, self.dim):
-                raise ValueError(f"odd action matrix has shape {b.shape}, expected square dim {self.dim}")
+        _check_even_action(self.n, self.d, self.field, self.dim, self.action, level)
+        _check_maps("odd action", self.odd_action, len(enum_N(self.n, self.d)), self.dim, self.field)
         if level != "none":
             self._check_mixed_blocks(level)
 
@@ -337,22 +358,14 @@ class ASModule:
         if nN == 0:
             return
         rng = random.Random(1)
-        if level == "full":
-            even_odd = [(i, j) for i in range(nM) for j in range(nN)]
-            odd_even = [(j, i) for j in range(nN) for i in range(nM)]
-            odd_odd = [(a, b) for a in range(nN) for b in range(nN)]
-        else:
-            even_odd = [(rng.randrange(nM), rng.randrange(nN)) for _ in range(_SAMPLE_PAIRS)]
-            odd_even = [(rng.randrange(nN), rng.randrange(nM)) for _ in range(_SAMPLE_PAIRS)]
-            odd_odd = [(rng.randrange(nN), rng.randrange(nN)) for _ in range(_SAMPLE_PAIRS)]
         even, odd = self.action, self.odd_action
-        for pairs, left, left_odd, right, right_odd, target, name in (
-            (even_odd, even, False, odd, True, odd, "even*odd"),
-            (odd_even, odd, True, even, False, odd, "odd*even"),
-            (odd_odd, odd, True, odd, True, even, "odd*odd"),
+        for sizes, left, left_odd, right, right_odd, target, name in (
+            ((nM, nN), even, False, odd, True, odd, "even*odd"),
+            ((nN, nM), odd, True, even, False, odd, "odd*even"),
+            ((nN, nN), odd, True, odd, True, even, "odd*odd"),
         ):
             _check_products(
-                n, d, pairs, left, left_odd, right, right_odd, target,
+                n, d, self.field, _pairs(level, rng, *sizes), left, left_odd, right, right_odd, target,
                 ValueError, name + " action mismatch at ({}, {})",
             )
 
@@ -365,45 +378,27 @@ class ThetaPair:
     """An S-module together with a map θ: D(base) → base.
 
     ``theta`` is written against the canonical basis of the tensor quotient
-    D(base) produced by :func:`koszul_dual`; compatibility (the square that
-    makes θ encode an odd action) is checked by :func:`pair_to_as_module`.
+    D(base) produced by :func:`koszul_dual`, as sparse columns (column k is
+    the image of the k-th basis vector of D(base)).  Construction checks
+    that its rows lie in range(base.dim) and its entries in base.field;
+    the column count and compatibility (the square that makes θ encode an
+    odd action) are checked by :func:`pair_to_as_module`.
     """
 
     base: SModule
-    theta: ExactMatrix
+    theta: Columns
+
+    def __post_init__(self) -> None:
+        _check_columns("theta", self.theta, self.base.dim, self.base.field)
 
 
-@dataclass
-class BimoduleData:
-    """Matrices of the even basis acting on the odd component on both sides."""
-
-    n: int
-    d: int
-    field: FieldSpec
-    left_mult: List[ExactMatrix]
-    right_mult: List[ExactMatrix]
-
-    def check_commutation(self, level: str = "sample", rng_seed: int = 0) -> None:
-        """Left and right actions commute (bimodule axiom)."""
-        nM = len(self.left_mult)
-        if level == "full":
-            pairs: Iterable[Tuple[int, int]] = ((i, j) for i in range(nM) for j in range(nM))
-        else:
-            rng = random.Random(rng_seed)
-            pairs = {(rng.randrange(nM), rng.randrange(nM)) for _ in range(_SAMPLE_PAIRS)}
-        for i, j in pairs:
-            if self.left_mult[i] @ self.right_mult[j] != self.right_mult[j] @ self.left_mult[i]:
-                raise ValueError(f"bimodule actions fail to commute at even pair ({i}, {j})")
-
-
-def bimodule_data(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) -> BimoduleData:
-    """Left- and right-multiplication matrices of every even basis symbol on
-    the odd component, in enum_M order over enum_N coordinates."""
-    check_basis_budget(n, d, cap)
+def odd_smodule(n: int, d: int, field: FieldSpec) -> SModule:
+    """The odd component as a left module over the even subalgebra: ξ_g acts
+    on the basis ζ_a (enum_N order) by left multiplication."""
     nN = len(enum_N(n, d))
-    left = _dicts_to_matrices(_left_dicts(n, d), nN, field)
-    right = _dicts_to_matrices(_right_dicts(n, d), nN, field)
-    return BimoduleData(n, d, field, left, right)
+    action = [[_int_column(per.get(a, {}), field) for a in range(nN)] for per in _left_dicts(n, d)]
+    return SModule(n, d, field, nN, action)
+
 
 
 # ---------------------------------------------------------------------------
@@ -790,21 +785,16 @@ def _dual_relations(M: SModule) -> List[Dict[int, Scalar]]:
     right = _right_dicts(M.n, M.d)
     nN = len(enum_N(M.n, M.d))
     rels: List[Dict[int, Scalar]] = []
-    for gi in range(len(right)):
-        # the non-zero entries (j, A_g[j, i]) of each column i, j increasing
-        cols: List[List[Tuple[int, Scalar]]] = [[] for _ in range(dim)]
-        for j, arow in enumerate(M.action[gi].rows):
-            for i, a in enumerate(arow):
-                if a:
-                    cols[i].append((j, a))
-        per = right[gi]
+    for per, cols in zip(right, M.action):
+        moved = [i for i in range(dim) if cols[i]]
         for ai in range(nN):
             rsc = per.get(ai, {})
-            for i in range(dim):
+            # a row is empty unless ζ_a ξ_g or ξ_g e_i is non-zero
+            for i in range(dim) if rsc else moved:
                 row: Dict[int, Scalar] = {}
                 for ci, v in rsc.items():
                     row[ci * dim + i] = f.from_int(v)
-                for j, a in cols[i]:
+                for j, a in cols[i].items():
                     key = ai * dim + j
                     row[key] = f.sub(row.get(key, f.zero), a)
                 row = {k: v for k, v in row.items() if v}
@@ -813,19 +803,14 @@ def _dual_relations(M: SModule) -> List[Dict[int, Scalar]]:
     return rels
 
 
-def _kills(
-    relations: Iterable[Dict[int, Scalar]], column: Callable[[int], List[Scalar]], field: FieldSpec, dim: int
-) -> bool:
-    """Whether the linear map sending ambient coordinate k to ``column(k)``
-    (a vector of length ``dim``) vanishes on every relation."""
-    f = field
+def _kills(relations: Iterable[Dict[int, Scalar]], column: Callable[[int], SparseVec], field: FieldSpec) -> bool:
+    """Whether the linear map sending ambient coordinate k to the sparse
+    column ``column(k)`` vanishes on every relation."""
     for rel in relations:
-        acc = [f.zero] * dim
+        acc: SparseVec = {}
         for coord, v in rel.items():
-            for r, x in enumerate(column(coord)):
-                if x:
-                    acc[r] = f.add(acc[r], f.mul(v, x))
-        if any(acc):
+            add_scaled(acc, v, column(coord), field)
+        if acc:
             return False
     return True
 
@@ -841,15 +826,13 @@ def koszul_dual(M: SModule, validate: str = "auto") -> SModule:
     f, dim = M.field, M.dim
     nN = len(enum_N(M.n, M.d))
     quotient = QuotientSpace(f, nN * dim, _dual_relations(M))
-    left = _left_dicts(M.n, M.d)
     action = []
-    for per in left:
+    for per in _left_dicts(M.n, M.d):
         cols = []
-        for k in range(quotient.dim):
-            ai, i = divmod(quotient.basis_coords[k], dim)
-            image = {ci * dim + i: f.from_int(v) for ci, v in per.get(ai, {}).items()}
-            cols.append(quotient.project(image))
-        action.append(ExactMatrix.from_columns(f, cols, nrows=quotient.dim))
+        for coord in quotient.basis_coords:
+            ai, i = divmod(coord, dim)
+            cols.append(quotient.project({ci * dim + i: f.from_int(v) for ci, v in per.get(ai, {}).items()}))
+        action.append(cols)
     return SModule(M.n, M.d, f, quotient.dim, action, quotient=quotient, validate=validate)
 
 
@@ -884,25 +867,20 @@ def eta_map(M: SModule) -> EtaReport:
     outer = QuotientSpace(f, len(Ns) * D1.dim, rels2)
 
     @lru_cache(maxsize=None)  # a coordinate recurs in many relations
-    def ambient_column(coord: int) -> List[Scalar]:
+    def ambient_column(coord: int) -> SparseVec:
         bi, k = divmod(coord, D1.dim)
         ai, i = divmod(inner.basis_coords[k], dim)
-        col = [f.zero] * dim
+        col: SparseVec = {}
         for s, c in structure_constants(zeta(Ns[bi]), zeta(Ns[ai])).items():
-            hcol = M.action[m_idx[s.graph]].column(i)
-            cf = f.from_int(c)
-            for r in range(dim):
-                if hcol[r]:
-                    col[r] = f.add(col[r], f.mul(cf, hcol[r]))
+            add_scaled(col, f.from_int(c), M.action[m_idx[s.graph]][i], f)
         return col
 
     # the map must kill the relations defining the outer quotient, otherwise
     # the basis columns below would depend on the chosen lifts
-    if not _kills(rels2, ambient_column, f, dim):
+    if not _kills(rels2, ambient_column, f):
         raise RuntimeError("eta does not vanish on the tensor relations")
 
-    cols = [ambient_column(outer.basis_coords[k]) for k in range(outer.dim)]
-    matrix = ExactMatrix.from_columns(f, cols, nrows=dim)
+    matrix = ExactMatrix.from_columns(f, [ambient_column(c) for c in outer.basis_coords], nrows=dim)
     rank = matrix.rank()
     return EtaReport(
         matrix,
@@ -922,31 +900,21 @@ def ringel_dual(M: SModule, validate: str = "auto") -> SModule:
     f = M.field
     n, d = M.n, M.d
     nN = len(enum_N(n, d))
-    bim_left = _dicts_to_matrices(_left_dicts(n, d), nN, f)
-    pairs = [(M.action[gi], bim_left[gi]) for gi in range(len(bim_left))]
-    basis = intertwiner_space(pairs, M.dim, nN, f)
+    basis = intertwiner_space(list(zip(M.action, odd_smodule(n, d, f).action)), M.dim, nN, f)
     solver = SpanSolver(f, basis)
-    rrows = _right_rows(n, d)
     action = []
-    for gi in range(len(bim_left)):
-        rows_g = rrows[gi]
+    for rows_g in _right_rows(n, d):
         cols = []
         for h in basis:
-            image: Dict[int, Scalar] = {}
+            image: SparseVec = {}
             for coord, val in h.items():
                 r, k = divmod(coord, nN)
-                for c2, v in rows_g.get(k, {}).items():
-                    key = r * nN + c2
-                    acc = f.add(image.get(key, f.zero), f.mul(val, f.from_int(v)))
-                    if acc:
-                        image[key] = acc
-                    else:
-                        image.pop(key, None)
+                add_scaled(image, val, {r * nN + c2: f.from_int(v) for c2, v in rows_g.get(k, {}).items()}, f)
             coords = solver.coordinates(image)
             if coords is None:
                 raise RuntimeError("hom space is not stable under the right action")
-            cols.append(coords)
-        action.append(ExactMatrix.from_columns(f, cols, nrows=len(basis)))
+            cols.append({j: x for j, x in enumerate(coords) if x})
+        action.append(cols)
     return SModule(n, d, f, len(basis), action, validate=validate)
 
 
@@ -957,8 +925,9 @@ def ringel_dual(M: SModule, validate: str = "auto") -> SModule:
 
 def pair_to_as_module(pair: ThetaPair, validate: str = "auto") -> ASModule:
     """Extend the even action of ``pair.base`` by the odd action encoded in
-    theta.  Raises :class:`IncompatibleTheta` unless theta is a module map
-    whose square realizes the even products of odd symbols."""
+    theta: ζ_a acts on v as θ applied to the class of ζ_a ⊗ v.  Raises
+    :class:`IncompatibleTheta` unless theta is a module map whose square
+    realizes the even products of odd symbols."""
     M = pair.base
     f, dim = M.field, M.dim
     n, d = M.n, M.d
@@ -967,20 +936,16 @@ def pair_to_as_module(pair: ThetaPair, validate: str = "auto") -> ASModule:
     quotient = D1.quotient
     assert quotient is not None
     theta = pair.theta
-    if theta.shape != (dim, D1.dim):
-        raise ValueError(f"theta has shape {theta.shape}, expected {(dim, D1.dim)}")
-    for gi in range(len(M.action)):
-        if theta @ D1.action[gi] != M.action[gi] @ theta:
+    if len(theta) != D1.dim:
+        raise ValueError(f"theta has shape {(dim, len(theta))}, expected {(dim, D1.dim)}")
+    for a_g, d_g in zip(M.action, D1.action):
+        if compose(theta, d_g, f) != compose(a_g, theta, f):
             raise IncompatibleTheta("theta is not a module map")
-    odd_action = []
-    for ai in range(nN):
-        cols = []
-        for i in range(dim):
-            coords = quotient.project({ai * dim + i: f.one})
-            cols.append(theta.apply(coords))
-        odd_action.append(ExactMatrix.from_columns(f, cols, nrows=dim))
+    odd_action = [
+        compose(theta, [quotient.project({ai * dim + i: f.one}) for i in range(dim)], f) for ai in range(nN)
+    ]
     _check_products(
-        n, d, ((bi, ai) for bi in range(nN) for ai in range(nN)),
+        n, d, f, ((bi, ai) for bi in range(nN) for ai in range(nN)),
         odd_action, True, odd_action, True, M.action,
         IncompatibleTheta, "theta squared misses the even product at odd pair ({}, {})",
     )
@@ -992,19 +957,17 @@ def as_module_to_pair(module: ASModule) -> ThetaPair:
     quotient of the even part."""
     f, dim = module.field, module.dim
     base = module.even_part()
-    D1 = koszul_dual(base, validate="none")
-    quotient = D1.quotient
-    assert quotient is not None
+    relations = _dual_relations(base)
 
-    def odd_column(coord: int) -> List[Scalar]:
+    def odd_column(coord: int) -> SparseVec:
         ai, i = divmod(coord, dim)
-        return module.odd_action[ai].column(i)
+        return module.odd_action[ai][i]
 
-    if not _kills(_dual_relations(base), odd_column, f, dim):
+    if not _kills(relations, odd_column, f):
         raise IncompatibleTheta("odd action does not descend to the tensor quotient")
-    cols = [odd_column(quotient.basis_coords[k]) for k in range(quotient.dim)]
-    theta = ExactMatrix.from_columns(f, cols, nrows=dim)
-    return ThetaPair(base=base, theta=theta)
+    # the basis of D(base), as koszul_dual builds it
+    quotient = QuotientSpace(f, len(module.odd_action) * dim, relations)
+    return ThetaPair(base=base, theta=[dict(odd_column(c)) for c in quotient.basis_coords])
 
 
 # ---------------------------------------------------------------------------
@@ -1016,9 +979,8 @@ def regular_smodule(n: int, d: int, field: FieldSpec, validate: str = "auto") ->
     """The even subalgebra acting on itself from the left."""
     evens = [xi(g) for g in enum_M(n, d)]
     m_idx = graph_index("M", n, d)
-    nM = len(evens)
-    action = [_fill(ExactMatrix.zeros(field, nM, nM), _products(x, evens, m_idx)) for x in evens]
-    return SModule(n, d, field, nM, action, validate=validate)
+    action = [_products(x, evens, m_idx, field) for x in evens]
+    return SModule(n, d, field, len(evens), action, validate=validate)
 
 
 def regular_as_module(n: int, d: int, field: FieldSpec, validate: str = "auto") -> ASModule:
@@ -1029,16 +991,9 @@ def regular_as_module(n: int, d: int, field: FieldSpec, validate: str = "auto") 
     evens, odds = [xi(g) for g in enum_M(n, d)], [zeta(a) for a in enum_N(n, d)]
     m_idx, n_idx = graph_index("M", n, d), graph_index("N", n, d)
     nM = len(evens)
-    dim = nM + len(odds)
-    action = []
-    for x in evens:
-        m = _fill(ExactMatrix.zeros(field, dim, dim), _products(x, evens, m_idx))
-        action.append(_fill(m, _products(x, odds, n_idx), nM, nM))
-    odd_action = []
-    for x in odds:
-        m = _fill(ExactMatrix.zeros(field, dim, dim), _products(x, evens, n_idx), nM, 0)
-        odd_action.append(_fill(m, _products(x, odds, m_idx), 0, nM))
-    return ASModule(n, d, field, dim, action, odd_action, validate=validate)
+    action = [_products(x, evens, m_idx, field) + _products(x, odds, n_idx, field, nM) for x in evens]
+    odd_action = [_products(x, evens, n_idx, field, nM) + _products(x, odds, m_idx, field) for x in odds]
+    return ASModule(n, d, field, nM + len(odds), action, odd_action, validate=validate)
 
 
 def column_module(
@@ -1051,33 +1006,32 @@ def column_module(
     members = [g for g in Ms if g.upper_degrees == lam]
     local = {g: k for k, g in enumerate(members)}
     ys = [xi(g) for g in members]
-    size = len(members)
-    action = [_fill(ExactMatrix.zeros(field, size, size), _products(xi(g), ys, local)) for g in Ms]
-    return SModule(n, d, field, size, action, validate=validate)
+    action = [_products(xi(g), ys, local, field) for g in Ms]
+    return SModule(n, d, field, len(members), action, validate=validate)
 
 
 def zero_smodule(n: int, d: int, field: FieldSpec) -> SModule:
-    nM = len(enum_M(n, d))
-    return SModule(
-        n, d, field, 0, [ExactMatrix.zeros(field, 0, 0) for _ in range(nM)], validate="none"
-    )
+    return SModule(n, d, field, 0, [[] for _ in enum_M(n, d)], validate="none")
+
+
+def _hom_vectors(source: SModule, target: SModule) -> List[SparseVec]:
+    """Basis of Hom_S(source, target) over row-major coordinates r * source.dim + c."""
+    if (source.n, source.d, source.field) != (target.n, target.d, target.field):
+        raise ValueError("hom spaces need matching parameters and field")
+    return intertwiner_space(list(zip(target.action, source.action)), target.dim, source.dim, source.field)
+
+
+def _hom_matrix(vec: SparseVec, source: SModule, target: SModule) -> ExactMatrix:
+    m = ExactMatrix.zeros(source.field, target.dim, source.dim)
+    for coord, val in vec.items():
+        r, c = divmod(coord, source.dim)
+        m.rows[r][c] = val
+    return m
 
 
 def module_homs(source: SModule, target: SModule) -> List[ExactMatrix]:
     """Basis of Hom_S(source, target) as matrices target.dim × source.dim."""
-    if (source.n, source.d, source.field) != (target.n, target.d, target.field):
-        raise ValueError("hom spaces need matching parameters and field")
-    f = source.field
-    pairs = [(target.action[gi], source.action[gi]) for gi in range(len(source.action))]
-    vecs = intertwiner_space(pairs, target.dim, source.dim, f)
-    homs = []
-    for vec in vecs:
-        m = ExactMatrix.zeros(f, target.dim, source.dim)
-        for coord, val in vec.items():
-            r, c = divmod(coord, source.dim) if source.dim else (0, 0)
-            m.rows[r][c] = val
-        homs.append(m)
-    return homs
+    return [_hom_matrix(vec, source, target) for vec in _hom_vectors(source, target)]
 
 
 def find_module_isomorphism(
@@ -1091,18 +1045,20 @@ def find_module_isomorphism(
     """
     if source.dim != target.dim:
         return None
-    homs = module_homs(source, target)
+    vecs = _hom_vectors(source, target)
     if source.dim == 0:
         return ExactMatrix.zeros(source.field, 0, 0)
     f = source.field
-    for h in homs:
+    for vec in vecs:
+        h = _hom_matrix(vec, source, target)
         if h.rank() == source.dim:
             return h
     rng = random.Random(rng_seed)
     for _ in range(attempts):
-        combo = ExactMatrix.zeros(f, target.dim, source.dim)
-        for h in homs:
-            combo = combo + h.scale(f.from_int(rng.randint(-3, 3)))
-        if combo.rank() == source.dim:
-            return combo
+        combo: SparseVec = {}
+        for vec in vecs:
+            add_scaled(combo, f.from_int(rng.randint(-3, 3)), vec, f)
+        h = _hom_matrix(combo, source, target)
+        if h.rank() == source.dim:
+            return h
     return None

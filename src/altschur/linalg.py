@@ -1,32 +1,40 @@
-"""Exact dense and sparse linear algebra over a :class:`~altschur.fields.FieldSpec`.
+"""Exact sparse linear algebra over a :class:`~altschur.fields.FieldSpec`.
+
+A linear map is a list of sparse columns: column i is the image of basis
+vector i, a zero-free :data:`SparseVec` with keys in increasing order.
+:func:`add_scaled`, :func:`combine` and :func:`compose` apply and compose
+maps in that form.  :class:`ExactMatrix` is only the dense report form of a
+map (eta, hom spaces, isomorphism witnesses) and its rank.
 
 There is one elimination core, :class:`SparseEchelon`: dict-keyed rows,
 forward reduction only, the smallest key of a row as its pivot.  Everything
-else is built on it: the rank of a dense :class:`ExactMatrix`, the fully
-reduced form :func:`rref_sparse` (back-substitution over the echelon), the
-kernels of :func:`sparse_kernel`, the quotients of :class:`QuotientSpace`,
-the span coordinates of :class:`SpanSolver` (rows extended by unit
-coordinates that record their combinations) and the hom spaces of
-:func:`intertwiner_space`.
+else is built on it: the rank of an :class:`ExactMatrix`, the fully reduced
+form :func:`rref_sparse` (back-substitution over the echelon), the kernels
+of :func:`sparse_kernel`, the quotients of :class:`QuotientSpace`, the span
+coordinates of :class:`SpanSolver` (rows extended by unit coordinates that
+record their combinations) and the hom spaces of :func:`intertwiner_space`.
 
 Everything here is deterministic: rows are reduced in their given order, so
 ranks, kernels and reduced forms are reproducible across runs and platforms.
-Dense matrices are plain lists of lists of raw scalars (``Fraction`` over Q,
-canonical ints over GF(p)).  The large, redundant relation systems of
-:mod:`altschur.koszul` are split into their weight-space blocks by the
-caller and run one small echelon per block, so no elimination ever spans
-the whole ambient space.
+Scalars are raw values (``Fraction`` over Q, canonical ints over GF(p)).
+The large, redundant relation systems of :mod:`altschur.koszul` are split
+into their weight-space blocks by the caller and run one small echelon per
+block, so no elimination ever spans the whole ambient space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .fields import FieldSpec, Scalar
 
 __all__ = [
     "ExactMatrix",
+    "SparseVec",
+    "add_scaled",
+    "combine",
+    "compose",
     "SparseEchelon",
     "SpanSolver",
     "QuotientSpace",
@@ -40,22 +48,24 @@ SparseVec = Dict[int, Scalar]
 
 @dataclass
 class ExactMatrix:
-    """A dense matrix with exact entries over a fixed field."""
+    """A dense matrix with exact entries over a fixed field: the report form
+    of a linear map (eta, hom spaces, isomorphism witnesses).
+
+    ``ncols`` is stored, so a matrix without rows keeps its column count.
+    """
 
     field: FieldSpec
     rows: List[List[Scalar]]
+    ncols: int = -1
+
+    def __post_init__(self) -> None:
+        if self.ncols < 0:
+            self.ncols = len(self.rows[0]) if self.rows else 0
 
     @classmethod
     def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "ExactMatrix":
         z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)])
-
-    @classmethod
-    def identity(cls, field: FieldSpec, n: int) -> "ExactMatrix":
-        m = cls.zeros(field, n, n)
-        for i in range(n):
-            m.rows[i][i] = field.one
-        return m
+        return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows: Sequence[Sequence[int]]) -> "ExactMatrix":
@@ -63,94 +73,18 @@ class ExactMatrix:
         return cls(field, [[field.from_int(x) if isinstance(x, int) else x for x in row] for row in rows])
 
     @classmethod
-    def from_columns(
-        cls, field: FieldSpec, cols: Sequence[Sequence[Scalar]], nrows: Optional[int] = None
-    ) -> "ExactMatrix":
-        if nrows is None:
-            nrows = len(cols[0]) if cols else 0
-        return cls(field, [[col[i] for col in cols] for i in range(nrows)])
-
-    def column(self, j: int) -> List[Scalar]:
-        return [row[j] for row in self.rows]
+    def from_columns(cls, field: FieldSpec, cols: Sequence[SparseVec], nrows: int) -> "ExactMatrix":
+        """The dense form of a list of sparse columns with ``nrows`` rows."""
+        z = field.zero
+        return cls(field, [[col.get(i, z) for col in cols] for i in range(nrows)], len(cols))
 
     @property
     def nrows(self) -> int:
         return len(self.rows)
 
     @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    @property
     def shape(self) -> Tuple[int, int]:
         return (self.nrows, self.ncols)
-
-    def __getitem__(self, ij: Tuple[int, int]) -> Scalar:
-        return self.rows[ij[0]][ij[1]]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ExactMatrix)
-            and self.field == other.field
-            and self.rows == other.rows
-        )
-
-    def copy(self) -> "ExactMatrix":
-        return ExactMatrix(self.field, [row[:] for row in self.rows])
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.field, [list(col) for col in zip(*self.rows)] if self.rows else [])
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        f = self.field
-        out = ExactMatrix.zeros(f, self.nrows, other.ncols)
-        orows = other.rows
-        for i, row in enumerate(self.rows):
-            acc = out.rows[i]
-            for k, a in enumerate(row):
-                if not a:
-                    continue
-                orow = orows[k]
-                for j, b in enumerate(orow):
-                    if b:
-                        acc[j] = f.add(acc[j], f.mul(a, b))
-        return out
-
-    def _entrywise(
-        self, other: "ExactMatrix", op: Callable[[Scalar, Scalar], Scalar], sym: str
-    ) -> "ExactMatrix":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} {sym} {other.shape}")
-        return ExactMatrix(
-            self.field,
-            [[op(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self._entrywise(other, self.field.add, "+")
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self._entrywise(other, self.field.sub, "-")
-
-    def scale(self, c: Scalar) -> "ExactMatrix":
-        f = self.field
-        return ExactMatrix(f, [[f.mul(c, a) for a in row] for row in self.rows])
-
-    def is_zero(self) -> bool:
-        return all(not a for row in self.rows for a in row)
-
-    def apply(self, vec: Sequence[Scalar]) -> List[Scalar]:
-        f = self.field
-        out = []
-        for row in self.rows:
-            s = f.zero
-            for a, v in zip(row, vec):
-                if a and v:
-                    s = f.add(s, f.mul(a, v))
-            out.append(s)
-        return out
 
     def rank(self) -> int:
         """Rank by forward elimination of the non-zero entries of each row."""
@@ -158,6 +92,33 @@ class ExactMatrix:
         for row in self.rows:
             ech.add_row({j: x for j, x in enumerate(row) if x})
         return ech.rank
+
+
+def add_scaled(acc: SparseVec, coef: Scalar, vec: SparseVec, field: FieldSpec) -> None:
+    """``acc += coef * vec`` in place; entries that cancel are removed."""
+    p = field.p
+    for k, v in vec.items():
+        new = acc.get(k, 0) + coef * v
+        if p:
+            new %= p
+        if new:
+            acc[k] = new
+        else:
+            acc.pop(k, None)
+
+
+def combine(columns: Sequence[SparseVec], coeffs: SparseVec, field: FieldSpec) -> SparseVec:
+    """``sum_r coeffs[r] * columns[r]``: the image of the vector ``coeffs``
+    under the map with these columns, zero-free, keys in increasing order."""
+    acc: SparseVec = {}
+    for r, c in coeffs.items():
+        add_scaled(acc, c, columns[r], field)
+    return dict(sorted(acc.items()))
+
+
+def compose(left: Sequence[SparseVec], right: Sequence[SparseVec], field: FieldSpec) -> List[SparseVec]:
+    """Columns of ``left`` after ``right``: column k is ``right[k]`` mapped by ``left``."""
+    return [combine(left, col, field) for col in right]
 
 
 class SparseEchelon:
@@ -282,24 +243,27 @@ class QuotientSpace:
     def dim(self) -> int:
         return len(self.basis_coords)
 
-    def project(self, vec: SparseVec) -> List[Scalar]:
-        """Quotient coordinates (dense, in basis_coords order) of an ambient vector."""
-        f = self.field
-        out = [f.zero] * self.dim
-        pos = self._pos
+    def project(self, vec: SparseVec) -> SparseVec:
+        """Quotient coordinates of an ambient vector: a zero-free sparse
+        vector over basis positions, keys in increasing order."""
+        p, pos = self.field.p, self._pos
+        acc: SparseVec = {}
         for coord, val in vec.items():
-            if not val:
-                continue
             prow = self.pivot_rows.get(coord)
             if prow is None:
                 k = pos[coord]
-                out[k] = f.add(out[k], val)
-            else:
-                # coord == -sum of the row's free entries
-                for c2, v2 in prow.items():
-                    if c2 != coord:
-                        k = pos[c2]
-                        out[k] = f.sub(out[k], f.mul(val, v2))
+                acc[k] = acc.get(k, 0) + val
+                continue
+            # coord == -sum of the row's free entries
+            for c2, v2 in prow.items():
+                if c2 != coord:
+                    k = pos[c2]
+                    acc[k] = acc.get(k, 0) - val * v2
+        out: SparseVec = {}
+        for k in sorted(acc):
+            x = acc[k] % p if p else acc[k]
+            if x:
+                out[k] = x
         return out
 
     def lift(self, k: int) -> SparseVec:
@@ -340,58 +304,44 @@ class SpanSolver:
 
 
 def intertwiner_space(
-    pairs: Sequence[Tuple[ExactMatrix, ExactMatrix]],
+    pairs: Sequence[Tuple[Sequence[SparseVec], Sequence[SparseVec]]],
     nrows: int,
     ncols: int,
     field: FieldSpec,
 ) -> List[SparseVec]:
     """Joint solution space ``{V in F^{nrows x ncols} : P V = V Q for all (P, Q)}``.
 
-    Returns sparse vectors over row-major coordinates ``r * ncols + c``.  The
-    space is cut down one constraint at a time; constraints are imposed in
-    order of increasing support so that near-diagonal ones (whose kernels are
+    ``P`` and ``Q`` are given as lists of sparse columns.  Returns sparse
+    vectors over row-major coordinates ``r * ncols + c``.  The space is cut
+    down one constraint at a time; constraints are imposed in order of
+    increasing support so that near-diagonal ones (whose kernels are
     coordinate subspaces) collapse the dimension early.  Starting from the
     unit basis, each pair maps the current basis through ``V -> P V - V Q``
     and keeps the combinations in the kernel.  Every pair is imposed, none
     is assumed redundant.
     """
 
-    def nnz(m: ExactMatrix) -> int:
-        return sum(1 for row in m.rows for x in row if x)
+    def nnz(columns: Sequence[SparseVec]) -> int:
+        return sum(len(col) for col in columns)
 
     order = sorted(range(len(pairs)), key=lambda i: (nnz(pairs[i][0]) + nnz(pairs[i][1]), i))
     f = field
     basis: List[SparseVec] = [{c: f.one} for c in range(nrows * ncols)]
 
     for idx in order:
-        P, Q = pairs[idx]
-        p_cols: List[SparseVec] = [
-            {r: P.rows[r][k] for r in range(nrows) if P.rows[r][k]} for k in range(nrows)
-        ]
-        q_rows: List[SparseVec] = [
-            {c: Q.rows[k][c] for c in range(ncols) if Q.rows[k][c]} for k in range(ncols)
-        ]
+        p_cols, q_cols = pairs[idx]
+        q_rows: List[SparseVec] = [{} for _ in range(ncols)]
+        for c, col in enumerate(q_cols):
+            for k, v in col.items():
+                q_rows[k][c] = v
 
         def constraint_image(vec: SparseVec) -> SparseVec:
             # image coordinate (r, c): sum_k P[r,k] V[k,c] - sum_k V[r,k] Q[k,c]
             out: SparseVec = {}
             for coord, val in vec.items():
                 k, c = divmod(coord, ncols)
-                for r, pv in p_cols[k].items():
-                    key = r * ncols + c
-                    new = f.add(out.get(key, f.zero), f.mul(pv, val))
-                    if new:
-                        out[key] = new
-                    else:
-                        out.pop(key, None)
-                r = k
-                for c2, qv in q_rows[c].items():
-                    key = r * ncols + c2
-                    new = f.sub(out.get(key, f.zero), f.mul(val, qv))
-                    if new:
-                        out[key] = new
-                    else:
-                        out.pop(key, None)
+                add_scaled(out, val, {r * ncols + c: pv for r, pv in p_cols[k].items()}, f)
+                add_scaled(out, f.neg(val), {k * ncols + c2: qv for c2, qv in q_rows[c].items()}, f)
             return out
 
         # kernel of the (output coords) x len(basis) sparse system
@@ -399,18 +349,7 @@ def intertwiner_space(
         for col, b in enumerate(basis):
             for out_coord, val in constraint_image(b).items():
                 rows_by_out.setdefault(out_coord, {})[col] = val
-        new_basis: List[SparseVec] = []
-        for combo in sparse_kernel(rows_by_out.values(), len(basis), f):
-            acc: SparseVec = {}
-            for col, cv in combo.items():
-                for coord, bv in basis[col].items():
-                    new = f.add(acc.get(coord, f.zero), f.mul(cv, bv))
-                    if new:
-                        acc[coord] = new
-                    else:
-                        acc.pop(coord, None)
-            new_basis.append(acc)
-        basis = new_basis
+        basis = [combine(basis, combo, f) for combo in sparse_kernel(rows_by_out.values(), len(basis), f)]
         if not basis:
             return []
     return basis

@@ -6,11 +6,11 @@ code paths under test, so a match is evidence rather than tautology.
 """
 
 import itertools
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from altschur import BipartiteGraph, NonTransverseError, pair_graph
 from altschur.algebra import GradedElement
-from altschur.enumeration import enum_B, words_with_content
+from altschur.enumeration import enum_B, enum_M, enum_N, graph_index, words_with_content
 from altschur.fields import FieldSpec, Scalar
 from altschur.graphs import Word, pair_sign
 
@@ -205,3 +205,52 @@ def dense_kernel(rows: Sequence[Sequence[Scalar]], ncols: int, field: FieldSpec)
                 v[p] = f.neg(red[r][free])
         basis.append(v)
     return basis
+
+
+def densify(columns: Sequence[Dict[int, Scalar]], nrows: int, field: FieldSpec) -> List[List[Scalar]]:
+    """Dense rows of a map given as sparse columns (column i = image of e_i)."""
+    return [[col.get(r, field.zero) for col in columns] for r in range(nrows)]
+
+
+def dense_matmul(a: Sequence[Sequence[Scalar]], b: Sequence[Sequence[Scalar]], field: FieldSpec) -> List[List[Scalar]]:
+    """Row-by-column product of dense matrices (zero entries of ``a`` skipped)."""
+    f = field
+    out = [[f.zero] * (len(b[0]) if b else 0) for _ in a]
+    for i, row in enumerate(a):
+        for k, x in enumerate(row):
+            if x:
+                out[i] = [f.add(o, f.mul(x, y)) for o, y in zip(out[i], b[k])]
+    return out
+
+
+def dense_product_failure(
+    n: int,
+    d: int,
+    field: FieldSpec,
+    pairs: Iterable[Tuple[int, int]],
+    left: Sequence[Sequence[Dict[int, Scalar]]],
+    left_odd: bool,
+    right: Sequence[Sequence[Dict[int, Scalar]]],
+    right_odd: bool,
+    target: Sequence[Sequence[Dict[int, Scalar]]],
+) -> Optional[Tuple[int, int]]:
+    """First pair (i, j) where the dense product of the densified maps
+    left[i] and right[j] differs from sum_g c_g target[g], with the
+    coefficients c_g of the product of the two basis symbols taken from
+    :func:`convolve_by_words` (zero when the margins do not match); None if
+    every pair agrees."""
+    f = field
+    Ms, Ns = enum_M(n, d), enum_N(n, d)
+    index = graph_index("N" if left_odd != right_odd else "M", n, d)
+    for i, j in pairs:
+        dim = len(right[j])
+        lhs = dense_matmul(densify(left[i], dim, f), densify(right[j], dim, f), f)
+        rhs = [[f.zero] * dim for _ in range(dim)]
+        g, h = (Ns if left_odd else Ms)[i], (Ns if right_odd else Ms)[j]
+        product = convolve_by_words(g, h, left_odd, right_odd) if g.upper_degrees == h.lower_degrees else {}
+        for s, c in product.items():
+            term = densify(target[index[s]], dim, f)
+            rhs = [[f.add(x, f.mul(f.from_int(c), y)) for x, y in zip(r1, r2)] for r1, r2 in zip(rhs, term)]
+        if lhs != rhs:
+            return i, j
+    return None

@@ -3,23 +3,24 @@ functor D with its natural transformations, and the (M, theta) equivalence."""
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from altschur import GF, QQ, BipartiteGraph, koszul
-from altschur.enumeration import enum_M, enum_N, graph_index
+from altschur.enumeration import enum_Lambda, enum_M, enum_N, graph_index
 from altschur.koszul import (
     ASModule,
     IncompatibleTheta,
     SModule,
     ThetaPair,
     as_module_to_pair,
-    bimodule_data,
     column_module,
     eta_map,
     find_module_isomorphism,
     koszul_dual,
     module_homs,
+    odd_smodule,
     pair_to_as_module,
     phi_analysis,
     psi_analysis,
@@ -30,35 +31,84 @@ from altschur.koszul import (
 )
 from altschur.linalg import ExactMatrix, SparseEchelon, SpanSolver, sparse_kernel
 
+from bruteforce import dense_product_failure
 
-# -- bimodule data ----------------------------------------------------------------
+
+def scaled(columns, c, field):
+    """A map in sparse column form, every entry multiplied by c."""
+    return [{r: field.mul(c, x) for r, x in col.items()} for col in columns]
+
+
+def scale_entry(columns, c, field):
+    """Copy of the map with its first non-zero entry multiplied by c."""
+    out = [dict(col) for col in columns]
+    k = next(k for k, col in enumerate(out) if col)
+    r = next(iter(out[k]))
+    out[k][r] = field.mul(c, out[k][r])
+    return out
+
+
+def unit_columns(dim, field):
+    return [{k: field.one} for k in range(dim)]
+
+
+# -- the odd component as a bimodule ------------------------------------------------
 
 
 def test_bimodule_trivial_cell():
-    bd = bimodule_data(1, 1, QQ)
-    assert len(bd.left_mult) == 1
-    assert bd.left_mult[0].rows == [[QQ.one]]
-    assert bd.right_mult[0].rows == [[QQ.one]]
+    assert odd_smodule(1, 1, QQ).action == [[{0: QQ.one}]]
+    assert koszul._right_dicts(1, 1) == ({0: {0: 1}},)
 
 
 def test_bimodule_shapes():
-    bd = bimodule_data(2, 3, QQ)
-    assert len(bd.left_mult) == len(enum_M(2, 3)) == 20
-    assert all(m.shape == (4, 4) for m in bd.left_mult)
-    assert all(m.shape == (4, 4) for m in bd.right_mult)
+    odd = odd_smodule(2, 3, QQ)
+    assert odd.dim == 4
+    assert len(odd.action) == len(enum_M(2, 3)) == 20
+    assert all(len(cols) == 4 for cols in odd.action)
+    assert len(koszul._right_dicts(2, 3)) == 20
+
+
+def _apply_int(dicts, vec):
+    """Image of the integer vector {a: x} under the map a -> dicts[a]."""
+    out = {}
+    for a, x in vec.items():
+        for c, v in dicts.get(a, {}).items():
+            out[c] = out.get(c, 0) + x * v
+    return {c: v for c, v in out.items() if v}
+
+
+def _commutation_failure(left, right, nN):
+    """First even pair (g, h) with (ξ_g ζ_a) ξ_h != ξ_g (ζ_a ξ_h) for some
+    odd basis symbol a, from the integer tables; None if they all commute."""
+    for g, lg in enumerate(left):
+        for h, rh in enumerate(right):
+            for a in range(nN):
+                unit = {a: 1}
+                if _apply_int(rh, _apply_int(lg, unit)) != _apply_int(lg, _apply_int(rh, unit)):
+                    return g, h
+    return None
 
 
 def test_bimodule_commutation_full():
-    bimodule_data(2, 2, QQ).check_commutation(level="full")
+    """Every left and every right even action on the odd component commute
+    (the bimodule axiom), over the integers."""
+    for n, d in [(2, 2), (2, 3), (3, 2)]:
+        nN = len(enum_N(n, d))
+        assert _commutation_failure(koszul._left_dicts(n, d), koszul._right_dicts(n, d), nN) is None
 
 
 def test_bimodule_commutation_detects_corruption():
-    bd = bimodule_data(2, 2, QQ)
-    probe = ExactMatrix.zeros(QQ, 6, 6)
-    probe.rows[0][1] = QQ.one
-    bd.left_mult[2] = probe
-    with pytest.raises(ValueError, match="commute"):
-        bd.check_commutation(level="full")
+    left = list(koszul._left_dicts(2, 2))
+    g = next(g for g, per in enumerate(left) if len(per) > 1)
+    a = next(iter(left[g]))
+    left[g] = {**left[g], a: {c: 2 * v for c, v in left[g][a].items()}}
+    assert _commutation_failure(left, koszul._right_dicts(2, 2), len(enum_N(2, 2))) is not None
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2)])
+def test_odd_smodule_is_a_module(n, d):
+    odd = odd_smodule(n, d, QQ)
+    SModule(n, d, QQ, odd.dim, odd.action, validate="full")
 
 
 # -- module construction checks -----------------------------------------------------
@@ -72,7 +122,7 @@ def test_regular_module_dims():
 def test_smodule_rejects_corrupted_action():
     good = regular_smodule(2, 2, QQ).action
     bad = list(good)
-    bad[3] = bad[3].scale(QQ.from_int(2))
+    bad[3] = scaled(bad[3], QQ.from_int(2), QQ)
     with pytest.raises(ValueError, match="not multiplicative"):
         SModule(2, 2, QQ, 10, bad)
     # the same data passes with validation off
@@ -80,21 +130,131 @@ def test_smodule_rejects_corrupted_action():
 
 
 def test_smodule_identity_check():
-    doubled = [a.scale(QQ.from_int(2)) for a in regular_smodule(2, 2, QQ).action]
+    doubled = [scaled(a, QQ.from_int(2), QQ) for a in regular_smodule(2, 2, QQ).action]
     with pytest.raises(ValueError, match="identity"):
         SModule(2, 2, QQ, 10, doubled)
 
 
 def test_smodule_shape_and_count_checks():
     with pytest.raises(ValueError, match="action matrices"):
-        SModule(2, 2, QQ, 3, [ExactMatrix.identity(QQ, 3)])
+        SModule(2, 2, QQ, 3, [unit_columns(3, QQ)])
     with pytest.raises(ValueError, match="shape"):
-        SModule(2, 2, QQ, 3, [ExactMatrix.identity(QQ, 2) for _ in range(10)])
+        SModule(2, 2, QQ, 3, [unit_columns(2, QQ) for _ in range(10)])
+    # a row key outside range(dim) is a shape error too, at every level
+    outside = [[{0: QQ.one}, {1: QQ.one}, {3: QQ.one}] for _ in range(10)]
+    with pytest.raises(ValueError, match="shape"):
+        SModule(2, 2, QQ, 3, outside, validate="none")
 
 
 def test_smodule_unknown_validation_level():
     with pytest.raises(ValueError, match="validation level"):
         regular_smodule(2, 2, QQ, validate="paranoid")
+
+
+@pytest.mark.parametrize("level", ["none", "full"])
+def test_modules_reject_entries_outside_their_field(level):
+    """GF(5) entries in a module over Q (and the reverse) are refused by the
+    field check, naming the module's field, before any product is formed."""
+    AS = regular_as_module(2, 2, QQ)
+    odd_gf5 = regular_as_module(2, 2, GF(5)).odd_action
+    with pytest.raises(ValueError, match=r"odd action matrix entry .* not a non-zero scalar of Q"):
+        ASModule(2, 2, QQ, 16, list(AS.action), odd_gf5, validate=level)
+    even_q = regular_smodule(2, 2, QQ).action
+    with pytest.raises(ValueError, match=r"action matrix entry .* not a non-zero scalar of GF\(5\)"):
+        SModule(2, 2, GF(5), 10, even_q, validate=level)
+    # a stored zero, or an int out of range, is no canonical scalar either
+    for bad in (QQ.zero, 7):
+        odd = [[dict(col) for col in cols] for cols in regular_as_module(2, 2, GF(5)).odd_action]
+        odd[0][0] = {**odd[0][0], 15: bad}
+        with pytest.raises(ValueError, match=r"not a non-zero scalar of GF\(5\)"):
+            ASModule(2, 2, GF(5), 16, regular_as_module(2, 2, GF(5)).action, odd, validate=level)
+
+
+def test_theta_rejects_entries_outside_the_field():
+    pair = as_module_to_pair(regular_as_module(2, 2, QQ))
+    theta_gf5 = as_module_to_pair(regular_as_module(2, 2, GF(5))).theta
+    with pytest.raises(ValueError, match="theta entry .* not a non-zero scalar of Q"):
+        ThetaPair(pair.base, theta_gf5)
+    with pytest.raises(ValueError, match="shape"):
+        ThetaPair(pair.base, [{16: QQ.one}])
+
+
+def test_stock_actions_are_zero_free_sorted_columns():
+    """The column format every module routine relies on: non-zero entries
+    only, rows in increasing order."""
+    A = regular_as_module(2, 3, GF(5))
+    M = regular_smodule(2, 3, GF(5))
+    pair = as_module_to_pair(A)
+    maps = A.action + A.odd_action + M.action + column_module(2, 3, GF(5), (2, 1)).action
+    maps += koszul_dual(M).action + ringel_dual(M).action + odd_smodule(2, 3, GF(5)).action
+    maps += [pair.theta] + pair_to_as_module(pair).odd_action
+    for cols in maps:
+        for col in cols:
+            assert all(col.values())
+            assert list(col) == sorted(col)
+
+
+def _reference_blocks(A):
+    """The four parity blocks of an AS-module's axioms at full level, in the
+    argument order of :func:`bruteforce.dense_product_failure`."""
+    nM, nN = len(A.action), len(A.odd_action)
+    every = lambda n1, n2: [(i, j) for i in range(n1) for j in range(n2)]
+    even, odd = A.action, A.odd_action
+    return [
+        (every(nM, nM), even, False, even, False, even),
+        (every(nM, nN), even, False, odd, True, odd),
+        (every(nN, nM), odd, True, even, False, odd),
+        (every(nN, nN), odd, True, odd, True, even),
+    ]
+
+
+def _dense_failure(A):
+    for block in _reference_blocks(A):
+        found = dense_product_failure(A.n, A.d, A.field, *block)
+        if found is not None:
+            return found
+    return None
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+@pytest.mark.parametrize("n,d", [(2, 2), (2, 3)])
+def test_product_check_matches_dense_reference(n, d, field):
+    """The sparse product check against dense matrix products of the
+    densified columns, with coefficients from the word walk: both accept the
+    regular module, and both reject one scaled even entry and one changed
+    odd entry."""
+    A = regular_as_module(n, d, field, validate="full")
+    assert _dense_failure(A) is None
+    two = field.from_int(2)
+    diagonal = set(koszul._diag_indices(n, d))
+    g = next(g for g in range(len(A.action)) if g not in diagonal and any(A.action[g]))
+    even = list(A.action)
+    even[g] = scale_entry(even[g], two, field)
+    with pytest.raises(ValueError, match="not multiplicative"):
+        ASModule(n, d, field, A.dim, even, A.odd_action, validate="full")
+    assert _dense_failure(ASModule(n, d, field, A.dim, even, A.odd_action, validate="none")) is not None
+    odd = list(A.odd_action)
+    odd[1] = scale_entry(odd[1], two, field)
+    with pytest.raises(ValueError, match="action mismatch"):
+        ASModule(n, d, field, A.dim, A.action, odd, validate="full")
+    assert _dense_failure(ASModule(n, d, field, A.dim, A.action, odd, validate="none")) is not None
+
+
+def test_pair_sampler_draws_the_old_pairs():
+    """One sampler serves every module check: all pairs at level "full";
+    otherwise the seeded draws of each caller (seed 0 for the even action,
+    seed 1 shared by the even*odd, odd*even and odd*odd blocks in that
+    order), each pair once."""
+    assert koszul._pairs("full", random.Random(0), 2, 3) == [(i, j) for i in range(2) for j in range(3)]
+    nM, nN = 45, 36
+    rng = random.Random(0)
+    expected = {(rng.randrange(nM), rng.randrange(nM)) for _ in range(koszul._SAMPLE_PAIRS)}
+    got = koszul._pairs("sample", random.Random(0), nM, nM)
+    assert len(got) == len(set(got)) and set(got) == expected
+    rng, shared = random.Random(1), random.Random(1)
+    for n1, n2 in [(nM, nN), (nN, nM), (nN, nN)]:
+        expected = {(rng.randrange(n1), rng.randrange(n2)) for _ in range(koszul._SAMPLE_PAIRS)}
+        assert set(koszul._pairs("sample", shared, n1, n2)) == expected
 
 
 # -- phi --------------------------------------------------------------------------
@@ -323,9 +483,7 @@ def test_koszul_dual_of_regular_is_odd_component():
     """D applied to the left regular module recovers the odd component with
     its left action."""
     D1 = koszul_dual(regular_smodule(2, 2, QQ))
-    bd = bimodule_data(2, 2, QQ)
-    odd = SModule(2, 2, QQ, len(enum_N(2, 2)), bd.left_mult)
-    witness = find_module_isomorphism(D1, odd)
+    witness = find_module_isomorphism(D1, odd_smodule(2, 2, QQ))
     assert witness is not None
     assert witness.rank() == D1.dim
 
@@ -377,8 +535,14 @@ def test_module_homs_parameter_mismatch():
         module_homs(regular_smodule(2, 2, QQ), regular_smodule(2, 2, GF(5)))
 
 
-def _entries(m):
-    return None if m is None else [[str(x) for x in row] for row in m.rows]
+def _entries(m, nrows=None):
+    """Dense entries as strings.  A map in sparse column form is densified
+    first, with ``nrows`` rows (default: square)."""
+    if m is None:
+        return None
+    if isinstance(m, ExactMatrix):
+        return [[str(x) for x in row] for row in m.rows]
+    return [[str(col.get(r, 0)) for col in m] for r in range(len(m) if nrows is None else nrows)]
 
 
 def _digest(obj):
@@ -447,13 +611,105 @@ def test_hom_spaces_match_pinned_digests(field, n, d, eta_rank, eta_source, dige
     assert (eta.rank, eta.source_dim) == (eta_rank, eta_source)
 
 
+# sha256 of the dense form (entries as strings) of the actions of
+# regular_smodule, of column_module(lam) for every lam, of regular_as_module
+# (even, then odd), of koszul_dual and ringel_dual of the regular module, and
+# of theta = as_module_to_pair(regular_as_module); recorded while every
+# action was still a list of dense ExactMatrix values.
+PINNED_ACTIONS = [
+    (QQ, 2, 2, (
+        "80e52ff5d397ff8224747c1067bd58a2fa4945e568651b9a3581a44883e9581f",
+        "b8c4efcd4ce6cc37bbdac540ff3c9395eef43a554b4a819e3e974b7c6544231a",
+        "55473db585671becfd41d455557e290de1aadf3f6f70ddb3b23a470b289babbb",
+        "78d1bb1f7053b5985672ad2d03bd646674d7837777153c731550e508b6757571",
+        "e619814cbda418874f9c53b66595d1309b43a0514f34096aced9ebdc2165da28",
+        "2d15a8eb1bee43474a2c02f1c5030fb543633ecaad1df7336c13b89e5fbb857b",
+        "fe05f8f177126e2a94b8eac49a942845d4603e0c459486ec50fd15f442b5b402",
+    )),
+    (QQ, 2, 3, (
+        "8a5b699d399e4276719d4095e99063f63f2cc8279c29b42a166bc815ec2c6714",
+        "01a526a8041ac65abe1e107e619592981af3adafc57513ea2f8e36d3b27dae24",
+        "6557ca836496fa29ecffb0094c4f5ed85003e098991c4bf1e09392e4f976f1f8",
+        "7dbce9af26ad53e1a403df070d0dfdefc4ab91c3eead808b072406c583383999",
+        "e1c0a73127536d022841d28d0641b5b8d2ad6346e320432e52da713c3ef7a5fc",
+        "4c94a9dddf73c213880e5c28b9844e8204edfed94f9e8e993a66a76ab5602fd9",
+        "fb6ecd22695df37efaa48ea995ed525f3dc4d65509ad36a62fc0cf7a6a6b69ab",
+    )),
+    (QQ, 3, 2, (
+        "937d262acccf1da7daada335eff76bccff5a1c2587eb8a38ce89d0ed07a6093c",
+        "57e328a0753602786d09540a0891fcc8c9848e12764733dc1a21f311ddf4571f",
+        "964c4c1288b9c8bd3bc4719cfd7a8b57854b8700120af71651d96602d96c5392",
+        "d2ad1e5d29882f6831821be19b7ad354d77531ba0f1feb5e9622360f5caee447",
+        "13341b20fae0d8c69b38ada8da1d2a3cb03e6e1d977925a48b293d0b3c9e8ce1",
+        "5719a0e0a3e68108a45ce6ac4f546438b0717a89339538499505dbbd8ed6bae1",
+        "5f9a347e9ca601d9bf8ce461335ca250804ea500d252ece5484150792237ae9e",
+    )),
+    (GF(5), 2, 2, (
+        "80e52ff5d397ff8224747c1067bd58a2fa4945e568651b9a3581a44883e9581f",
+        "b8c4efcd4ce6cc37bbdac540ff3c9395eef43a554b4a819e3e974b7c6544231a",
+        "e136ef03a9bc471441767cd9d95ecbeb3a1adfde0968a5c3f77bc53e061001a8",
+        "a13d0c5cd3535629c3bcccfebb04d43cbb4483d443598e5fccb83ab42e19fa25",
+        "5e9f6c0bc1d526f6ab6c24dbd5a3976fb1767124941a1697e75225471bb6e8cd",
+        "41c60c36d8627c4bf09b51cfe39931ad6013c11bacab76ddb8c20c0e3890b8a3",
+        "42f46f69686d80d6212ce1b124e9eefde0be0c1f8c3a53226aef7cf02a717ba4",
+    )),
+    (GF(5), 2, 3, (
+        "8a5b699d399e4276719d4095e99063f63f2cc8279c29b42a166bc815ec2c6714",
+        "01a526a8041ac65abe1e107e619592981af3adafc57513ea2f8e36d3b27dae24",
+        "dc046ee8588dc2f05335afe3ceb82005979a394aa2931cc5c4f512ef1be8238c",
+        "634db10d6449de4513d1c1c1d10897f9bf5d20bc2e2091eb7089de2c743b52f6",
+        "07310b0f1d85cd41a95bf636d716843ff538581e5edab49cf193aff6abfbc23b",
+        "f6fc27feed574b0b4fa634f5b724c797b29c379b75225f26085314dfd0dcf97d",
+        "cd5a80a5642313c08739b925e385db838ec3ab2e6b2168aaa25de3ae379f48c0",
+    )),
+    (GF(5), 3, 2, (
+        "937d262acccf1da7daada335eff76bccff5a1c2587eb8a38ce89d0ed07a6093c",
+        "57e328a0753602786d09540a0891fcc8c9848e12764733dc1a21f311ddf4571f",
+        "19d36742fdb03c0ba276b5cd2b1d71aee3383109011d2f128e80651d62a7480e",
+        "fd46ea7e61443069cc79c0b3a81dbb2e1f9b2e7018f2bbc03ac8e573eb4c4346",
+        "a74b0ad402c347052edf86b58aa06403f4eb64f6f1e7d7db4d648d5bf2188602",
+        "716e770fab6892b69be6cf2c12f4636d778d83245d71e0add4e48b082ddabad6",
+        "d026f4ea9d7f7217cc0919f679844f8b90a99de593a99633c36e45a58d1ed7e6",
+    )),
+]
+
+
+@pytest.mark.parametrize(
+    "field,n,d,digests",
+    PINNED_ACTIONS,
+    ids=[f"{field.label}-{n}-{d}" for field, n, d, _ in PINNED_ACTIONS],
+)
+def test_actions_match_pinned_digests(field, n, d, digests):
+    M = regular_smodule(n, d, field)
+    A = regular_as_module(n, d, field)
+    got = (
+        _digest([_entries(a) for a in M.action]),
+        _digest([[_entries(a) for a in column_module(n, d, field, lam).action] for lam in enum_Lambda(n, d)]),
+        _digest([_entries(a) for a in A.action]),
+        _digest([_entries(a) for a in A.odd_action]),
+        _digest([_entries(a) for a in koszul_dual(M).action]),
+        _digest([_entries(a) for a in ringel_dual(M).action]),
+        _digest(_entries(as_module_to_pair(A).theta, A.dim)),
+    )
+    assert got == digests
+
+
+@pytest.mark.stretch
+def test_dual_and_eta_regular_3_3():
+    M = regular_smodule(3, 3, GF(5))
+    assert koszul_dual(M).dim == 84
+    eta = eta_map(M)
+    assert (eta.rank, eta.source_dim, eta.target_dim) == (165, 165, 165)
+    assert eta.iso
+
+
 # -- modules over the full algebra as pairs ----------------------------------------
 
 
 def test_pair_roundtrip_regular():
     AS = regular_as_module(2, 2, QQ)
     pair = as_module_to_pair(AS)
-    assert pair.theta.shape == (16, 16)
+    assert len(pair.theta) == 16
     back = pair_to_as_module(pair)
     assert back.action == AS.action
     assert back.odd_action == AS.odd_action
@@ -462,31 +718,36 @@ def test_pair_roundtrip_regular():
 def test_zero_theta_rejected():
     base = as_module_to_pair(regular_as_module(2, 2, QQ)).base
     D1 = koszul_dual(base, validate="none")
-    zero_theta = ExactMatrix.zeros(QQ, base.dim, D1.dim)
+    zero_theta = [{} for _ in range(D1.dim)]
     with pytest.raises(IncompatibleTheta, match="squared"):
         pair_to_as_module(ThetaPair(base, zero_theta))
 
 
+def test_theta_that_is_no_module_map_rejected():
+    base = as_module_to_pair(regular_as_module(2, 2, QQ)).base
+    D1 = koszul_dual(base, validate="none")
+    theta = [{0: QQ.one}] + [{} for _ in range(D1.dim - 1)]
+    with pytest.raises(IncompatibleTheta, match="module map"):
+        pair_to_as_module(ThetaPair(base, theta))
+
+
 def test_zero_module_zero_theta_valid():
     Z = zero_smodule(2, 2, QQ)
-    module = pair_to_as_module(ThetaPair(Z, ExactMatrix.zeros(QQ, 0, 0)))
+    module = pair_to_as_module(ThetaPair(Z, []))
     assert module.dim == 0
 
 
 def test_theta_shape_checked():
     base = regular_smodule(2, 2, QQ)
     with pytest.raises(ValueError, match="shape"):
-        pair_to_as_module(ThetaPair(base, ExactMatrix.zeros(QQ, 10, 3)))
+        pair_to_as_module(ThetaPair(base, [{} for _ in range(3)]))
 
 
 def test_corrupted_odd_action_fails_descent():
     AS = regular_as_module(2, 2, QQ)
     odd = list(AS.odd_action)
-    corrupt = ExactMatrix.zeros(QQ, 16, 16)
-    for i in range(16):
-        for j in range(16):
-            corrupt.rows[i][j] = odd[0].rows[i][j]
-    corrupt.rows[0][0] = QQ.from_int(7)
+    corrupt = [dict(col) for col in odd[0]]
+    corrupt[0] = dict(sorted({**corrupt[0], 0: QQ.from_int(7)}.items()))
     odd[0] = corrupt
     sneaky = ASModule(2, 2, QQ, 16, list(AS.action), odd, validate="none")
     with pytest.raises(IncompatibleTheta, match="descend"):
@@ -496,6 +757,6 @@ def test_corrupted_odd_action_fails_descent():
 def test_as_module_rejects_corrupted_odd_block():
     AS = regular_as_module(2, 2, QQ)
     odd = list(AS.odd_action)
-    odd[1] = odd[1].scale(QQ.from_int(3))
+    odd[1] = scaled(odd[1], QQ.from_int(3), QQ)
     with pytest.raises(ValueError, match="action mismatch"):
         ASModule(2, 2, QQ, 16, list(AS.action), odd, validate="full")

@@ -1,5 +1,5 @@
-"""Exact linear algebra: dense matrices, sparse elimination, quotients,
-span solving and intertwiners."""
+"""Exact linear algebra: maps as sparse columns, dense report matrices,
+sparse elimination, quotients, span solving and intertwiners."""
 
 import random
 from fractions import Fraction
@@ -12,12 +12,14 @@ from altschur.linalg import (
     QuotientSpace,
     SpanSolver,
     SparseEchelon,
+    add_scaled,
+    compose,
     intertwiner_space,
     rref_sparse,
     sparse_kernel,
 )
 
-from bruteforce import dense_kernel, dense_rref
+from bruteforce import dense_kernel, dense_matmul, dense_rref, densify
 
 FIELDS = [QQ, GF(5)]
 
@@ -26,7 +28,7 @@ FIELDS = [QQ, GF(5)]
 
 
 def test_rank_identity():
-    assert ExactMatrix.identity(QQ, 2).rank() == 2
+    assert ExactMatrix.from_rows(QQ, [[1, 0], [0, 1]]).rank() == 2
 
 
 def test_rank_zero_matrix():
@@ -62,7 +64,7 @@ def test_rank_plus_nullity(field):
         kernel = sparse_kernel([{j: x for j, x in enumerate(row) if x} for row in m.rows], 7, field)
         assert m.rank() + len(kernel) == 7
         for vec in kernel:
-            assert all(x == field.zero for x in m.apply([vec.get(j, field.zero) for j in range(7)]))
+            assert compose(columns(m.rows, field), [vec], field) == [{}]
 
 
 def test_rank_invariant_under_permutation():
@@ -85,29 +87,22 @@ def test_rank_wraps_mod_p():
     assert ExactMatrix.from_rows(QQ, m).rank() == 2
 
 
-# -- dense matrix operations --------------------------------------------------
+# -- maps as sparse columns, dense report matrices ---------------------------
+
+
+def columns(rows, field):
+    """Sparse columns of a dense matrix given by rows."""
+    ncols = len(rows[0]) if rows else 0
+    return [{i: field.from_int(row[j]) for i, row in enumerate(rows) if row[j]} for j in range(ncols)]
 
 
 def test_matmul_and_inverse():
-    a = ExactMatrix.from_rows(QQ, [[2, 1, 0], [0, 1, 0], [1, 0, 1]])
+    a = columns([[2, 1, 0], [0, 1, 0], [1, 0, 1]], QQ)
     half = Fraction(1, 2)
-    inv = ExactMatrix.from_rows(QQ, [[half, -half, 0], [0, 1, 0], [-half, half, 1]])
-    assert a @ inv == ExactMatrix.identity(QQ, 3)
-    assert inv @ a == ExactMatrix.identity(QQ, 3)
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ValueError):
-        ExactMatrix.zeros(QQ, 2, 3) @ ExactMatrix.zeros(QQ, 2, 3)
-
-
-def test_transpose_apply_columns():
-    m = ExactMatrix.from_rows(QQ, [[1, 2, 3], [4, 5, 6]])
-    assert m.transpose().rows == [[1, 4], [2, 5], [3, 6]]
-    assert m.apply([1, 0, -1]) == [Fraction(-2), Fraction(-2)]
-    assert m.column(1) == [Fraction(2), Fraction(5)]
-    rebuilt = ExactMatrix.from_columns(QQ, [m.column(j) for j in range(3)])
-    assert rebuilt == m
+    inv = columns([[half, -half, 0], [0, 1, 0], [-half, half, 1]], QQ)
+    eye = [{k: QQ.one} for k in range(3)]
+    assert compose(a, inv, QQ) == eye
+    assert compose(inv, a, QQ) == eye
 
 
 def test_from_columns_empty_needs_nrows():
@@ -115,18 +110,43 @@ def test_from_columns_empty_needs_nrows():
     assert m.shape == (3, 0)
 
 
-def test_add_sub_shape_mismatch():
-    with pytest.raises(ValueError, match="shape mismatch"):
-        ExactMatrix.identity(QQ, 2) + ExactMatrix.identity(QQ, 3)
-    with pytest.raises(ValueError, match="shape mismatch"):
-        ExactMatrix.zeros(QQ, 2, 3) - ExactMatrix.zeros(QQ, 3, 2)
+def test_zero_row_matrices_keep_their_column_count():
+    assert ExactMatrix.zeros(QQ, 0, 3).shape == (0, 3)
+    assert ExactMatrix.from_columns(QQ, [{}, {}, {}], nrows=0).shape == (0, 3)
+    assert ExactMatrix.zeros(QQ, 0, 3) == ExactMatrix.from_columns(QQ, [{}, {}, {}], nrows=0)
+    assert ExactMatrix.zeros(QQ, 0, 3) != ExactMatrix.zeros(QQ, 0, 0)
+    assert ExactMatrix.from_rows(QQ, [[1, 2, 3]]).shape == (1, 3)
 
 
-def test_add_sub_scale_zero():
-    a = ExactMatrix.from_rows(QQ, [[1, 2], [3, 4]])
-    assert (a - a).is_zero()
-    assert a + a == a.scale(QQ.from_int(2))
-    assert not a.is_zero()
+def test_from_columns_densifies_sparse_columns():
+    m = ExactMatrix.from_columns(QQ, [{0: QQ.one}, {}, {1: QQ.from_int(5)}], nrows=2)
+    assert m == ExactMatrix.from_rows(QQ, [[1, 0, 0], [0, 0, 5]])
+
+
+def test_add_scaled_drops_cancelled_entries():
+    for field in FIELDS:
+        acc = {0: field.one, 2: field.from_int(3)}
+        add_scaled(acc, field.from_int(-1), {0: field.one, 1: field.from_int(2)}, field)
+        assert acc == {2: field.from_int(3), 1: field.from_int(-2)}
+    acc = {0: 1}
+    add_scaled(acc, 1, {0: 4}, GF(5))
+    assert acc == {}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)])
+def test_compose_matches_dense_reference(field):
+    """Sparse composition and application against dense products: zero-free
+    columns with rows in increasing order, equal to the dense product."""
+    rng = random.Random(35)
+    for k in range(40):
+        # dense rows cannot carry the column count of a matrix without rows
+        n1, n2, n3 = rng.randrange(1, 6), rng.randrange(1, 6), rng.randrange(0, 6)
+        a = random_rows(rng, field, n1, n2, rank=rng.randrange(0, min(n1, n2) + 1) if k % 2 else None)
+        b = random_rows(rng, field, n2, n3)
+        got = compose(columns(a, field), columns(b, field), field)
+        for col in got:
+            assert all(col.values()) and list(col) == sorted(col)
+        assert densify(got, n1, field) == dense_matmul(a, b, field)
 
 
 # -- sparse elimination -------------------------------------------------------
@@ -203,20 +223,19 @@ def test_quotient_space_projection():
     assert q.dim == 1
     # relations project to zero
     for rel in rels:
-        assert q.project(rel) == [QQ.zero]
+        assert q.project(rel) == {}
     # lift then project is the identity on the quotient
     for k in range(q.dim):
-        coords = q.project(q.lift(k))
-        assert coords == [QQ.one if i == k else QQ.zero for i in range(q.dim)]
+        assert q.project(q.lift(k)) == {k: QQ.one}
     # e0 = -e1 = e2 in the quotient
     assert q.project({0: QQ.one}) == q.project({2: QQ.one})
-    assert q.project({0: QQ.one}) == [QQ.neg(c) for c in q.project({1: QQ.one})]
+    assert q.project({0: QQ.one}) == {k: QQ.neg(c) for k, c in q.project({1: QQ.one}).items()}
 
 
 def test_quotient_space_no_relations():
     q = QuotientSpace(QQ, 3, [])
     assert q.dim == 3
-    assert q.project({1: QQ.from_int(5)}) == [QQ.zero, QQ.from_int(5), QQ.zero]
+    assert q.project({1: QQ.from_int(5), 2: QQ.zero}) == {1: QQ.from_int(5)}
 
 
 # -- span solver ----------------------------------------------------------------
@@ -237,21 +256,21 @@ def test_span_solver_coordinates():
 
 
 def test_intertwiner_identity_constraint_is_vacuous():
-    eye = ExactMatrix.identity(QQ, 2)
+    eye = columns([[1, 0], [0, 1]], QQ)
     space = intertwiner_space([(eye, eye)], 2, 2, QQ)
     assert len(space) == 4
 
 
 def test_intertwiner_diagonal_constraint():
-    a = ExactMatrix.from_rows(QQ, [[1, 0], [0, 2]])
-    b = ExactMatrix.from_rows(QQ, [[1, 0], [0, 3]])
+    a = columns([[1, 0], [0, 2]], QQ)
+    b = columns([[1, 0], [0, 3]], QQ)
     space = intertwiner_space([(a, b)], 2, 2, QQ)
     assert len(space) == 1
     assert space[0] == {0: QQ.one}  # only the (0,0) entry survives
 
 
 def test_intertwiner_commutant_of_swap():
-    swap = ExactMatrix.from_rows(QQ, [[0, 1], [1, 0]])
+    swap = columns([[0, 1], [1, 0]], QQ)
     space = intertwiner_space([(swap, swap)], 2, 2, QQ)
     # commutant of a transposition: span{I, swap}
     assert len(space) == 2
@@ -261,9 +280,9 @@ def test_intertwiner_commutant_of_swap():
 
 
 def test_intertwiner_incompatible_pair_is_empty():
-    a = ExactMatrix.from_rows(QQ, [[0, 1], [0, 0]])
-    zero = ExactMatrix.zeros(QQ, 2, 2)
-    eye = ExactMatrix.identity(QQ, 2)
+    a = columns([[0, 1], [0, 0]], QQ)
+    zero = columns([[0, 0], [0, 0]], QQ)
+    eye = columns([[1, 0], [0, 1]], QQ)
     # V must satisfy A V = 0 and V = V, i.e. rows of V in kernel of A...
     space = intertwiner_space([(a, zero), (eye, eye)], 2, 2, QQ)
     for vec in space:
