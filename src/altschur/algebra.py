@@ -303,13 +303,12 @@ def convolve(
         raise ValueError("odd factor requires a simple graph")
     if odd2 and not g2.is_simple():
         raise ValueError("odd factor requires a simple graph")
+    if g1.upper_degrees != g2.lower_degrees:
+        return {}
     key = (g1, g2, odd1, odd2)
     cached = _CONVOLVE_CACHE.get(key)
     if cached is not None:
         return dict(cached)
-    if g1.upper_degrees != g2.lower_degrees:
-        _CONVOLVE_CACHE[key] = {}
-        return {}
 
     # only the upper boxes of g2 and the lower boxes of g1 that hold balls
     # can carry them; the tables live on those cells

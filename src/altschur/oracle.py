@@ -1,13 +1,18 @@
 """Ground-truth operator matrices on ball configurations.
 
 Every basis symbol acts on the free module over B(n, d) as an integral
-operator.  This module materializes those operators as dense integer
-matrices (numpy int64, exact at desk scale), multiplies them, and reads
-products back into the graph basis.  Because the matrices are built directly
-from the kernel definitions, entry by entry, agreement between matrix
-products and the convolution structure constants is an independent check of
-the whole combinatorial layer; :func:`verify_table` runs that check over a
-complete basis.
+operator.  Its kernel is nonzero only at pairs (S, U) whose pair graph is
+the symbol's graph g, so S has content ``g.lower_degrees`` and U has content
+``g.upper_degrees``: the n^d x n^d matrix has a single nonzero block, whose
+rows are the words of the first content and whose columns are the words of
+the second, each in ``enum_B`` order.  This module builds that block entry
+by entry from the kernel definition (numpy int64, exact at desk scale), and
+the same pass checks that the definition places no entry outside it.
+Because the blocks come from the definitions and never from tables,
+agreement between block products and the convolution structure constants is
+an independent check of the whole combinatorial layer; :func:`verify_table`
+runs that check over a complete basis.  The dense matrix is built only on
+request, by :func:`operator_matrix` and :func:`decompose`, from the blocks.
 
 Matrix convention: rows are indexed by the lower configuration and columns
 by the upper one, both in ``enum_B`` order, so the matrix of a product of
@@ -16,15 +21,16 @@ symbols is the product of their matrices in the same order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .fields import FieldSpec, QQ
-from .graphs import BipartiteGraph, Word, pair_sign, representative_pair
+from .graphs import Word, pair_sign, representative_pair
 from .enumeration import (
     act_word,
     check_power_budget,
@@ -35,13 +41,14 @@ from .enumeration import (
     sign_of_permutation,
     words_with_content,
 )
-from .algebra import BasisSymbol, GradedElement, structure_constants, all_symbols, xi, zeta
+from .algebra import BasisSymbol, GradedElement, structure_constants, all_symbols
 
 __all__ = [
     "OracleError",
     "NonEquivariantError",
     "NonZeroAtNonTransverseError",
     "DecompositionError",
+    "OutsideBlockError",
     "OperatorMatrix",
     "word_index",
     "operator_matrix",
@@ -68,6 +75,10 @@ class NonZeroAtNonTransverseError(OracleError):
 
 class DecompositionError(OracleError):
     """The matrix is not a combination of basis operators of the stated parity."""
+
+
+class OutsideBlockError(OracleError):
+    """The kernel definition of a symbol places an entry outside its block."""
 
 
 def word_index(word: Word, n: int) -> int:
@@ -101,23 +112,36 @@ class OperatorMatrix:
         return OperatorMatrix(self.n, self.d, a @ b)
 
 
-def operator_matrix(sym: BasisSymbol, cap: int | None = None) -> OperatorMatrix:
-    """The kernel matrix of a basis symbol (exact integer entries).
+# -- blocks -------------------------------------------------------------------
 
-    Entry (S, U) is nonzero exactly when the pair graph of (S, U) is the
-    symbol's graph; the value is 1 for even symbols and the ball-labelling
-    sign for odd ones.
+_Margins = Tuple[Tuple[int, ...], Tuple[int, ...]]  # (lower content, upper content)
+
+
+def _margins(sym: BasisSymbol) -> _Margins:
+    g = sym.graph
+    return g.lower_degrees, g.upper_degrees
+
+
+@functools.lru_cache(maxsize=None)
+def _positions(counts: Tuple[int, ...]) -> np.ndarray:
+    """Matrix index of each word of the given content, ascending.  Cached;
+    callers must not mutate the result."""
+    return np.array([word_index(w, len(counts)) for w in words_with_content(counts)], dtype=np.int64)
+
+
+def _kernel_entries(sym: BasisSymbol) -> Iterator[Tuple[Word, Word, int]]:
+    """Every nonzero kernel entry (S, U, value) of a symbol, from the definition.
+
+    The value at (S, U) is 1 for even symbols and the ball-labelling sign for
+    odd ones when the pair graph of (S, U) is the symbol's graph.  Such U
+    arise by scattering, for each box j of S, its balls over the upper boxes
+    as column j of the graph prescribes.
     """
     n, d = sym.n, sym.d
-    check_power_budget(n, d, cap)
     g = sym.graph
-    size = n**d
-    out = np.zeros((size, size), dtype=np.int64)
-    mu = g.lower_degrees
     scatter = [words_with_content(tuple(g.adj[i][j] for i in range(n))) for j in range(n)]
     odd = sym.is_odd
-    for s_word in words_with_content(mu):
-        s_idx = word_index(s_word, n)
+    for s_word in words_with_content(g.lower_degrees):
         boxes: List[List[int]] = [[] for _ in range(n)]
         for ball, box in enumerate(s_word):
             boxes[box - 1].append(ball)
@@ -127,8 +151,61 @@ def operator_matrix(sym: BasisSymbol, cap: int | None = None) -> OperatorMatrix:
                 for ball, box in zip(balls, assignment):
                     u_buf[ball] = box
             u_word = tuple(u_buf)
-            value = pair_sign(s_word, u_word) if odd else 1
-            out[s_idx, word_index(u_word, n)] = value
+            yield s_word, u_word, pair_sign(s_word, u_word) if odd else 1
+
+
+def _block(sym: BasisSymbol) -> np.ndarray:
+    """The nonzero block of a symbol's kernel matrix.
+
+    Raises :class:`OutsideBlockError` if the definition places an entry
+    outside the block; this support check is what proves a product of two
+    symbols with mismatched middle margins to be zero.
+    """
+    lower, upper = _margins(sym)
+    rows = {w: k for k, w in enumerate(words_with_content(lower))}
+    cols = {w: k for k, w in enumerate(words_with_content(upper))}
+    out = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    for s_word, u_word, value in _kernel_entries(sym):
+        r, c = rows.get(s_word), cols.get(u_word)
+        if r is None or c is None:
+            raise OutsideBlockError(
+                f"{sym}: the kernel definition places {value} at matrix position "
+                f"({word_index(s_word, sym.n)}, {word_index(u_word, sym.n)}), outside "
+                f"its block (lower content {lower}, upper content {upper})"
+            )
+        out[r, c] = value
+    return out
+
+
+_MATRIX_CACHE: Dict[BasisSymbol, np.ndarray] = {}
+
+
+def _cached_block(sym: BasisSymbol) -> np.ndarray:
+    block = _MATRIX_CACHE.get(sym)
+    if block is None:
+        block = _block(sym)
+        _MATRIX_CACHE[sym] = block
+    return block
+
+
+def _add_block(out: np.ndarray, sym: BasisSymbol, c: int) -> None:
+    """Add c times the symbol's kernel matrix to the dense matrix ``out``."""
+    lower, upper = _margins(sym)
+    out[np.ix_(_positions(lower), _positions(upper))] += c * _cached_block(sym)
+
+
+def operator_matrix(sym: BasisSymbol, cap: int | None = None) -> OperatorMatrix:
+    """The kernel matrix of a basis symbol (exact integer entries).
+
+    Entry (S, U) is nonzero exactly when the pair graph of (S, U) is the
+    symbol's graph; the value is 1 for even symbols and the ball-labelling
+    sign for odd ones.  The dense matrix is the symbol's block scattered
+    into n^d x n^d zeros.
+    """
+    n, d = sym.n, sym.d
+    check_power_budget(n, d, cap)
+    out = np.zeros((n**d, n**d), dtype=np.int64)
+    _add_block(out, sym, 1)
     return OperatorMatrix(n, d, out)
 
 
@@ -153,17 +230,6 @@ def _conjugation_index(w: Sequence[int], n: int) -> np.ndarray:
     return perm
 
 
-_MATRIX_CACHE: Dict[BasisSymbol, np.ndarray] = {}
-
-
-def _cached_matrix(sym: BasisSymbol, cap: int | None = None) -> np.ndarray:
-    m = _MATRIX_CACHE.get(sym)
-    if m is None:
-        m = operator_matrix(sym, cap).matrix
-        _MATRIX_CACHE[sym] = m
-    return m
-
-
 def decompose(
     op: OperatorMatrix,
     parity: str,
@@ -178,8 +244,9 @@ def decompose(
     stated parity.  Equivariance is spot-checked on ``spot_checks`` seeded
     random permutations (NonEquivariantError on failure); for odd parity the
     matrix must vanish at non-transverse pairs (NonZeroAtNonTransverse).
-    With ``rebuild_check`` the combination is re-materialized and compared
-    entrywise, so a successful return is a proof of membership.
+    With ``rebuild_check`` the combination is re-materialized from the
+    symbols' blocks and compared entrywise, so a successful return is a
+    proof of membership.
     """
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
@@ -214,7 +281,7 @@ def decompose(
     if rebuild_check:
         rebuilt = np.zeros_like(m)
         for sym, c in coeffs.items():
-            rebuilt += c * _cached_matrix(sym)
+            _add_block(rebuilt, sym, c)
         if differs(rebuilt, m):
             residue = (m - rebuilt) % p if p else m - rebuilt
             if parity == "odd":
@@ -259,39 +326,98 @@ class VerifyReport:
         }
 
 
+def _first_difference(
+    product: Optional[np.ndarray],
+    margins: _Margins,
+    terms: Dict[BasisSymbol, int],
+    blocks: Dict[BasisSymbol, np.ndarray],
+    p: int,
+) -> Optional[Tuple[int, int, int, int]]:
+    """Where a product and the combination ``terms`` first differ.
+
+    ``product`` is the product's block at ``margins`` (None when the product
+    is zero).  Blocks with different margins are disjoint, so the difference
+    is compared one block at a time.  Block rows and columns ascend, so each
+    block's first nonzero in row-major order is its first in the whole
+    n^d x n^d matrix.  Returns (row, column, oracle value, expected value) at
+    the first differing matrix position, or None when they agree.
+    """
+    # margins -> [oracle block, expected block]
+    sums: Dict[_Margins, List[np.ndarray]] = {}
+    if product is not None:
+        sums[margins] = [product, np.zeros_like(product)]
+    for sym, c in terms.items():
+        block = blocks[sym]
+        key = _margins(sym)
+        if key not in sums:
+            sums[key] = [np.zeros_like(block), np.zeros_like(block)]
+        sums[key][1] += c * block
+    first: Optional[Tuple[int, int, int, int]] = None
+    for (lower, upper), (got, want) in sums.items():
+        diff = got - want
+        if p:
+            diff %= p
+        hits = np.argwhere(diff)
+        if len(hits):
+            r, c = hits[0]
+            row, col = int(_positions(lower)[r]), int(_positions(upper)[c])
+            if first is None or (row, col) < first[:2]:
+                first = (row, col, int(got[r, c]), int(want[r, c]))
+    return first
+
+
 def verify_table(
     n: int, d: int, field: FieldSpec = QQ, cap: int | None = None, basis_cap: int | None = None
 ) -> VerifyReport:
     """Check every basis product against the matrix oracle.
 
-    For each ordered pair of basis symbols, the product of their kernel
-    matrices must equal the combination of kernel matrices dictated by the
-    convolution structure constants; over a prime field the comparison is
-    entrywise mod p.  Returns a report rather than raising, so callers can
-    render diagnostics.  ``cap`` bounds n^d (see :func:`check_power_budget`)
-    and ``basis_cap`` bounds |M| + |N| (see :func:`check_basis_budget`).
+    The product of the kernel matrices of an ordered pair must equal the
+    combination of kernel matrices dictated by the convolution structure
+    constants; over a prime field the comparison is entrywise mod p.  When
+    the upper content of the left factor is the lower content of the right
+    one, the product is the product of their blocks and is compared with the
+    combination on that block.  Otherwise the product is zero, because every
+    symbol's block holds its whole kernel (checked as the blocks are built);
+    the pair's constants are still read, and it passes exactly when each
+    coefficient is zero in the field, since terms of one parity with
+    distinct graphs have disjoint supports.  Every ordered pair counts in
+    ``pairs_checked``; a mismatch names the first differing position of the
+    full n^d x n^d matrices.  A symbol whose definition reaches outside its
+    block is reported and no pair is checked.
+
+    Returns a report rather than raising, so callers can render diagnostics.
+    ``cap`` bounds n^d (see :func:`check_power_budget`) and ``basis_cap``
+    bounds |M| + |N| (see :func:`check_basis_budget`).
     """
     check_power_budget(n, d, cap)
     check_basis_budget(n, d, basis_cap)
     syms = all_symbols(n, d)
-    mats = {sym: _cached_matrix(sym, cap) for sym in syms}
     p = field.characteristic
     report = VerifyReport(n, d, field.label, 0)
-    for a in syms:
-        ma = mats[a]
-        for b in syms:
-            prod = ma @ mats[b]
-            expected = np.zeros_like(prod)
-            for sym, c in structure_constants(a, b).items():
-                expected += c * mats[sym]
-            diff = prod - expected
-            if p:
-                diff = diff % p
-            if np.any(diff):
-                r, c2 = map(int, np.argwhere(diff)[0])
+    blocks: Dict[BasisSymbol, np.ndarray] = {}
+    for sym in syms:
+        try:
+            blocks[sym] = _cached_block(sym)
+        except OutsideBlockError as exc:
+            report.mismatches.append(str(exc))
+    if report.mismatches:
+        return report
+    factors = [(sym, blocks[sym]) + _margins(sym) for sym in syms]
+    for a, block_a, lower_a, upper_a in factors:
+        for b, block_b, lower_b, upper_b in factors:
+            terms = structure_constants(a, b)
+            report.pairs_checked += 1
+            if upper_a == lower_b:
+                product: Optional[np.ndarray] = block_a @ block_b
+            elif not terms or all(c % p == 0 if p else c == 0 for c in terms.values()):
+                continue
+            else:
+                product = None
+            first = _first_difference(product, (lower_a, upper_b), terms, blocks, p)
+            if first is not None:
+                r, c2, got, want = first
                 report.mismatches.append(
                     f"{a} * {b}: oracle and convolution disagree at matrix "
-                    f"position ({r}, {c2}): {int(prod[r, c2])} vs {int(expected[r, c2])}"
+                    f"position ({r}, {c2}): {got} vs {want}"
                 )
-            report.pairs_checked += 1
     return report

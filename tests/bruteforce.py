@@ -5,14 +5,18 @@ graphs, labelling signs) and deliberately avoids the convolution and matrix
 code paths under test, so a match is evidence rather than tautology.
 """
 
+import functools
 import itertools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from altschur import BipartiteGraph, NonTransverseError, pair_graph
-from altschur.algebra import GradedElement
+import numpy as np
+
+from altschur import BipartiteGraph, NonTransverseError, oracle, pair_graph
+from altschur.algebra import BasisSymbol, GradedElement, all_symbols, xi, zeta
 from altschur.enumeration import enum_B, enum_M, enum_N, graph_index, words_with_content
 from altschur.fields import FieldSpec, Scalar
 from altschur.graphs import Word, pair_sign
+from altschur.oracle import VerifyReport
 
 
 def kernel_value(elem: GradedElement, s_word: Word, u_word: Word) -> Scalar:
@@ -254,3 +258,58 @@ def dense_product_failure(
         if lhs != rhs:
             return i, j
     return None
+
+
+@functools.lru_cache(maxsize=None)
+def dense_operators(n: int, d: int) -> Dict[BasisSymbol, np.ndarray]:
+    """The dense n^d x n^d kernel matrix of every basis symbol, read off the
+    pair graph of every configuration pair (rows S, columns U, ``enum_B``
+    order).  Cached; callers must not mutate the matrices."""
+    words = list(enum_B(n, d))
+    size = len(words)
+    mats = {sym: np.zeros((size, size), dtype=np.int64) for sym in all_symbols(n, d)}
+    for r, s_word in enumerate(words):
+        for c, u_word in enumerate(words):
+            g = pair_graph(s_word, u_word, n)
+            mats[xi(g)][r, c] = 1
+            if g.is_simple():
+                mats[zeta(g)][r, c] = pair_sign(s_word, u_word)
+    return mats
+
+
+def dense_verify_table(
+    n: int,
+    d: int,
+    field: FieldSpec,
+    pairs: Optional[Iterable[Tuple[BasisSymbol, BasisSymbol]]] = None,
+) -> VerifyReport:
+    """The all-pairs dense matrix oracle: for every ordered pair (or only the
+    given ``pairs``), multiply the two dense kernel matrices and compare with
+    the combination the structure constants dictate, entrywise mod p over
+    GF(p).  The constants are read from ``oracle.structure_constants`` at
+    call time, so a test that patches them there patches both oracles."""
+    syms = all_symbols(n, d)
+    mats = dense_operators(n, d)
+    wanted = None if pairs is None else set(pairs)
+    p = field.characteristic
+    report = VerifyReport(n, d, field.label, 0)
+    for a in syms:
+        ma = mats[a]
+        for b in syms:
+            if wanted is not None and (a, b) not in wanted:
+                continue
+            prod = ma @ mats[b]
+            expected = np.zeros_like(prod)
+            for sym, c in oracle.structure_constants(a, b).items():
+                expected += c * mats[sym]
+            diff = prod - expected
+            if p:
+                diff = diff % p
+            if np.any(diff):
+                r, c2 = map(int, np.argwhere(diff)[0])
+                report.mismatches.append(
+                    f"{a} * {b}: oracle and convolution disagree at matrix "
+                    f"position ({r}, {c2}): {int(prod[r, c2])} vs {int(expected[r, c2])}"
+                )
+            report.pairs_checked += 1
+    return report

@@ -394,6 +394,18 @@ def test_convolve_error_paths():
         convolve(a, a, True, False)  # odd factor on a non-simple graph
 
 
+def test_convolve_caches_only_margin_matched_pairs(monkeypatch):
+    monkeypatch.setattr(algebra, "_CONVOLVE_CACHE", {})
+    a = BipartiteGraph.from_adj([[2, 0], [0, 0]])  # upper degrees (2, 0)
+    b = BipartiteGraph.from_adj([[0, 0], [0, 2]])  # lower degrees (0, 2)
+    assert convolve(a, b, False, False) == {}
+    assert algebra._CONVOLVE_CACHE == {}
+    with pytest.raises(ValueError):
+        convolve(a, b, True, False)  # the input checks still come first
+    assert convolve(a, a, False, False) == {a: 1}
+    assert list(algebra._CONVOLVE_CACHE) == [(a, a, False, False)]
+
+
 def test_structure_constants_parameter_mismatch():
     with pytest.raises(ValueError):
         structure_constants(xi(gamma_perm((1, 2))), xi(gamma_perm((1, 2, 3))))

@@ -24,18 +24,21 @@ from altschur import (
     zeta,
 )
 from altschur.algebra import GradedElement, all_symbols, iota_sign
-from altschur.enumeration import sign_of_permutation
+from altschur.enumeration import sign_of_permutation, words_with_content
+from altschur import oracle
 from altschur.oracle import (
     DecompositionError,
     NonEquivariantError,
     NonZeroAtNonTransverseError,
     OperatorMatrix,
+    OutsideBlockError,
     decompose,
     operator_matrix,
     permutation_matrix,
     word_index,
 )
 from altschur.linalg import ExactMatrix
+from bruteforce import dense_operators, dense_verify_table
 
 
 def test_operator_matrix_trivial_cell():
@@ -203,3 +206,187 @@ def test_verify_table_basis_cap_overrides_environment(monkeypatch):
     with pytest.raises(BudgetExceededError):
         verify_table(2, 2)
     assert verify_table(2, 2, basis_cap=100).ok
+
+
+# -- block oracle against the dense reference --------------------------------------
+
+DENSE_CELLS = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (2, 3), (2, 4), (2, 6)]
+
+
+def _same_report(n, d, field):
+    got = verify_table(n, d, field)
+    want = dense_verify_table(n, d, field)
+    assert (got.pairs_checked, got.ok, got.mismatches) == (want.pairs_checked, want.ok, want.mismatches)
+    assert got.pairs_checked == len(all_symbols(n, d)) ** 2
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "GF5"])
+@pytest.mark.parametrize("n,d", DENSE_CELLS)
+def test_block_oracle_equals_dense_reference(n, d, field):
+    _same_report(n, d, field)
+
+
+def test_block_oracle_equals_dense_reference_3_3_gf5():
+    _same_report(3, 3, GF(5))
+
+
+@pytest.mark.stretch
+@pytest.mark.parametrize("n,d", [(2, 5), (3, 3)])
+def test_block_oracle_equals_dense_reference_stretch(n, d):
+    _same_report(n, d, QQ)
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (2, 4)])
+def test_operator_matrix_equals_pair_graph_reference(n, d):
+    mats = dense_operators(n, d)
+    for sym in all_symbols(n, d):
+        assert np.array_equal(operator_matrix(sym).matrix, mats[sym])
+
+
+def test_verify_table_builds_no_dense_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_table built a dense matrix")
+
+    monkeypatch.setattr(oracle, "operator_matrix", refuse)
+    monkeypatch.setattr(OperatorMatrix, "__matmul__", refuse)
+    monkeypatch.setattr(oracle, "_MATRIX_CACHE", {})
+    assert verify_table(2, 3).ok
+
+
+# -- mutations: a wrong constant or a wrong operator is caught ---------------------------
+
+
+def _margins(sym):
+    return sym.graph.lower_degrees, sym.graph.upper_degrees
+
+
+def _pairs(n, d, matched, parities):
+    for a in all_symbols(n, d):
+        for b in all_symbols(n, d):
+            if (a.parity, b.parity) == parities and (_margins(a)[1] == _margins(b)[0]) == matched:
+                yield a, b
+
+
+def _odd_sign_flip(n, d):
+    """One odd*odd coefficient, nonzero mod 5, with its sign flipped."""
+    for a, b in _pairs(n, d, True, ("odd", "odd")):
+        for sym, c in oracle.structure_constants(a, b).items():
+            if c % 5:
+                return (a, b), lambda terms: {**terms, sym: -c}
+    raise AssertionError("no odd*odd product with a unit coefficient")
+
+
+def _even_raised(n, d, by=1):
+    """One even*even coefficient raised by ``by``."""
+    for a, b in _pairs(n, d, True, ("even", "even")):
+        terms = oracle.structure_constants(a, b)
+        if terms:
+            sym, c = next(iter(terms.items()))
+            return (a, b), lambda terms: {**terms, sym: c + by}
+    raise AssertionError("no nonzero even*even product")
+
+
+def _stray_term(n, d, coeff=1):
+    """A term claimed for a margin-mismatched even*even pair, on a graph
+    with the outer margins of the pair."""
+    a, b = next(_pairs(n, d, False, ("even", "even")))
+    outer = (_margins(a)[0], _margins(b)[1])
+    target = next(s for s in all_symbols(n, d) if not s.is_odd and _margins(s) == outer)
+    return (a, b), lambda terms: {target: coeff}
+
+
+def _patch(monkeypatch, pair, change):
+    real = oracle.structure_constants
+
+    def patched(a, b):
+        terms = real(a, b)
+        return change(terms) if (a, b) == pair else terms
+
+    monkeypatch.setattr(oracle, "structure_constants", patched)
+
+
+MUTATION_CASES = [(2, 3, QQ), (2, 3, GF(5)), (3, 3, GF(5))]
+
+
+@pytest.mark.parametrize("mutation", [_odd_sign_flip, _even_raised, _stray_term])
+@pytest.mark.parametrize("n,d,field", MUTATION_CASES, ids=["2-3-Q", "2-3-GF5", "3-3-GF5"])
+def test_wrong_constant_is_caught(monkeypatch, mutation, n, d, field):
+    pair, change = mutation(n, d)
+    _patch(monkeypatch, pair, change)
+    got = verify_table(n, d, field)
+    # the mutation changes one pair; the unmutated dense reports are clean
+    # (see the equality tests), so at (3,3) the reference checks that pair only
+    want = dense_verify_table(n, d, field, pairs=None if n ** d <= 8 else [pair])
+    assert not got.ok
+    assert len(got.mismatches) == 1
+    assert got.mismatches == want.mismatches
+    assert got.mismatches[0].startswith(f"{pair[0]} * {pair[1]}: ")
+    assert got.pairs_checked == len(all_symbols(n, d)) ** 2
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 3)])
+def test_multiple_of_p_on_mismatched_pair_passes_mod_p(monkeypatch, n, d):
+    pair, change = _stray_term(n, d, coeff=5)
+    _patch(monkeypatch, pair, change)
+    assert verify_table(n, d, GF(5)).ok
+    assert dense_verify_table(n, d, GF(5)).ok if n ** d <= 8 else dense_verify_table(n, d, GF(5), pairs=[pair]).ok
+    if n ** d <= 8:
+        over_q = verify_table(n, d, QQ)
+        assert len(over_q.mismatches) == 1
+        assert over_q.mismatches == dense_verify_table(n, d, QQ).mismatches
+
+
+def test_coefficient_raised_by_p_passes_mod_p(monkeypatch):
+    pair, change = _even_raised(2, 3, by=5)
+    _patch(monkeypatch, pair, change)
+    assert verify_table(2, 3, GF(5)).ok
+    assert dense_verify_table(2, 3, GF(5)).ok
+    assert verify_table(2, 3, QQ).mismatches == dense_verify_table(2, 3, QQ).mismatches
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "GF5"])
+def test_mismatch_names_first_position_across_blocks(monkeypatch, field):
+    """A wrong coefficient on the product's block and a stray term whose
+    block holds matrix position (0, 0): the message names (0, 0)."""
+    corner = xi(BipartiteGraph.from_adj([[3, 0], [0, 0]]))
+    pair, raise_one = _even_raised(2, 3)
+    assert _margins(pair[0])[0] != _margins(corner)[0]  # the product's block misses row 0
+    _patch(monkeypatch, pair, lambda terms: {**raise_one(terms), corner: 1})
+    got = verify_table(2, 3, field)
+    assert got.mismatches == dense_verify_table(2, 3, field).mismatches
+    assert got.mismatches == [f"{pair[0]} * {pair[1]}: oracle and convolution disagree at matrix position (0, 0): 0 vs 1"]
+
+
+def test_entry_outside_block_is_reported(monkeypatch):
+    victim = zeta(enum_N(2, 3)[1])
+    real = oracle._kernel_entries
+    lower, upper = _margins(victim)
+    s_word = words_with_content(lower)[0]
+    u_word = next(w for w in enum_B(2, 3) if w not in words_with_content(upper))
+
+    def corrupted(sym):
+        yield from real(sym)
+        if sym == victim:
+            yield s_word, u_word, 1
+
+    monkeypatch.setattr(oracle, "_kernel_entries", corrupted)
+    monkeypatch.setattr(oracle, "_MATRIX_CACHE", {})
+    report = verify_table(2, 3)
+    assert not report.ok
+    assert report.pairs_checked == 0
+    (message,) = report.mismatches
+    assert message.startswith(f"{victim}: ")
+    assert f"({word_index(s_word, 2)}, {word_index(u_word, 2)}), outside its block" in message
+    with pytest.raises(OutsideBlockError):
+        operator_matrix(victim)
+
+
+# -- new cells ------------------------------------------------------------------------
+
+
+@pytest.mark.stretch
+@pytest.mark.parametrize("n,d", [(3, 4), (4, 3), (3, 5)])
+def test_verify_table_new_cells(n, d):
+    report = verify_table(n, d, GF(5))
+    assert report.ok, report.mismatches[:3]
+    assert report.pairs_checked == len(all_symbols(n, d)) ** 2
