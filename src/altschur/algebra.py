@@ -27,11 +27,14 @@ integers, memoized, and reduced into a field at the point of use.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .fields import FieldSpec, Scalar
 from .graphs import (
@@ -61,6 +64,7 @@ __all__ = [
     "factorization_check",
     "delta_check",
     "rect_compose",
+    "ProductTable",
     "build_table",
     "save_table",
     "load_table",
@@ -81,6 +85,12 @@ class BasisSymbol:
             raise ValueError("basis symbols require square graphs")
         if self.parity == "odd" and not self.graph.is_simple():
             raise ValueError("odd symbols exist only for simple graphs")
+        # built from ints only: a str hash differs between processes, and a
+        # symbol unpickled from a worker keeps the hash it was built with
+        object.__setattr__(self, "_hash", hash((self.parity == "odd", hash(self.graph))))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -368,6 +378,8 @@ def structure_constants(sym1: BasisSymbol, sym2: BasisSymbol) -> Dict[BasisSymbo
         raise ValueError(
             f"symbols live at different parameters: ({sym1.n},{sym1.d}) vs ({sym2.n},{sym2.d})"
         )
+    if sym1.graph.upper_degrees != sym2.graph.lower_degrees:
+        return {}  # convolve's answer; its input checks hold for basis symbols
     parity = "odd" if sym1.is_odd != sym2.is_odd else "even"
     raw = convolve(sym1.graph, sym2.graph, sym1.is_odd, sym2.is_odd)
     return {BasisSymbol(parity, g): c for g, c in raw.items()}
@@ -502,62 +514,100 @@ def rect_compose(g1: BipartiteGraph, g2: BipartiteGraph) -> Dict[BipartiteGraph,
 
 # -- full tables ---------------------------------------------------------------
 
+Pair = Tuple[BasisSymbol, BasisSymbol]
+Terms = Dict[BasisSymbol, int]
+
 
 def all_symbols(n: int, d: int) -> List[BasisSymbol]:
     """The canonical basis listing: even symbols first, then odd."""
     return [xi(g) for g in enum_M(n, d)] + [zeta(g) for g in enum_N(n, d)]
 
 
-def build_table(
-    n: int, d: int, cap: int | None = None
-) -> Dict[Tuple[BasisSymbol, BasisSymbol], Dict[BasisSymbol, int]]:
-    """All pairwise integer structure constants, keyed by symbol pairs.
+class ProductTable(Mapping):
+    """Every ordered pair of basis symbols at (n, d), mapped to its integer
+    structure constants, with only the nonzero products stored.
+
+    ``len`` is |basis|^2 and iteration yields every pair (a, b) in
+    :func:`all_symbols` order, ``a`` outermost.  A pair of basis symbols
+    with no stored terms answers a fresh ``{}``; any other key raises
+    ``KeyError``.  A symbol is in the basis exactly when its graph has n
+    vertices a side and degree d, so lookups never enumerate the basis;
+    the basis list is enumerated on first iteration unless given.
+    """
+
+    def __init__(self, n: int, d: int, nonzero: Dict[Pair, Terms], basis: List[BasisSymbol] | None = None) -> None:
+        self.n, self.d = n, d
+        self._nonzero = nonzero
+        self._basis = basis
+
+    @property
+    def basis(self) -> List[BasisSymbol]:
+        if self._basis is None:
+            self._basis = all_symbols(self.n, self.d)
+        return self._basis
+
+    @property
+    def nonzero(self) -> Mapping[Pair, Terms]:
+        """The stored pairs and their (nonzero) terms, read-only."""
+        return MappingProxyType(self._nonzero)
+
+    def _in_basis(self, sym: object) -> bool:
+        return isinstance(sym, BasisSymbol) and sym.n == self.n and sym.d == self.d
+
+    def __getitem__(self, key: Pair) -> Terms:
+        terms = self._nonzero.get(key)
+        if terms is not None:
+            return terms
+        if isinstance(key, tuple) and len(key) == 2 and all(map(self._in_basis, key)):
+            return {}
+        raise KeyError(key)
+
+    def __len__(self) -> int:
+        return len(self.basis) ** 2
+
+    def __iter__(self) -> Iterator[Pair]:
+        return itertools.product(self.basis, repeat=2)
+
+
+def build_table(n: int, d: int, cap: int | None = None) -> ProductTable:
+    """All pairwise integer structure constants at (n, d).
 
     A product of two symbols vanishes unless the upper degree sequence of the
     left graph equals the lower degree sequence of the right one (the weight
-    idempotents are orthogonal), so only those pairs are convolved; every
-    other pair maps to ``{}``, as :func:`convolve` would return for it.
+    idempotents are orthogonal), so only those pairs are convolved, and only
+    the nonzero products are stored; every other pair answers ``{}``.
     """
     check_basis_budget(n, d, cap)
     syms = all_symbols(n, d)
     by_lower: Dict[Tuple[int, ...], List[BasisSymbol]] = {}
     for b in syms:
         by_lower.setdefault(b.graph.lower_degrees, []).append(b)
-    table: Dict[Tuple[BasisSymbol, BasisSymbol], Dict[BasisSymbol, int]] = {}
+    nonzero: Dict[Pair, Terms] = {}
     for a in syms:
-        for b in syms:
-            table[(a, b)] = {}
         for b in by_lower.get(a.graph.upper_degrees, ()):
-            table[(a, b)] = structure_constants(a, b)
-    return table
+            terms = structure_constants(a, b)
+            if terms:
+                nonzero[(a, b)] = terms
+    return ProductTable(n, d, nonzero, syms)
 
 
-def save_table(
-    table: Dict[Tuple[BasisSymbol, BasisSymbol], Dict[BasisSymbol, int]],
-    n: int,
-    d: int,
-    path: str,
-) -> None:
+def save_table(table: ProductTable, n: int, d: int, path: str) -> None:
     """Write the nonzero entries of ``table`` as canonical JSON.
 
-    The file is written under a temporary name in the target directory and
-    renamed into place, so ``path`` either holds a complete table or does
-    not exist.
+    Entries are sorted by (left, right) and terms by symbol, both in
+    ``sort_key`` order.  The file is written under a temporary name in the
+    target directory and renamed into place, so ``path`` either holds a
+    complete table or does not exist.
     """
-    nonzero = sorted(
-        ((a, b, terms) for (a, b), terms in table.items() if terms),
-        key=lambda entry: (entry[0].sort_key(), entry[1].sort_key()),
-    )
+    rank = {s: i for i, s in enumerate(sorted(table.basis, key=BasisSymbol.sort_key))}
+    as_json = {s: s.to_json_dict() for s in rank}
     entries = [
         {
-            "left": a.to_json_dict(),
-            "right": b.to_json_dict(),
-            "terms": [
-                [s.to_json_dict(), c]
-                for s, c in sorted(terms.items(), key=lambda kv: kv[0].sort_key())
-            ],
+            "left": as_json[a],
+            "right": as_json[b],
+            "terms": [[as_json[s], c] for s, c in sorted(terms.items(), key=lambda kv: rank[kv[0]])],
         }
-        for a, b, terms in nonzero
+        for (a, b), terms in sorted(table.nonzero.items(), key=lambda kv: (rank[kv[0][0]], rank[kv[0][1]]))
     ]
     text = json.dumps({"n": n, "d": d, "entries": entries}, separators=(",", ":"), sort_keys=True)
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
@@ -571,11 +621,16 @@ def save_table(
         raise
 
 
-def load_table(path: str) -> Tuple[int, int, Dict[Tuple[BasisSymbol, BasisSymbol], Dict[BasisSymbol, int]]]:
-    """Read a table written by :func:`save_table`; absent pairs map to ``{}``.
+def load_table(path: str) -> Tuple[int, int, ProductTable]:
+    """Read a table written by :func:`save_table`.
 
-    Raises ``ValueError`` when a required key is missing or mistyped, or
-    when the file names a symbol outside the basis at its own (n, d).
+    Only the pairs the file lists are stored; every other pair of basis
+    symbols answers ``{}``.  The basis is not enumerated here, so a caller
+    can compare the file's (n, d) with the one it wants at once.
+
+    Raises ``ValueError`` when a required key is missing or mistyped, when
+    a coefficient is not an integer, or when the file names a symbol outside
+    the basis at its own (n, d).
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -583,25 +638,32 @@ def load_table(path: str) -> Tuple[int, int, Dict[Tuple[BasisSymbol, BasisSymbol
         n, d, records = data["n"], data["d"], data["entries"]
         if not (isinstance(n, int) and isinstance(d, int) and n >= 1 and d >= 0):
             raise ValueError(f"(n, d) = ({n!r}, {d!r}) is not a pair of parameters")
-        syms = all_symbols(n, d)
-        by_key = {(s.parity, s.graph.adj): s for s in syms}
+        seen: Dict[tuple, BasisSymbol] = {}  # (parity, adj) as read -> symbol
 
         def resolve(rec: dict) -> BasisSymbol:
-            sym = by_key.get((rec["parity"], tuple(tuple(row) for row in rec["adj"])))
+            key = (rec["parity"], tuple(map(tuple, rec["adj"])))
+            sym = seen.get(key)
             if sym is None:
-                raise ValueError(f"symbol {rec} is not in the basis at (n,d)=({n},{d})")
+                parity, adj = key
+                try:
+                    sym = BasisSymbol(parity, BipartiteGraph(len(adj), len(adj[0]) if adj else 0, adj))
+                except ValueError:
+                    sym = None
+                if sym is None or sym.n != n or sym.d != d:
+                    raise ValueError(f"symbol {rec} is not in the basis at (n,d)=({n},{d})")
+                seen[key] = sym
             return sym
 
-        table: Dict[Tuple[BasisSymbol, BasisSymbol], Dict[BasisSymbol, int]] = {
-            (a, b): {} for a in syms for b in syms
-        }
+        nonzero: Dict[Pair, Terms] = {}
         for rec in records:
             terms = {}
             for s, c in rec["terms"]:
                 if not isinstance(c, int):
                     raise ValueError(f"coefficient {c!r} is not an integer")
                 terms[resolve(s)] = c
-            table[(resolve(rec["left"]), resolve(rec["right"]))] = terms
+            pair = (resolve(rec["left"]), resolve(rec["right"]))
+            if terms:
+                nonzero[pair] = terms
     except (KeyError, TypeError) as exc:
         raise ValueError(f"missing or mistyped field: {exc!r}") from exc
-    return n, d, table
+    return n, d, ProductTable(n, d, nonzero)

@@ -167,9 +167,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         save_table(table, n, d, path)
         _note(f"cache written: {path}")
     counts = {"even*even": 0, "even*odd": 0, "odd*even": 0, "odd*odd": 0}
-    for (a, b), terms in table.items():
-        if not terms:
-            continue
+    for (a, b), terms in table.nonzero.items():
         case = f"{'odd' if a.is_odd else 'even'}*{'odd' if b.is_odd else 'even'}"
         counts[case] += sum(1 for c in terms.values() if field.from_int(c))
     n_syms = basis_size(n, d)

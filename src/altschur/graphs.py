@@ -75,12 +75,17 @@ class BipartiteGraph:
             for x in row:
                 if not isinstance(x, int) or x < 0:
                     raise ValueError(f"edge multiplicities must be non-negative ints, got {x!r}")
-        # margins are read far more often than graphs are built; they are not
-        # dataclass fields, so equality and hashing still see only the matrix
+        # margins and the hash are read far more often than graphs are built;
+        # they are not dataclass fields, so equality still sees only the matrix.
+        # The hash is the dataclass one over ints, so it agrees across processes.
         upper = tuple(sum(row) for row in self.adj)
         object.__setattr__(self, "_upper_degrees", upper)
         object.__setattr__(self, "_lower_degrees", tuple(map(sum, zip(*self.adj))) if self.adj else ())
         object.__setattr__(self, "_degree", sum(upper))
+        object.__setattr__(self, "_hash", hash((self.n_up, self.n_down, self.adj)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_adj(cls, adj: Sequence[Sequence[int]]) -> "BipartiteGraph":

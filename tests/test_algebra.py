@@ -7,7 +7,11 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -65,6 +69,48 @@ def test_basis_symbol_validation():
         BasisSymbol("even", BipartiteGraph.from_adj([[1, 0]]))
     with pytest.raises(ValueError):
         BasisSymbol("mixed", g)
+
+
+def test_cached_hashes_survive_pickling():
+    for g in enum_M(2, 3):
+        twin = BipartiteGraph.from_adj(g.adj)
+        copy = pickle.loads(pickle.dumps(g))
+        assert twin == g == copy and hash(twin) == hash(g) == hash(copy)
+    for sym in all_symbols(2, 3):
+        twin = BasisSymbol(sym.parity, BipartiteGraph.from_adj(sym.graph.adj))
+        copy = pickle.loads(pickle.dumps(sym))
+        assert twin == sym == copy and hash(twin) == hash(sym) == hash(copy)
+    assert len({hash(sym) for sym in all_symbols(2, 3)}) == len(all_symbols(2, 3))
+
+
+_LOOKUP_UNPICKLED = """
+import pickle, sys
+from altschur.algebra import all_symbols
+syms = pickle.loads(sys.stdin.buffer.read())
+fresh = {s: k for k, s in enumerate(all_symbols(2, 3))}
+print(hash("odd"))
+print(sum(1 for k, s in enumerate(syms) if fresh.get(s) != k))
+"""
+
+
+def test_unpickled_symbols_found_under_another_hash_seed():
+    # a worker process hands symbols back pickled with the hashes it built
+    syms = all_symbols(2, 3)
+    src = os.path.dirname(os.path.dirname(algebra.__file__))
+    seed = os.environ.get("PYTHONHASHSEED", "")
+    env = dict(os.environ, PYTHONHASHSEED=str(int(seed) + 1) if seed.isdigit() else "1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOOKUP_UNPICKLED],
+        input=pickle.dumps(syms),
+        capture_output=True,
+        env=env,
+        timeout=60,
+        check=True,
+    )
+    child_str_hash, missing = map(int, proc.stdout.split())
+    assert child_str_hash != hash("odd")  # the two processes hash strings differently
+    assert missing == 0
 
 
 def test_symbol_strings():
@@ -547,6 +593,67 @@ def test_table_roundtrip(tmp_path, n, d):
     assert all((a, b) in loaded for a in syms for b in syms)
 
 
+def _all_pairs_reference(n, d):
+    # the table as a plain dict with an entry for every pair, zero or not
+    syms = all_symbols(n, d)
+    return {
+        (a, b): {
+            BasisSymbol("odd" if a.is_odd != b.is_odd else "even", g): c
+            for g, c in convolve(a.graph, b.graph, a.is_odd, b.is_odd).items()
+        }
+        for a in syms
+        for b in syms
+    }
+
+
+@pytest.mark.parametrize("n,d", TABLE_SIZES)
+def test_table_mapping_contract(tmp_path, n, d):
+    reference = _all_pairs_reference(n, d)
+    syms = all_symbols(n, d)
+    built = build_table(n, d)
+    path = tmp_path / "table.json"
+    save_table(built, n, d, str(path))
+    _, _, loaded = load_table(str(path))
+    for table in (built, loaded):
+        assert dict(table) == reference
+        assert len(table) == len(syms) ** 2
+        assert list(table) == [(a, b) for a in syms for b in syms]
+        assert dict(table.nonzero) == {k: v for k, v in reference.items() if v}
+        with pytest.raises(TypeError):
+            table.nonzero[(syms[0], syms[0])] = {}
+        absent = next(k for k, v in reference.items() if not v)
+        assert absent not in table.nonzero
+        answer = table[absent]
+        assert answer == {}
+        answer[syms[0]] = 1
+        assert table[absent] == {}
+        other = all_symbols(n, d + 1)[0]
+        for key in ((syms[0], other), (other, syms[0]), (syms[0],), syms[0], "pair"):
+            with pytest.raises(KeyError):
+                table[key]
+            assert key not in table
+
+
+def test_structure_constants_skips_convolve_on_mismatched_margins(monkeypatch):
+    def no_convolve(*args):
+        raise AssertionError("convolve called")
+
+    monkeypatch.setattr(algebra, "convolve", no_convolve)
+    mismatched = [
+        (a, b) for a in all_symbols(2, 3) for b in all_symbols(2, 3)
+        if a.graph.upper_degrees != b.graph.lower_degrees
+    ]
+    assert mismatched
+    for a, b in mismatched:
+        assert structure_constants(a, b) == {}
+    a, b = all_symbols(2, 2)[0], all_symbols(2, 3)[-1]
+    for left, right in ((a, b), (b, a), (a, all_symbols(3, 2)[-1])):
+        with pytest.raises(ValueError, match="different parameters"):
+            structure_constants(left, right)
+    with pytest.raises(AssertionError, match="convolve called"):
+        structure_constants(a, a)
+
+
 @pytest.mark.parametrize("n,d", TABLE_SIZES)
 def test_table_agrees_with_multiply(n, d):
     table = build_table(n, d)
@@ -561,6 +668,14 @@ def test_table_file_bytes_are_stable(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["table.json"]
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "e55341e25a1900a9d12b0287158a52a5747fa98f1de70c21539c832c3f595539"
+
+
+def test_table_file_bytes_are_stable_at_3_4(tmp_path):
+    # digest of the (3,4) file before entries and terms were sorted by rank
+    path = tmp_path / "table.json"
+    save_table(build_table(3, 4), 3, 4, str(path))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "505ebbd347b5de63bdee751988d4b655f9c6626c6e9d851f4caf2c65773f45fd"
 
 
 def test_save_table_failure_leaves_no_file(tmp_path, monkeypatch):

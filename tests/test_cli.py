@@ -2,12 +2,13 @@
 
 import json
 import os
+import time
 
 import pytest
 
 from altschur import QQ, BipartiteGraph, xi
 from altschur.algebra import GradedElement, identity
-from altschur import cli
+from altschur import algebra, cli
 from altschur.cli import main
 
 
@@ -191,6 +192,19 @@ def test_table_wrong_cache_params(capsys, tmp_path):
     code, _, err = run(capsys, ["table", "1", "2", "--out", path])
     assert code == 4
     assert "is for (2,2), not (1,2)" in err
+
+
+def test_table_refuses_cache_for_another_cell_before_enumerating(capsys, tmp_path, monkeypatch):
+    # the (4,6) basis has 62,272 symbols; only the header may be read
+    path = tmp_path / "table_n2_d2.json"
+    path.write_text(json.dumps({"n": 4, "d": 6, "entries": []}), encoding="utf-8")
+    monkeypatch.setattr(algebra, "all_symbols", lambda n, d: pytest.fail(f"enumerated ({n},{d})"))
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["table", "2", "2", "--cache-dir", str(tmp_path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 4
+    assert out == ""
+    assert f"error: cache file {path} is for (4,6), not (2,2)" in err
 
 
 def test_table_rejects_stale_cache_entry(capsys, tmp_path):
