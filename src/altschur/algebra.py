@@ -210,6 +210,8 @@ class GradedElement:
     @classmethod
     def from_json_dict(cls, data: dict) -> "GradedElement":
         f = FieldSpec.from_label(data["field"])
+        if type(data["n"]) is not int or type(data["d"]) is not int or type(data["terms"]) is not list:
+            raise TypeError("n and d must be ints and terms a list")
         terms: Dict[BasisSymbol, Scalar] = {}
         for rec in data["terms"]:
             sym = BasisSymbol.from_json_dict(rec)

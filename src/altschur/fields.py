@@ -108,7 +108,7 @@ class FieldSpec:
         if not a:
             raise ZeroDivisionError("inverting zero")
         if self.kind == "Q":
-            return 1 / a
+            return Fraction(1) / a  # 1 / a would be a float for an int a
         return pow(a, -1, self.p)
 
     def div(self, a: Scalar, b: Scalar) -> Scalar:
@@ -123,6 +123,8 @@ class FieldSpec:
         return f"{a % self.p} mod {self.p}"
 
     def parse_scalar(self, text: str) -> Scalar:
+        if not isinstance(text, str):
+            raise TypeError(f"a scalar must be written as a string, got {text!r}")
         text = text.strip()
         if self.kind == "Q":
             return Fraction(text)
@@ -142,6 +144,8 @@ class FieldSpec:
 
     @classmethod
     def from_label(cls, label: str) -> "FieldSpec":
+        if not isinstance(label, str):
+            raise TypeError(f"a field label must be a string, got {label!r}")
         label = label.strip()
         if label in ("Q", "QQ"):
             return cls.rationals()

@@ -89,7 +89,11 @@ class BipartiteGraph:
 
     @classmethod
     def from_adj(cls, adj: Sequence[Sequence[int]]) -> "BipartiteGraph":
-        rows = tuple(tuple(int(x) for x in row) for row in adj)
+        """The graph of a biadjacency matrix whose entries are ints (not bools,
+        floats or strings, which are refused rather than coerced)."""
+        rows = tuple(tuple(row) for row in adj)
+        if any(type(x) is not int for row in rows for x in row):
+            raise TypeError(f"edge multiplicities must be ints, got {rows!r}")
         return cls(len(rows), len(rows[0]) if rows else 0, rows)
 
     @property

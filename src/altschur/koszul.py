@@ -1,11 +1,11 @@
 """Duality diagnostics for the alternating Schur algebra.
 
-The odd component is an (S,S)-bimodule; tensoring with it over S defines a
-functor D on finite-dimensional S-modules.  This module computes, in exact
-arithmetic:
+The odd component S⁻ is an (S,S)-bimodule; tensoring with it over S defines
+a functor D on finite-dimensional S-modules.  This module computes, in
+exact arithmetic:
 
 * ``phi_analysis``: rank and isomorphy of the multiplication map
-  S⁻ ⊗_S S⁻ → S (tensor quotient built from basis-triple relations).
+  S⁻ ⊗_S S⁻ → S.
 * ``psi_analysis``: kernel and image of the map S → End_S(S⁻) given by left
   multiplication, against the exact commutant of the right action.
 * ``koszul_dual`` / ``eta_map`` / ``ringel_dual``: the functor D, the natural
@@ -13,29 +13,29 @@ arithmetic:
 * the equivalence between modules over the whole algebra and pairs (M, θ)
   of an S-module with a compatible map θ: D(M) → M.
 
-Every linear map a module carries (the even action, the odd action, θ, the
-actions built by D and by Hom_S(S⁻, −), and S⁻ itself from
-``odd_smodule``) is a list of sparse columns: column i is the image of
-basis vector i, a zero-free dict {row: scalar} with rows in increasing
-order.  Module routines walk these columns; dense
-:class:`~altschur.linalg.ExactMatrix` values appear only as reports (eta,
-hom spaces, isomorphism witnesses).
+S⁻ is stored once, as the integer table of its left action; its right action
+is the mirror of that table through the anti-involution ι.  phi, psi's
+commutant and D impose the same relations ρ(g) = (x ξ_g) ⊗ y − x ⊗ (ξ_g y),
+one per even symbol g, through one loop that each feeds only its tables,
+pairs and coordinates.
 
-The diagonal idempotents e_λ = ξ(γ0_λ) sum to the identity, so every linear
-system behind phi and psi splits into weight-space blocks keyed by a pair of
-compositions (λ, μ).  Both analyses stream their relation rows once, route
-each row to the block of its first coordinate and reduce it there in a small
-:class:`~altschur.linalg.SparseEchelon` over local coordinates.  A block
-stops taking rows once its rank reaches the bound set by the image of the
-map under study on that block, and the stream stops once every block has.
+Every linear map a module carries (the even and odd actions, θ, the actions
+built by D and by Hom_S(S⁻, −), S⁻ itself) is a list of sparse columns:
+column i is the image of basis vector i, a zero-free dict {row: scalar} with
+rows in increasing order.  Dense :class:`~altschur.linalg.ExactMatrix`
+values appear only as reports (eta, hom spaces, isomorphism witnesses).
 
-Both share one rank path, ``_certified_dim``.  Large quotients over Q get
-a mod-p certificate: ranks over a prime field only bound the rational
-answer, so the certificate is accepted only when the bound pinches against
-an exact rational computation; otherwise the code falls back to exact
-sparse elimination.  Every module axiom (the even action, the three mixed
-parity products, the square of θ) goes through one product check,
-``_check_products``.
+The diagonal idempotents e_λ = ξ(γ0_λ) sum to the identity, so the systems
+behind phi and psi split into weight-space blocks keyed by a pair of
+compositions (λ, μ).  Each relation row is reduced in the small
+:class:`~altschur.linalg.SparseEchelon` of its block, which stops taking rows
+once its rank reaches the bound set by the image of the map under study.
+
+phi and psi share one rank path, ``_certified_dim``: large quotients over Q
+get a mod-p certificate, accepted only when it pinches against an exact
+rational bound, and exact sparse elimination otherwise.  Every module axiom
+(the even action, the mixed parity products, the square of θ) goes through
+one product check, ``_check_products``.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .linalg import (
 )
 from .graphs import BipartiteGraph, gamma0_lambda
 from .enumeration import check_basis_budget, enum_Lambda, enum_M, enum_N, graph_index
-from .algebra import BasisSymbol, GradedElement, structure_constants, xi, zeta
+from .algebra import BasisSymbol, GradedElement, iota_sign, structure_constants, xi, zeta
 
 __all__ = [
     "SModule",
@@ -99,6 +99,7 @@ _SAMPLE_PAIRS = 25
 
 # A linear map as its list of sparse columns (see the module docstring).
 Columns = List[SparseVec]
+_ZERO: SparseVec = {}  # the zero column
 
 
 class IncompatibleTheta(ValueError):
@@ -111,6 +112,7 @@ class IncompatibleTheta(ValueError):
 
 
 Margin = Tuple[int, ...]
+Pair = Tuple[int, int]
 
 
 @lru_cache(maxsize=None)
@@ -147,19 +149,19 @@ def _left_dicts(n: int, d: int) -> Tuple[Dict[int, Dict[int, int]], ...]:
 
 @lru_cache(maxsize=None)
 def _right_dicts(n: int, d: int) -> Tuple[Dict[int, Dict[int, int]], ...]:
-    """Per even index g: {a: {c: coeff of ζ_c in ζ_a ξ_g}} over odd indices."""
+    """Per even index g: {a: {c: coeff of ζ_c in ζ_a ξ_g}} over odd indices,
+    mirrored from :func:`_left_dicts` by the anti-involution ι(ξ_g) = ξ_{g*},
+    ι(ζ_a) = s_a ζ_{a*} with s = ``iota_sign`` (s_{a*} = s_a as ι² = id): the
+    coefficient is s_a s_c times that of ζ_{c*} in ξ_{g*} ζ_{a*}."""
     Ms, Ns = enum_M(n, d), enum_N(n, d)
-    n_idx = graph_index("N", n, d)
-    by_upper = _positions(_odd_margins(n, d)[1])
-    out: List[Dict[int, Dict[int, int]]] = []
-    for g in Ms:
-        per: Dict[int, Dict[int, int]] = {}
-        for ai in by_upper.get(g.lower_degrees, ()):
-            sc = structure_constants(zeta(Ns[ai]), xi(g))
-            if sc:
-                per[ai] = {n_idx[s.graph]: c for s, c in sc.items()}
-        out.append(per)
-    return tuple(out)
+    m_idx, n_idx = graph_index("M", n, d), graph_index("N", n, d)
+    star = [n_idx[a.star()] for a in Ns]
+    sign = [iota_sign(a) for a in Ns]
+    left = _left_dicts(n, d)
+    return tuple(
+        {star[a]: {star[c]: sign[a] * sign[c] * v for c, v in col.items()} for a, col in left[m_idx[g.star()]].items()}
+        for g in Ms
+    )
 
 
 @lru_cache(maxsize=None)
@@ -400,7 +402,6 @@ def odd_smodule(n: int, d: int, field: FieldSpec) -> SModule:
     return SModule(n, d, field, nN, action)
 
 
-
 # ---------------------------------------------------------------------------
 # weight-space blocks
 # ---------------------------------------------------------------------------
@@ -505,6 +506,34 @@ def _certified_dim(
     return dim_over(field, image), "exact-fallback"
 
 
+def _matched_pairs(first: Sequence[Margin], second: Sequence[Margin]) -> Tuple[List[Pair], Dict[Pair, int]]:
+    """Index pairs (i, j) with first[i] == second[j], i-major, and their positions."""
+    by_margin = _positions(second)
+    pairs = [(i, j) for i, mu in enumerate(first) for j in by_margin.get(mu, ())]
+    return pairs, {pair: k for k, pair in enumerate(pairs)}
+
+
+def _tensor_rows(
+    right: Sequence[Dict[int, SparseVec]], left: Sequence[Dict[int, SparseVec]],
+    pairs: Callable[[int], Iterable[Pair]], coord: Callable[[int, int], int], p: int = 0,
+) -> Iterator[SparseVec]:
+    """The relations ρ(g) = (x ξ_g) ⊗ y − x ⊗ (ξ_g y) of a tensor product over S:
+    ``right[g]`` maps x to the column of x ξ_g, ``left[g]`` maps y to that of
+    ξ_g y (a missing key is a zero column).  Yields, g by g, the non-empty rows
+    for the pairs (x, y) of ``pairs(g)`` over the coordinates ``coord(x, y)``
+    of x ⊗ y, reduced mod ``p`` when it is non-zero."""
+    for g, (right_g, left_g) in enumerate(zip(right, left)):
+        for x, y in pairs(g):
+            # coord is injective, so each of the two terms hits a key once
+            row = {coord(c, y): v for c, v in right_g.get(x, _ZERO).items()}
+            for c, v in left_g.get(y, _ZERO).items():
+                k = coord(x, c)
+                row[k] = row[k] - v if k in row else -v
+            row = {k: v % p for k, v in row.items() if v % p} if p else {k: v for k, v in row.items() if v}
+            if row:
+                yield row
+
+
 # ---------------------------------------------------------------------------
 # phi: multiplication of the odd component over the even subalgebra
 # ---------------------------------------------------------------------------
@@ -535,7 +564,7 @@ class PhiReport:
         }
 
 
-def _phi_surviving(n: int, d: int) -> Tuple[List[Tuple[int, int]], Dict[Tuple[int, int], int]]:
+def _phi_surviving(n: int, d: int) -> Tuple[List[Pair], Dict[Pair, int]]:
     """Tensor coordinates (a, b) not killed by the diagonal relations.
 
     The relation for a diagonal even symbol reads off the two margin
@@ -543,38 +572,23 @@ def _phi_surviving(n: int, d: int) -> Tuple[List[Tuple[int, int]], Dict[Tuple[in
     degree sequence of a matches the lower one of b.
     """
     lower, upper = _odd_margins(n, d)
-    by_lower = _positions(lower)
-    surviving = [(ai, bi) for ai, mu in enumerate(upper) for bi in by_lower.get(mu, ())]
-    return surviving, {pair: k for k, pair in enumerate(surviving)}
+    return _matched_pairs(upper, lower)
 
 
 def _phi_relation_rows(n: int, d: int) -> Iterator[Dict[int, int]]:
-    """Non-diagonal tensor relations (ζ_a ξ_g) ⊗ ζ_b − ζ_a ⊗ (ξ_g ζ_b),
-    projected to the surviving coordinates (integer rows)."""
+    """ρ(g) on ζ_a ⊗ ζ_b for every non-diagonal g, projected to the
+    surviving coordinates (integer rows)."""
     Ms = enum_M(n, d)
     _, coord = _phi_surviving(n, d)
-    lower, upper = _odd_margins(n, d)
-    by_upper, by_lower = _positions(upper), _positions(lower)
-    right, left = _right_dicts(n, d), _left_dicts(n, d)
-    for gi, g in enumerate(Ms):
+    by_lower, by_upper = map(_positions, _odd_margins(n, d))
+
+    def pairs(gi: int) -> Iterable[Pair]:
+        g = Ms[gi]
         if _is_diagonal(g):
-            continue  # diagonal symbols are already accounted for by the projection
-        A = by_upper.get(g.lower_degrees, ())
-        B = by_lower.get(g.upper_degrees, ())
-        for ai in A:
-            rsc = right[gi].get(ai, {})
-            for bi in B:
-                lsc = left[gi].get(bi, {})
-                row: Dict[int, int] = {}
-                for ci, c in rsc.items():
-                    key = coord[(ci, bi)]
-                    row[key] = row.get(key, 0) + c
-                for ci, c in lsc.items():
-                    key = coord[(ai, ci)]
-                    row[key] = row.get(key, 0) - c
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    yield row
+            return ()  # diagonal symbols are already accounted for by the projection
+        return [(a, b) for a in by_upper.get(g.lower_degrees, ()) for b in by_lower.get(g.upper_degrees, ())]
+
+    return _tensor_rows(_right_dicts(n, d), _left_dicts(n, d), pairs, lambda a, b: coord[a, b])
 
 
 def _product_rows(n: int, d: int) -> List[Dict[int, int]]:
@@ -674,17 +688,15 @@ class PsiReport:
 def _psi_kernel_rows(n: int, d: int) -> List[Dict[int, int]]:
     """One row per matrix entry (c, a) of the stacked left-multiplication
     matrices; columns are even basis indices."""
-    nN = len(enum_N(n, d))
-    left = _left_dicts(n, d)
-    rows: Dict[Tuple[int, int], Dict[int, int]] = {}
-    for gi, per in enumerate(left):
+    rows: Dict[Pair, Dict[int, int]] = {}
+    for gi, per in enumerate(_left_dicts(n, d)):
         for a, col in per.items():
             for c, v in col.items():
                 rows.setdefault((c, a), {})[gi] = v
     return [rows[key] for key in sorted(rows)]
 
 
-def _commutant_vars(n: int, d: int) -> Tuple[List[Tuple[int, int]], Dict[Tuple[int, int], int]]:
+def _commutant_vars(n: int, d: int) -> Tuple[List[Pair], Dict[Pair, int]]:
     """Matrix positions (c, a) allowed by the diagonal constraints.
 
     Commuting with the margin projectors forces block-diagonal form: the
@@ -692,36 +704,24 @@ def _commutant_vars(n: int, d: int) -> Tuple[List[Tuple[int, int]], Dict[Tuple[i
     sequence, and zero otherwise.
     """
     upper = _odd_margins(n, d)[1]
-    by_upper = _positions(upper)
-    pairs = [(ci, ai) for ci, mu in enumerate(upper) for ai in by_upper[mu]]
-    return pairs, {pair: k for k, pair in enumerate(pairs)}
+    return _matched_pairs(upper, upper)
 
 
 def _commutant_rows(n: int, d: int) -> Iterator[Dict[int, int]]:
     """Constraint rows of θ·R_g = R_g·θ over the block variables, for every
-    non-diagonal even symbol g."""
+    non-diagonal even symbol g: ρ(g) with θ[c, a] as the tensor coordinate
+    (a, c), R_g acting on a from the right and its transpose on c."""
     Ms = enum_M(n, d)
     _, var = _commutant_vars(n, d)
     by_upper = _positions(_odd_margins(n, d)[1])
-    right, rrows = _right_dicts(n, d), _right_rows(n, d)
-    for gi, g in enumerate(Ms):
+
+    def pairs(gi: int) -> Iterable[Pair]:
+        g = Ms[gi]
         if _is_diagonal(g):
-            continue
-        cs = by_upper.get(g.upper_degrees, ())
-        as_ = by_upper.get(g.lower_degrees, ())
-        for c in cs:
-            rev = rrows[gi].get(c, {})
-            for a in as_:
-                row: Dict[int, int] = {}
-                for k, v in right[gi].get(a, {}).items():
-                    key = var[(c, k)]
-                    row[key] = row.get(key, 0) + v
-                for k, v in rev.items():
-                    key = var[(k, a)]
-                    row[key] = row.get(key, 0) - v
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    yield row
+            return ()
+        return [(a, c) for c in by_upper.get(g.upper_degrees, ()) for a in by_upper.get(g.lower_degrees, ())]
+
+    return _tensor_rows(_right_dicts(n, d), _right_rows(n, d), pairs, lambda a, c: var[c, a])
 
 
 def psi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) -> PsiReport:
@@ -780,27 +780,25 @@ def psi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) ->
 
 
 def _dual_relations(M: SModule) -> List[Dict[int, Scalar]]:
-    """Relations (ζ_a ξ_g) ⊗ v − ζ_a ⊗ (ξ_g v) over coordinates a*dim + i."""
+    """ρ(g) on ζ_a ⊗ v for every even g, over coordinates a*dim + i."""
     f, dim = M.field, M.dim
-    right = _right_dicts(M.n, M.d)
     nN = len(enum_N(M.n, M.d))
-    rels: List[Dict[int, Scalar]] = []
-    for per, cols in zip(right, M.action):
-        moved = [i for i in range(dim) if cols[i]]
-        for ai in range(nN):
-            rsc = per.get(ai, {})
+    right = [{a: _int_column(col, f) for a, col in per.items()} for per in _right_dicts(M.n, M.d)]
+    left = [{i: col for i, col in enumerate(cols) if col} for cols in M.action]
+
+    def pairs(g: int) -> Iterator[Pair]:
+        for a in range(nN):
             # a row is empty unless ζ_a ξ_g or ξ_g e_i is non-zero
-            for i in range(dim) if rsc else moved:
-                row: Dict[int, Scalar] = {}
-                for ci, v in rsc.items():
-                    row[ci * dim + i] = f.from_int(v)
-                for j, a in cols[i].items():
-                    key = ai * dim + j
-                    row[key] = f.sub(row.get(key, f.zero), a)
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    rels.append(row)
-    return rels
+            for i in range(dim) if right[g].get(a) else left[g]:
+                yield a, i
+
+    return list(_tensor_rows(right, left, pairs, lambda a, i: a * dim + i, f.p))
+
+
+def _tensor_quotient(M: SModule) -> Tuple[List[Dict[int, Scalar]], QuotientSpace]:
+    """The relations of S⁻ ⊗_S M, and the quotient they cut out: the carrier of D(M)."""
+    relations = _dual_relations(M)
+    return relations, QuotientSpace(M.field, len(enum_N(M.n, M.d)) * M.dim, relations)
 
 
 def _kills(relations: Iterable[Dict[int, Scalar]], column: Callable[[int], SparseVec], field: FieldSpec) -> bool:
@@ -824,8 +822,7 @@ def koszul_dual(M: SModule, validate: str = "auto") -> SModule:
     into it.
     """
     f, dim = M.field, M.dim
-    nN = len(enum_N(M.n, M.d))
-    quotient = QuotientSpace(f, nN * dim, _dual_relations(M))
+    _, quotient = _tensor_quotient(M)
     action = []
     for per in _left_dicts(M.n, M.d):
         cols = []
@@ -863,8 +860,7 @@ def eta_map(M: SModule) -> EtaReport:
     D1 = koszul_dual(M, validate="none")
     inner = D1.quotient
     assert inner is not None
-    rels2 = _dual_relations(D1)
-    outer = QuotientSpace(f, len(Ns) * D1.dim, rels2)
+    rels2, outer = _tensor_quotient(D1)
 
     @lru_cache(maxsize=None)  # a coordinate recurs in many relations
     def ambient_column(coord: int) -> SparseVec:
@@ -957,7 +953,7 @@ def as_module_to_pair(module: ASModule) -> ThetaPair:
     quotient of the even part."""
     f, dim = module.field, module.dim
     base = module.even_part()
-    relations = _dual_relations(base)
+    relations, quotient = _tensor_quotient(base)
 
     def odd_column(coord: int) -> SparseVec:
         ai, i = divmod(coord, dim)
@@ -965,8 +961,6 @@ def as_module_to_pair(module: ASModule) -> ThetaPair:
 
     if not _kills(relations, odd_column, f):
         raise IncompatibleTheta("odd action does not descend to the tensor quotient")
-    # the basis of D(base), as koszul_dual builds it
-    quotient = QuotientSpace(f, len(module.odd_action) * dim, relations)
     return ThetaPair(base=base, theta=[dict(odd_column(c)) for c in quotient.basis_coords])
 
 

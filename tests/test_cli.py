@@ -134,12 +134,28 @@ def test_multiply_missing_file(capsys, tmp_path, worked_example):
 
 
 def test_multiply_malformed_element(capsys, tmp_path, worked_example):
-    _, py = worked_example
+    px, py = worked_example
+    with open(px, encoding="utf-8") as fh:
+        good = json.load(fh)
+    cases = [{"n": 2, "d": 2}]  # no terms at all
+    for key, value in [
+        ("coeff", 3),  # scalars are strings
+        ("field", 5),  # so are field labels
+        ("adj", [[1.9, 1], [1, 1]]),  # a valid degree if truncated to 1
+        ("adj", [["2", 0], [1, 1]]),  # a valid graph if parsed
+        ("adj", [[True, 1], [1, 1]]),  # a bool is no edge count
+        ("d", 4.0),  # echoed as 4.0 if accepted
+        ("terms", {}),  # read as no terms if accepted
+    ]:
+        data = json.loads(json.dumps(good))
+        (data if key in data else data["terms"][0])[key] = value
+        cases.append(data)
     mal = tmp_path / "mal.json"
-    mal.write_text(json.dumps({"n": 2, "d": 2}))
-    code, _, err = run(capsys, ["multiply", str(mal), py])
-    assert code == 4
-    assert "malformed element" in err
+    for data in cases:
+        mal.write_text(json.dumps(data))
+        code, _, err = run(capsys, ["multiply", str(mal), py])
+        assert code == 4, data
+        assert "malformed element" in err
 
 
 def test_multiply_power_budget(capsys, worked_example):

@@ -14,6 +14,10 @@ def test_rationals_are_exact():
     assert QQ.sub(QQ.zero, third) == Fraction(-1, 3)
     assert QQ.neg(third) == Fraction(-1, 3)
     assert QQ.characteristic == 0
+    # int input, as the integer structure constants are, stays exact
+    for a in [3, -4, 1, Fraction(2, 3)]:
+        assert type(QQ.inv(a)) is Fraction and QQ.inv(a) * a == 1
+    assert type(QQ.div(1, 3)) is Fraction and QQ.div(1, 3) == third
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 999983])

@@ -29,7 +29,8 @@ from altschur.koszul import (
     ringel_dual,
     zero_smodule,
 )
-from altschur.linalg import ExactMatrix, SparseEchelon, SpanSolver, sparse_kernel
+from altschur.algebra import structure_constants, xi, zeta
+from altschur.linalg import ExactMatrix, SparseEchelon, SpanSolver, intertwiner_space, sparse_kernel
 
 from bruteforce import dense_product_failure
 
@@ -103,6 +104,42 @@ def test_bimodule_commutation_detects_corruption():
     a = next(iter(left[g]))
     left[g] = {**left[g], a: {c: 2 * v for c, v in left[g][a].items()}}
     assert _commutation_failure(left, koszul._right_dicts(2, 2), len(enum_N(2, 2))) is not None
+
+
+def _convolved_right_dicts(n, d):
+    """The right action ζ_a ξ_g read directly off the structure constants,
+    for every odd a whose upper margins meet the lower margins of g."""
+    Ns = enum_N(n, d)
+    n_idx = graph_index("N", n, d)
+    out = []
+    for g in enum_M(n, d):
+        per = {}
+        for ai, a in enumerate(Ns):
+            if a.upper_degrees == g.lower_degrees:
+                sc = structure_constants(zeta(a), xi(g))
+                if sc:
+                    per[ai] = {n_idx[s.graph]: c for s, c in sc.items()}
+        out.append(per)
+    return tuple(out)
+
+
+MIRROR_CELLS = [(n, d) for n in range(1, 4) for d in range(1, 6)] + [(4, 2)]
+
+
+@pytest.mark.parametrize("n,d", MIRROR_CELLS + [pytest.param(4, 3, marks=pytest.mark.stretch)])
+def test_right_action_is_the_mirror_of_the_left(n, d):
+    """The right action, mirrored from the left one through the
+    anti-involution, equals the convolved products ζ_a ξ_g."""
+    assert koszul._right_dicts(n, d) == _convolved_right_dicts(n, d)
+
+
+def test_mirror_gate_catches_a_dropped_sign(monkeypatch):
+    monkeypatch.setattr(koszul, "iota_sign", lambda g: 1)
+    koszul._right_dicts.cache_clear()
+    try:
+        assert any(koszul._right_dicts(n, d) != _convolved_right_dicts(n, d) for n, d in MIRROR_CELLS)
+    finally:
+        koszul._right_dicts.cache_clear()  # drop the tables built with the wrong sign
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2)])
@@ -417,6 +454,31 @@ def test_blockwise_reports_match_one_global_echelon(n, d, field):
     V = len(koszul._commutant_vars(n, d)[0])
     bound = V - (nM - len(kernel))
     assert psi.commutant_dim == V - _global_rank(koszul._commutant_rows(n, d), field, bound)
+
+
+CROSS_CELLS = [(1, 1), (2, 2), (2, 3), (3, 2), (2, 4)]
+CROSS_PARAMS = [(n, d, f) for n, d in CROSS_CELLS for f in (QQ, GF(3), GF(5))] + [
+    pytest.param(3, 3, f, marks=pytest.mark.stretch) for f in (GF(3), GF(5))
+]
+
+
+@pytest.mark.parametrize("n,d,field", CROSS_PARAMS, ids=str)
+def test_phi_tensor_is_the_dual_of_the_odd_module(n, d, field):
+    """S⁻ ⊗_S S⁻ = D(S⁻): phi's tensor quotient against the quotient D builds."""
+    assert koszul_dual(odd_smodule(n, d, field), validate="none").dim == phi_analysis(n, d, field).tensor_dim
+
+
+@pytest.mark.parametrize("n,d,field", CROSS_PARAMS, ids=str)
+def test_psi_commutant_matches_intertwiner_space(n, d, field):
+    """psi's commutant against the joint solution space of θ R_g = R_g θ,
+    solved by intertwiner_space from the convolved right action."""
+    nN = len(enum_N(n, d))
+    right = [
+        [{c: field.from_int(v) for c, v in sorted(per.get(a, {}).items()) if field.from_int(v)} for a in range(nN)]
+        for per in _convolved_right_dicts(n, d)
+    ]
+    commutant = intertwiner_space([(R, R) for R in right], nN, nN, field)
+    assert psi_analysis(n, d, field).commutant_dim == len(commutant)
 
 
 FORCED_CELLS = [(2, 2), (2, 3), (3, 2)]

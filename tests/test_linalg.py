@@ -49,6 +49,17 @@ def test_kernel_single_row():
     assert vec[0] * Fraction(-1) == vec[1]
 
 
+def test_rational_elimination_of_int_rows_stays_exact():
+    """Rows with plain int entries over Q reduce to Fraction values only."""
+    kernel = sparse_kernel([{0: 1, 1: 3}], 2, QQ)
+    assert kernel == [{1: 1, 0: -3}]
+    assert all(type(x) is Fraction for vec in kernel for x in vec.values())
+    ech = SparseEchelon(QQ)
+    assert ech.add_row({0: 3, 1: 1})
+    assert ech.pivot_rows == {0: {0: 1, 1: Fraction(1, 3)}}
+    assert all(type(x) is Fraction for row in ech.pivot_rows.values() for x in row.values())
+
+
 def test_kernel_dependent_rows():
     (vec,) = sparse_kernel(sparse_rows([[1, 2], [2, 4]]), 2, QQ)
     # proportional to (2, -1)
