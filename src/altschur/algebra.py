@@ -27,6 +27,7 @@ integers, memoized, and reduced into a field at the point of use.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
@@ -634,38 +635,47 @@ def load_table(path: str) -> Tuple[int, int, ProductTable]:
     a coefficient is not an integer, or when the file names a symbol outside
     the basis at its own (n, d).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    # json.load and the records loop allocate hundreds of thousands of
+    # containers, none of them in a cycle: collecting while they run only
+    # costs time, and pausing json.load alone defers that cost to the loop
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        n, d, records = data["n"], data["d"], data["entries"]
-        if not (isinstance(n, int) and isinstance(d, int) and n >= 1 and d >= 0):
-            raise ValueError(f"(n, d) = ({n!r}, {d!r}) is not a pair of parameters")
-        seen: Dict[tuple, BasisSymbol] = {}  # (parity, adj) as read -> symbol
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        try:
+            n, d, records = data["n"], data["d"], data["entries"]
+            if not (isinstance(n, int) and isinstance(d, int) and n >= 1 and d >= 0):
+                raise ValueError(f"(n, d) = ({n!r}, {d!r}) is not a pair of parameters")
+            seen: Dict[tuple, BasisSymbol] = {}  # (parity, adj) as read -> symbol
 
-        def resolve(rec: dict) -> BasisSymbol:
-            key = (rec["parity"], tuple(map(tuple, rec["adj"])))
-            sym = seen.get(key)
-            if sym is None:
-                parity, adj = key
-                try:
-                    sym = BasisSymbol(parity, BipartiteGraph(len(adj), len(adj[0]) if adj else 0, adj))
-                except ValueError:
-                    sym = None
-                if sym is None or sym.n != n or sym.d != d:
-                    raise ValueError(f"symbol {rec} is not in the basis at (n,d)=({n},{d})")
-                seen[key] = sym
-            return sym
+            def resolve(rec: dict) -> BasisSymbol:
+                key = (rec["parity"], tuple(map(tuple, rec["adj"])))
+                sym = seen.get(key)
+                if sym is None:
+                    parity, adj = key
+                    try:
+                        sym = BasisSymbol(parity, BipartiteGraph(len(adj), len(adj[0]) if adj else 0, adj))
+                    except ValueError:
+                        sym = None
+                    if sym is None or sym.n != n or sym.d != d:
+                        raise ValueError(f"symbol {rec} is not in the basis at (n,d)=({n},{d})")
+                    seen[key] = sym
+                return sym
 
-        nonzero: Dict[Pair, Terms] = {}
-        for rec in records:
-            terms = {}
-            for s, c in rec["terms"]:
-                if not isinstance(c, int):
-                    raise ValueError(f"coefficient {c!r} is not an integer")
-                terms[resolve(s)] = c
-            pair = (resolve(rec["left"]), resolve(rec["right"]))
-            if terms:
-                nonzero[pair] = terms
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"missing or mistyped field: {exc!r}") from exc
+            nonzero: Dict[Pair, Terms] = {}
+            for rec in records:
+                terms = {}
+                for s, c in rec["terms"]:
+                    if not isinstance(c, int):
+                        raise ValueError(f"coefficient {c!r} is not an integer")
+                    terms[resolve(s)] = c
+                pair = (resolve(rec["left"]), resolve(rec["right"]))
+                if terms:
+                    nonzero[pair] = terms
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"missing or mistyped field: {exc!r}") from exc
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return n, d, ProductTable(n, d, nonzero)

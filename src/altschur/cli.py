@@ -22,7 +22,7 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .fields import FieldSpec
 from .enumeration import (
@@ -90,13 +90,10 @@ def _note(text: str) -> None:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n, d, kind = args.n, args.d, args.kind
     check_basis_budget(n, d, args.max_basis)
-    if kind == "M":
-        items: List[object] = [[list(row) for row in g.adj] for g in enum_M(n, d)]
-        labels = [str(g) for g in enum_M(n, d)]
-        noun = "graphs"
-    elif kind == "N":
-        items = [[list(row) for row in g.adj] for g in enum_N(n, d)]
-        labels = [str(g) for g in enum_N(n, d)]
+    if kind in ("M", "N"):
+        graphs = (enum_M if kind == "M" else enum_N)(n, d)
+        items: List[object] = [[list(row) for row in g.adj] for g in graphs]
+        labels = [str(g) for g in graphs]
         noun = "graphs"
     else:
         items = [list(lam) for lam in enum_Lambda(n, d)]

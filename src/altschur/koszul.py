@@ -13,11 +13,20 @@ exact arithmetic:
 * the equivalence between modules over the whole algebra and pairs (M, θ)
   of an S-module with a compatible map θ: D(M) → M.
 
-S⁻ is stored once, as the integer table of its left action; its right action
-is the mirror of that table through the anti-involution ι.  phi, psi's
-commutant and D impose the same relations ρ(g) = (x ξ_g) ⊗ y − x ⊗ (ξ_g y),
-one per even symbol g, through one loop that each feeds only its tables,
-pairs and coordinates.
+S⁻ is stored once, as the integer table of its left action ξ_g ζ_a.  Every
+other product with an odd factor is read off that table through the
+anti-involution ι(ξ_g) = ξ_{g*}, ι(ζ_a) = s_a ζ_{a*} (s = ``iota_sign``):
+
+* mirror: the coefficient of ζ_c in ζ_a ξ_g is s_a s_c times that of
+  ζ_{c*} in ξ_{g*} ζ_{a*};
+* trace form: the coefficient of ξ_h in ζ_a ζ_b is s_b · h! times that of
+  ζ_{b*} in ξ_{h*} ζ_a, where h! = Π h_ij!.
+
+Only ξ·ξ products are convolved.  Single products are read through one
+index-keyed accessor, ``_product``; the relation loops read the tables
+whole.  phi, psi's commutant and D impose the same relations
+ρ(g) = (x ξ_g) ⊗ y − x ⊗ (ξ_g y), one per even symbol g, through one loop
+that each feeds only its tables, pairs and coordinates.
 
 Every linear map a module carries (the even and odd actions, θ, the actions
 built by D and by Hom_S(S⁻, −), S⁻ itself) is a list of sparse columns:
@@ -58,8 +67,8 @@ from .linalg import (
     intertwiner_space,
     sparse_kernel,
 )
-from .graphs import BipartiteGraph, gamma0_lambda
-from .enumeration import check_basis_budget, enum_Lambda, enum_M, enum_N, graph_index
+from .graphs import gamma0_lambda
+from .enumeration import check_basis_budget, enum_Lambda, enum_M, enum_N, graph_index, lambda_factorial
 from .algebra import BasisSymbol, GradedElement, iota_sign, structure_constants, xi, zeta
 
 __all__ = [
@@ -148,20 +157,62 @@ def _left_dicts(n: int, d: int) -> Tuple[Dict[int, Dict[int, int]], ...]:
 
 
 @lru_cache(maxsize=None)
+def _iota_indices(n: int, d: int) -> Tuple[List[int], List[int], List[int]]:
+    """The anti-involution ι on indices: g* per even index, a* per odd index,
+    and s_a = ``iota_sign(a)`` per odd index (s_{a*} = s_a as ι² = id)."""
+    m_idx, n_idx = graph_index("M", n, d), graph_index("N", n, d)
+    Ns = enum_N(n, d)
+    return [m_idx[g.star()] for g in enum_M(n, d)], [n_idx[a.star()] for a in Ns], [iota_sign(a) for a in Ns]
+
+
+@lru_cache(maxsize=None)
 def _right_dicts(n: int, d: int) -> Tuple[Dict[int, Dict[int, int]], ...]:
     """Per even index g: {a: {c: coeff of ζ_c in ζ_a ξ_g}} over odd indices,
-    mirrored from :func:`_left_dicts` by the anti-involution ι(ξ_g) = ξ_{g*},
-    ι(ζ_a) = s_a ζ_{a*} with s = ``iota_sign`` (s_{a*} = s_a as ι² = id): the
-    coefficient is s_a s_c times that of ζ_{c*} in ξ_{g*} ζ_{a*}."""
-    Ms, Ns = enum_M(n, d), enum_N(n, d)
-    m_idx, n_idx = graph_index("M", n, d), graph_index("N", n, d)
-    star = [n_idx[a.star()] for a in Ns]
-    sign = [iota_sign(a) for a in Ns]
+    mirrored from :func:`_left_dicts` by ι(ξ_g) = ξ_{g*}, ι(ζ_a) = s_a ζ_{a*}:
+    the coefficient is s_a s_c times that of ζ_{c*} in ξ_{g*} ζ_{a*}."""
+    gstar, star, sign = _iota_indices(n, d)
     left = _left_dicts(n, d)
     return tuple(
-        {star[a]: {star[c]: sign[a] * sign[c] * v for c, v in col.items()} for a, col in left[m_idx[g.star()]].items()}
-        for g in Ms
+        {star[a]: {star[c]: sign[a] * sign[c] * v for c, v in col.items()} for a, col in left[gs].items()}
+        for gs in gstar
     )
+
+
+@lru_cache(maxsize=None)
+def _odd_dicts(n: int, d: int) -> Tuple[Dict[int, Dict[int, int]], ...]:
+    """Per odd index a: {b: {h: coeff of ξ_h in ζ_a ζ_b}}, read off
+    :func:`_left_dicts` by the trace form: the coefficient is s_b · h! times
+    that of ζ_{b*} in ξ_{h*} ζ_a, with h! = Π h_ij!."""
+    gstar, star, sign = _iota_indices(n, d)
+    left = _left_dicts(n, d)
+    out: List[Dict[int, Dict[int, int]]] = [{} for _ in star]
+    for h, g in enumerate(enum_M(n, d)):
+        fact = lambda_factorial([x for row in g.adj for x in row])
+        for a, col in left[gstar[h]].items():
+            for c, v in col.items():
+                out[a].setdefault(star[c], {})[h] = sign[c] * fact * v
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _even_symbols(n: int, d: int) -> Tuple[BasisSymbol, ...]:
+    """ξ_g for every even graph g, in enum_M order."""
+    return tuple(xi(g) for g in enum_M(n, d))
+
+
+def _product(n: int, d: int, i: int, left_odd: bool, j: int, right_odd: bool) -> Dict[int, int]:
+    """The product of the i-th and the j-th basis symbol of the given
+    parities, as {k: integer coefficient of the k-th basis symbol of the
+    product's parity}.  Read-only: odd factors read the cached S⁻ tables,
+    and only ξ·ξ convolves."""
+    if left_odd and right_odd:
+        return _odd_dicts(n, d)[i].get(j, _ZERO)
+    if left_odd:
+        return _right_dicts(n, d)[j].get(i, _ZERO)
+    if right_odd:
+        return _left_dicts(n, d)[i].get(j, _ZERO)
+    evens, m_idx = _even_symbols(n, d), graph_index("M", n, d)
+    return {m_idx[s.graph]: c for s, c in structure_constants(evens[i], evens[j]).items()}
 
 
 @lru_cache(maxsize=None)
@@ -188,22 +239,9 @@ def _int_column(col: Dict[int, int], field: FieldSpec, offset: int = 0) -> Spars
     return out
 
 
-def _products(
-    x: BasisSymbol, ys: Sequence[BasisSymbol], index: Dict[BipartiteGraph, int], field: FieldSpec, offset: int = 0
-) -> Columns:
-    """Column k: the coefficients of x·ys[k], each at row offset + index[graph]."""
-    return [
-        _int_column({index[s.graph]: c for s, c in structure_constants(x, y).items()}, field, offset) for y in ys
-    ]
-
-
 # ---------------------------------------------------------------------------
 # module types
 # ---------------------------------------------------------------------------
-
-
-def _is_diagonal(g: BipartiteGraph) -> bool:
-    return all(v == 0 for i, row in enumerate(g.adj) for j, v in enumerate(row) if i != j)
 
 
 def _diag_indices(n: int, d: int) -> List[int]:
@@ -246,33 +284,32 @@ def _check_products(
     n: int,
     d: int,
     field: FieldSpec,
-    pairs: Iterable[Tuple[int, int]],
-    left: Sequence[Columns],
+    pairs: Iterable[Pair],
+    maps: Sequence[Sequence[Columns]],
     left_odd: bool,
-    right: Sequence[Columns],
     right_odd: bool,
-    target: Sequence[Columns],
     error: Callable[[str], Exception],
     message: str,
 ) -> None:
-    """Check ``left[i] ∘ right[j] == sum_s c_s target[s]`` for every pair (i, j).
+    """Check ``left[i] ∘ right[j] == sum_k c_k target[k]`` for every pair (i, j).
 
-    ``sum_s c_s s`` is the product of the i-th and the j-th basis symbol of
-    the given parities; ``target`` holds the maps of the basis of the
-    product's parity.  A mismatch raises ``error(message.format(g, h))``
-    with the graphs g, h of the two symbols.
+    ``maps[False]`` and ``maps[True]`` hold the maps of the even and of the
+    odd basis symbols; ``left``, ``right`` and ``target`` are those of the
+    given parities and of the product's parity, and ``sum_k c_k`` (k-th basis
+    symbol) is the product of the i-th and the j-th symbol (:func:`_product`).
+    A mismatch raises ``error(message.format(g, h))`` with the graphs g, h of
+    the two symbols.
     """
-    Ms, Ns = enum_M(n, d), enum_N(n, d)
-    index = graph_index("N" if left_odd != right_odd else "M", n, d)
+    left, right, target = maps[left_odd], maps[right_odd], maps[left_odd != right_odd]
     for i, j in pairs:
-        g, h = (Ns if left_odd else Ms)[i], (Ns if right_odd else Ms)[j]
         expected: Columns = [{} for _ in right[j]]
-        product = structure_constants(zeta(g) if left_odd else xi(g), zeta(h) if right_odd else xi(h))
-        for s, c in product.items():
+        for k, c in _product(n, d, i, left_odd, j, right_odd).items():
             cf = field.from_int(c)
-            for acc, col in zip(expected, target[index[s.graph]]):
+            for acc, col in zip(expected, target[k]):
                 add_scaled(acc, cf, col, field)
         if compose(left[i], right[j], field) != expected:
+            g = (enum_N if left_odd else enum_M)(n, d)[i]
+            h = (enum_N if right_odd else enum_M)(n, d)[j]
             raise error(message.format(g, h))
 
 
@@ -288,7 +325,7 @@ def _check_even_action(n: int, d: int, field: FieldSpec, dim: int, action: Seque
     if ident != [{k: field.one} for k in range(dim)]:
         raise ValueError("identity element does not act as the identity matrix")
     _check_products(
-        n, d, field, _pairs(level, random.Random(0), len(Ms), len(Ms)), action, False, action, False, action,
+        n, d, field, _pairs(level, random.Random(0), len(Ms), len(Ms)), (action,), False, False,
         ValueError, "even action is not multiplicative at basis pair ({}, {})",
     )
 
@@ -356,20 +393,15 @@ class ASModule:
 
     def _check_mixed_blocks(self, level: str) -> None:
         n, d = self.n, self.d
-        nM, nN = len(enum_M(n, d)), len(enum_N(n, d))
-        if nN == 0:
+        sizes = (len(enum_M(n, d)), len(enum_N(n, d)))
+        if sizes[1] == 0:
             return
-        rng = random.Random(1)
-        even, odd = self.action, self.odd_action
-        for sizes, left, left_odd, right, right_odd, target, name in (
-            ((nM, nN), even, False, odd, True, odd, "even*odd"),
-            ((nN, nM), odd, True, even, False, odd, "odd*even"),
-            ((nN, nN), odd, True, odd, True, even, "odd*odd"),
-        ):
-            _check_products(
-                n, d, self.field, _pairs(level, rng, *sizes), left, left_odd, right, right_odd, target,
-                ValueError, name + " action mismatch at ({}, {})",
-            )
+        maps, rng = (self.action, self.odd_action), random.Random(1)
+        blocks = ((False, True, "even*odd"), (True, False, "odd*even"), (True, True, "odd*odd"))
+        for left_odd, right_odd, name in blocks:
+            pairs = _pairs(level, rng, sizes[left_odd], sizes[right_odd])
+            message = name + " action mismatch at ({}, {})"
+            _check_products(n, d, self.field, pairs, maps, left_odd, right_odd, ValueError, message)
 
     def even_part(self) -> SModule:
         return SModule(self.n, self.d, self.field, self.dim, self.action, validate="none")
@@ -578,30 +610,17 @@ def _phi_surviving(n: int, d: int) -> Tuple[List[Pair], Dict[Pair, int]]:
 def _phi_relation_rows(n: int, d: int) -> Iterator[Dict[int, int]]:
     """ρ(g) on ζ_a ⊗ ζ_b for every non-diagonal g, projected to the
     surviving coordinates (integer rows)."""
-    Ms = enum_M(n, d)
+    Ms, diagonal = enum_M(n, d), set(_diag_indices(n, d))
     _, coord = _phi_surviving(n, d)
     by_lower, by_upper = map(_positions, _odd_margins(n, d))
 
     def pairs(gi: int) -> Iterable[Pair]:
-        g = Ms[gi]
-        if _is_diagonal(g):
+        if gi in diagonal:
             return ()  # diagonal symbols are already accounted for by the projection
+        g = Ms[gi]
         return [(a, b) for a in by_upper.get(g.lower_degrees, ()) for b in by_lower.get(g.upper_degrees, ())]
 
     return _tensor_rows(_right_dicts(n, d), _left_dicts(n, d), pairs, lambda a, b: coord[a, b])
-
-
-def _product_rows(n: int, d: int) -> List[Dict[int, int]]:
-    """Row k = the expansion of ζ_a ζ_b over the even basis, for the k-th
-    surviving tensor coordinate (a, b)."""
-    Ns = enum_N(n, d)
-    m_idx = graph_index("M", n, d)
-    surviving, _ = _phi_surviving(n, d)
-    rows = []
-    for ai, bi in surviving:
-        sc = structure_constants(zeta(Ns[ai]), zeta(Ns[bi]))
-        rows.append({m_idx[s.graph]: c for s, c in sc.items()})
-    return rows
 
 
 def phi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) -> PhiReport:
@@ -624,12 +643,12 @@ def phi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) ->
     lower, upper = _odd_margins(n, d)
     blocks = _Blocks((lower[a], upper[b]) for a, b in surviving)
     even_keys = _even_keys(n, d)
-    prod_rows = _product_rows(n, d)
 
     def image(f: FieldSpec) -> List[int]:
         # per-block rank of the product map: its pivots are even symbols
         ech = SparseEchelon(f)
-        for row in prod_rows:
+        for a, b in surviving:
+            row = _product(n, d, a, True, b, True)
             ech.add_row({k: f.from_int(v) for k, v in row.items()})
         return blocks.count(even_keys[h] for h in ech.pivot_rows)
 
@@ -711,14 +730,14 @@ def _commutant_rows(n: int, d: int) -> Iterator[Dict[int, int]]:
     """Constraint rows of θ·R_g = R_g·θ over the block variables, for every
     non-diagonal even symbol g: ρ(g) with θ[c, a] as the tensor coordinate
     (a, c), R_g acting on a from the right and its transpose on c."""
-    Ms = enum_M(n, d)
+    Ms, diagonal = enum_M(n, d), set(_diag_indices(n, d))
     _, var = _commutant_vars(n, d)
     by_upper = _positions(_odd_margins(n, d)[1])
 
     def pairs(gi: int) -> Iterable[Pair]:
-        g = Ms[gi]
-        if _is_diagonal(g):
+        if gi in diagonal:
             return ()
+        g = Ms[gi]
         return [(a, c) for c in by_upper.get(g.upper_degrees, ()) for a in by_upper.get(g.lower_degrees, ())]
 
     return _tensor_rows(_right_dicts(n, d), _right_rows(n, d), pairs, lambda a, c: var[c, a])
@@ -821,16 +840,16 @@ def koszul_dual(M: SModule, validate: str = "auto") -> SModule:
     in its ``quotient`` field so callers can map ambient tensors ζ_a ⊗ v
     into it.
     """
-    f, dim = M.field, M.dim
+    n, d, f, dim = M.n, M.d, M.field, M.dim
     _, quotient = _tensor_quotient(M)
-    action = []
-    for per in _left_dicts(M.n, M.d):
-        cols = []
-        for coord in quotient.basis_coords:
-            ai, i = divmod(coord, dim)
-            cols.append(quotient.project({ci * dim + i: f.from_int(v) for ci, v in per.get(ai, {}).items()}))
-        action.append(cols)
-    return SModule(M.n, M.d, f, quotient.dim, action, quotient=quotient, validate=validate)
+    coords = [divmod(coord, dim) for coord in quotient.basis_coords]
+
+    def column(g: int, a: int, i: int) -> SparseVec:
+        # ξ_g (ζ_a ⊗ v_i) = (ξ_g ζ_a) ⊗ v_i
+        return quotient.project({c * dim + i: f.from_int(v) for c, v in _product(n, d, g, False, a, True).items()})
+
+    action = [[column(g, a, i) for a, i in coords] for g in range(len(enum_M(n, d)))]
+    return SModule(n, d, f, quotient.dim, action, quotient=quotient, validate=validate)
 
 
 @dataclass
@@ -854,9 +873,6 @@ def eta_map(M: SModule) -> EtaReport:
     """The natural map D²(M) → M induced by multiplying the two odd tensor
     factors: ζ_b ⊗ (ζ_a ⊗ v) goes to (ζ_b ζ_a)·v."""
     f, dim = M.field, M.dim
-    n, d = M.n, M.d
-    Ns = enum_N(n, d)
-    m_idx = graph_index("M", n, d)
     D1 = koszul_dual(M, validate="none")
     inner = D1.quotient
     assert inner is not None
@@ -867,8 +883,8 @@ def eta_map(M: SModule) -> EtaReport:
         bi, k = divmod(coord, D1.dim)
         ai, i = divmod(inner.basis_coords[k], dim)
         col: SparseVec = {}
-        for s, c in structure_constants(zeta(Ns[bi]), zeta(Ns[ai])).items():
-            add_scaled(col, f.from_int(c), M.action[m_idx[s.graph]][i], f)
+        for h, c in _product(M.n, M.d, bi, True, ai, True).items():
+            add_scaled(col, f.from_int(c), M.action[h][i], f)
         return col
 
     # the map must kill the relations defining the outer quotient, otherwise
@@ -941,8 +957,7 @@ def pair_to_as_module(pair: ThetaPair, validate: str = "auto") -> ASModule:
         compose(theta, [quotient.project({ai * dim + i: f.one}) for i in range(dim)], f) for ai in range(nN)
     ]
     _check_products(
-        n, d, f, ((bi, ai) for bi in range(nN) for ai in range(nN)),
-        odd_action, True, odd_action, True, M.action,
+        n, d, f, ((bi, ai) for bi in range(nN) for ai in range(nN)), (M.action, odd_action), True, True,
         IncompatibleTheta, "theta squared misses the even product at odd pair ({}, {})",
     )
     return ASModule(n, d, f, dim, list(M.action), odd_action, validate=validate)
@@ -969,12 +984,20 @@ def as_module_to_pair(module: ASModule) -> ThetaPair:
 # ---------------------------------------------------------------------------
 
 
+def _left_ideal(n: int, d: int, field: FieldSpec, members: Sequence[int], validate: str) -> SModule:
+    """The even subalgebra acting from the left on the span of the even
+    symbols of index ``members``, which must be closed under it."""
+    local = {j: k for k, j in enumerate(members)}
+    action = [
+        [_int_column({local[k]: c for k, c in _product(n, d, i, False, j, False).items()}, field) for j in members]
+        for i in range(len(enum_M(n, d)))
+    ]
+    return SModule(n, d, field, len(members), action, validate=validate)
+
+
 def regular_smodule(n: int, d: int, field: FieldSpec, validate: str = "auto") -> SModule:
     """The even subalgebra acting on itself from the left."""
-    evens = [xi(g) for g in enum_M(n, d)]
-    m_idx = graph_index("M", n, d)
-    action = [_products(x, evens, m_idx, field) for x in evens]
-    return SModule(n, d, field, len(evens), action, validate=validate)
+    return _left_ideal(n, d, field, range(len(enum_M(n, d))), validate)
 
 
 def regular_as_module(n: int, d: int, field: FieldSpec, validate: str = "auto") -> ASModule:
@@ -982,12 +1005,15 @@ def regular_as_module(n: int, d: int, field: FieldSpec, validate: str = "auto") 
 
     Basis order: even symbols (enum_M) then odd symbols (enum_N).
     """
-    evens, odds = [xi(g) for g in enum_M(n, d)], [zeta(a) for a in enum_N(n, d)]
-    m_idx, n_idx = graph_index("M", n, d), graph_index("N", n, d)
-    nM = len(evens)
-    action = [_products(x, evens, m_idx, field) + _products(x, odds, n_idx, field, nM) for x in evens]
-    odd_action = [_products(x, evens, n_idx, field, nM) + _products(x, odds, m_idx, field) for x in odds]
-    return ASModule(n, d, field, nM + len(odds), action, odd_action, validate=validate)
+    nM = len(enum_M(n, d))
+    basis = [(j, False) for j in range(nM)] + [(j, True) for j in range(len(enum_N(n, d)))]
+
+    def columns(i: int, odd: bool) -> Columns:
+        # an odd product's coordinates follow the nM even ones
+        return [_int_column(_product(n, d, i, odd, j, j_odd), field, nM if odd != j_odd else 0) for j, j_odd in basis]
+
+    action = [columns(i, odd) for i, odd in basis[:nM]]
+    return ASModule(n, d, field, len(basis), action, [columns(i, odd) for i, odd in basis[nM:]], validate=validate)
 
 
 def column_module(
@@ -996,12 +1022,7 @@ def column_module(
     """The left ideal generated by the diagonal idempotent of composition
     ``lam``: spanned by the even symbols with upper degree sequence lam."""
     lam = tuple(lam)
-    Ms = enum_M(n, d)
-    members = [g for g in Ms if g.upper_degrees == lam]
-    local = {g: k for k, g in enumerate(members)}
-    ys = [xi(g) for g in members]
-    action = [_products(xi(g), ys, local, field) for g in Ms]
-    return SModule(n, d, field, len(members), action, validate=validate)
+    return _left_ideal(n, d, field, [j for j, g in enumerate(enum_M(n, d)) if g.upper_degrees == lam], validate)
 
 
 def zero_smodule(n: int, d: int, field: FieldSpec) -> SModule:

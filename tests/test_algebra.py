@@ -3,6 +3,7 @@ constant cases, identity, anti-involution, the factorization diagnostics,
 rectangular composition, and table persistence."""
 
 import errno
+import gc
 import hashlib
 import itertools
 import json
@@ -746,6 +747,38 @@ def test_load_table_rejects_non_integer_coefficient(tmp_path):
     entry = {"left": sym, "right": sym, "terms": [[sym, "1"]]}
     with pytest.raises(ValueError, match="not an integer"):
         load_table(_write_json(tmp_path / "t.json", {"n": 2, "d": 2, "entries": [entry]}))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_table_restores_the_gc_state(tmp_path, monkeypatch, enabled):
+    """Reading pauses the cyclic collector and hands back the caller's
+    setting, after a good file, one that is not JSON and one with a bad
+    record."""
+    collector_on = []  # whether the collector was enabled during each parse
+    parse = json.load
+
+    def recording_parse(fh):
+        collector_on.append(gc.isenabled())
+        return parse(fh)
+
+    monkeypatch.setattr(json, "load", recording_parse)
+    good = tmp_path / "good.json"
+    save_table(build_table(2, 2), 2, 2, str(good))
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(good.read_text(encoding="utf-8")[:-7], encoding="utf-8")
+    bad_record = _write_json(tmp_path / "record.json", {"n": 2, "d": 2, "entries": [{"left": {}}]})
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert load_table(str(good))[:2] == (2, 2)
+        assert gc.isenabled() is enabled
+        for bad in (str(truncated), bad_record):
+            with pytest.raises(ValueError):
+                load_table(bad)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert collector_on == [False, False, False]
 
 
 def test_build_table_budget():

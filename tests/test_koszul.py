@@ -4,6 +4,7 @@ functor D with its natural transformations, and the (M, theta) equivalence."""
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
@@ -133,13 +134,87 @@ def test_right_action_is_the_mirror_of_the_left(n, d):
     assert koszul._right_dicts(n, d) == _convolved_right_dicts(n, d)
 
 
+def _clear(*caches):
+    for cache in caches:
+        cache.cache_clear()
+
+
 def test_mirror_gate_catches_a_dropped_sign(monkeypatch):
     monkeypatch.setattr(koszul, "iota_sign", lambda g: 1)
-    koszul._right_dicts.cache_clear()
+    _clear(koszul._iota_indices, koszul._right_dicts)
     try:
         assert any(koszul._right_dicts(n, d) != _convolved_right_dicts(n, d) for n, d in MIRROR_CELLS)
     finally:
-        koszul._right_dicts.cache_clear()  # drop the tables built with the wrong sign
+        _clear(koszul._iota_indices, koszul._right_dicts)  # drop the tables built with the wrong sign
+
+
+def _convolved_odd_dicts(n, d):
+    """The products ζ_a ζ_b read directly off the structure constants, for
+    every pair of odd symbols with a non-zero product."""
+    Ns = enum_N(n, d)
+    m_idx = graph_index("M", n, d)
+    out = []
+    for a in Ns:
+        per = {}
+        for bi, b in enumerate(Ns):
+            sc = structure_constants(zeta(a), zeta(b))
+            if sc:
+                per[bi] = {m_idx[s.graph]: c for s, c in sc.items()}
+        out.append(per)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n,d", MIRROR_CELLS + [pytest.param(4, 3, marks=pytest.mark.stretch)])
+def test_odd_products_follow_the_trace_form(n, d):
+    """The odd×odd products, read off the left action through the trace
+    form, equal the convolved products ζ_a ζ_b."""
+    assert koszul._odd_dicts(n, d) == _convolved_odd_dicts(n, d)
+
+
+@pytest.mark.parametrize(
+    "name,fake", [("lambda_factorial", lambda parts: 1), ("iota_sign", lambda g: 1)], ids=["h!", "iota_sign"]
+)
+def test_trace_form_gate_catches_a_mutation(monkeypatch, name, fake):
+    monkeypatch.setattr(koszul, name, fake)
+    _clear(koszul._iota_indices, koszul._odd_dicts)
+    try:
+        assert any(koszul._odd_dicts(n, d) != _convolved_odd_dicts(n, d) for n, d in MIRROR_CELLS)
+    finally:
+        _clear(koszul._iota_indices, koszul._odd_dicts)  # drop the tables built with the mutation
+
+
+_KOSZUL_CACHES = (
+    koszul._odd_margins, koszul._left_dicts, koszul._iota_indices, koszul._right_dicts,
+    koszul._odd_dicts, koszul._right_rows, koszul._even_symbols,
+)
+
+
+def test_odd_products_are_read_off_the_left_table(monkeypatch):
+    """No product with an odd left factor is convolved, and ξ·ζ only while
+    the left table is built, each pair once."""
+    calls = []
+    convolved = koszul.structure_constants
+
+    def recorder(x, y):
+        calls.append((x, y, sys._getframe(1).f_code.co_name))
+        return convolved(x, y)
+
+    monkeypatch.setattr(koszul, "structure_constants", recorder)
+    _clear(*_KOSZUL_CACHES)
+    try:
+        for n, d in [(2, 3), (3, 2)]:
+            phi_analysis(n, d, QQ)
+            psi_analysis(n, d, QQ)
+            M = regular_smodule(n, d, QQ)
+            koszul_dual(M)
+            eta_map(M)
+            pair_to_as_module(as_module_to_pair(regular_as_module(n, d, GF(5))))
+    finally:
+        _clear(*_KOSZUL_CACHES)
+    assert not [(x, y) for x, y, _ in calls if x.is_odd]
+    mixed = [(x, y) for x, y, _ in calls if y.is_odd]
+    assert mixed and {caller for x, y, caller in calls if y.is_odd} == {"_left_dicts"}
+    assert len(mixed) == len(set(mixed))
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2)])
@@ -394,6 +469,12 @@ def _even_key(g):
     return (g.lower_degrees, g.upper_degrees)
 
 
+def _product_rows(n, d):
+    """The expansion of ζ_a ζ_b over the even basis, for every surviving
+    tensor coordinate (a, b) of phi."""
+    return [koszul._product(n, d, a, True, b, True) for a, b in koszul._phi_surviving(n, d)[0]]
+
+
 @pytest.mark.parametrize("n,d", BLOCK_CELLS)
 def test_phi_rows_stay_in_one_block(n, d):
     """Every relation row of phi lies in one block (a.lower, b.upper), and the
@@ -404,7 +485,7 @@ def test_phi_rows_stay_in_one_block(n, d):
     key = [(Ns[a].lower_degrees, Ns[b].upper_degrees) for a, b in surviving]
     for row in koszul._phi_relation_rows(n, d):
         assert len({key[k] for k in row}) == 1
-    for k, row in enumerate(koszul._product_rows(n, d)):
+    for k, row in enumerate(_product_rows(n, d)):
         assert {_even_key(Ms[h]) for h in row} <= {key[k]}
 
 
@@ -442,7 +523,7 @@ def test_blockwise_reports_match_one_global_echelon(n, d, field):
     ambient dimension minus the image dimension)."""
     phi = phi_analysis(n, d, field)
     S = len(koszul._phi_surviving(n, d)[0])
-    phi_rank = _global_rank(koszul._product_rows(n, d), field)
+    phi_rank = _global_rank(_product_rows(n, d), field)
     assert phi.phi_rank == phi_rank
     assert phi.tensor_dim == S - _global_rank(koszul._phi_relation_rows(n, d), field, S - phi_rank)
 
