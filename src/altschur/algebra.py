@@ -21,8 +21,23 @@ contributes its number of T, times a ball-labelling sign that is constant on
 the table when a factor is odd; :func:`convolve` gives the argument.  The test
 suite keeps an independent walk over middle and target words as the reference.
 
-All structure constants are integers; they are computed once over the
-integers, memoized, and reduced into a field at the point of use.
+All structure constants are integers, reduced into a field at the point of
+use.  :func:`convolve` memoizes each product of two graphs, and the
+index-keyed tables below are cached once per (n, d).
+
+The odd part S⁻ is stored once, as the integer table of its left action
+ξ_g ζ_a.  Every other product with an odd factor is read off that table
+through the anti-involution ι(ξ_g) = ξ_{g*}, ι(ζ_a) = s_a ζ_{a*}
+(s = :func:`iota_sign`):
+
+* mirror: the coefficient of ζ_c in ζ_a ξ_g is s_a s_c times that of
+  ζ_{c*} in ξ_{g*} ζ_{a*};
+* trace form: the coefficient of ξ_h in ζ_a ζ_b is s_b · h! times that of
+  ζ_{b*} in ξ_{h*} ζ_a, where h! = Π h_ij!.
+
+So only ξ·ξ and ξ·ζ products are convolved.  Single products are read by
+index through :func:`_product`, which :func:`build_table` and the duality
+diagnostics share.
 """
 
 from __future__ import annotations
@@ -32,10 +47,9 @@ import itertools
 import json
 import math
 import os
-from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
-from types import MappingProxyType
-from typing import Dict, Iterator, List, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .fields import FieldSpec, Scalar
 from .graphs import (
@@ -48,7 +62,7 @@ from .graphs import (
     d_of,
     u_of,
 )
-from .enumeration import check_basis_budget, enum_Lambda, enum_M, enum_N
+from .enumeration import check_basis_budget, enum_Lambda, enum_M, enum_N, graph_index, lambda_factorial
 
 __all__ = [
     "BasisSymbol",
@@ -65,7 +79,6 @@ __all__ = [
     "factorization_check",
     "delta_check",
     "rect_compose",
-    "ProductTable",
     "build_table",
     "save_table",
     "load_table",
@@ -515,102 +528,155 @@ def rect_compose(g1: BipartiteGraph, g2: BipartiteGraph) -> Dict[BipartiteGraph,
     return convolve(g1, g2, False, False)
 
 
-# -- full tables ---------------------------------------------------------------
+# -- index-keyed integer tables (cached per (n, d)) ------------------------------
+
+Margin = Tuple[int, ...]
+IntTable = Tuple[Dict[int, Dict[int, int]], ...]
+
+
+@lru_cache(maxsize=None)
+def _symbols(n: int, d: int) -> Tuple[Tuple[BasisSymbol, ...], Tuple[BasisSymbol, ...]]:
+    """ξ_g per even index (enum_M order) and ζ_a per odd index (enum_N order)."""
+    return tuple(map(xi, enum_M(n, d))), tuple(map(zeta, enum_N(n, d)))
+
+
+def all_symbols(n: int, d: int) -> List[BasisSymbol]:
+    """The canonical basis listing: even symbols first, then odd."""
+    evens, odds = _symbols(n, d)
+    return [*evens, *odds]
+
+
+@lru_cache(maxsize=None)
+def _odd_margins(n: int, d: int) -> Tuple[Tuple[Margin, ...], Tuple[Margin, ...]]:
+    """Lower and upper degree sequences of every odd symbol, in enum_N order."""
+    Ns = enum_N(n, d)
+    return tuple(a.lower_degrees for a in Ns), tuple(a.upper_degrees for a in Ns)
+
+
+def _positions(keys: Iterable[Margin]) -> Dict[Margin, List[int]]:
+    """Indices grouped by key, increasing within each group."""
+    out: Dict[Margin, List[int]] = {}
+    for i, key in enumerate(keys):
+        out.setdefault(key, []).append(i)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _left_dicts(n: int, d: int) -> IntTable:
+    """Per even index g: {a: {c: coeff of ζ_c in ξ_g ζ_a}} over odd indices."""
+    evens, odds = _symbols(n, d)
+    n_idx = graph_index("N", n, d)
+    by_lower = _positions(_odd_margins(n, d)[0])
+    out: List[Dict[int, Dict[int, int]]] = []
+    for g in evens:
+        per: Dict[int, Dict[int, int]] = {}
+        for ai in by_lower.get(g.graph.upper_degrees, ()):
+            sc = structure_constants(g, odds[ai])
+            if sc:
+                per[ai] = {n_idx[s.graph]: c for s, c in sc.items()}
+        out.append(per)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _iota_indices(n: int, d: int) -> Tuple[List[int], List[int], List[int]]:
+    """The anti-involution ι on indices: g* per even index, a* per odd index,
+    and s_a = ``iota_sign(a)`` per odd index (s_{a*} = s_a as ι² = id)."""
+    m_idx, n_idx = graph_index("M", n, d), graph_index("N", n, d)
+    Ns = enum_N(n, d)
+    return [m_idx[g.star()] for g in enum_M(n, d)], [n_idx[a.star()] for a in Ns], [iota_sign(a) for a in Ns]
+
+
+@lru_cache(maxsize=None)
+def _right_dicts(n: int, d: int) -> IntTable:
+    """Per even index g: {a: {c: coeff of ζ_c in ζ_a ξ_g}} over odd indices,
+    mirrored from :func:`_left_dicts`: the coefficient is s_a s_c times that
+    of ζ_{c*} in ξ_{g*} ζ_{a*}."""
+    gstar, star, sign = _iota_indices(n, d)
+    left = _left_dicts(n, d)
+    return tuple(
+        {star[a]: {star[c]: sign[a] * sign[c] * v for c, v in col.items()} for a, col in left[gs].items()}
+        for gs in gstar
+    )
+
+
+@lru_cache(maxsize=None)
+def _odd_dicts(n: int, d: int) -> IntTable:
+    """Per odd index a: {b: {h: coeff of ξ_h in ζ_a ζ_b}}, read off
+    :func:`_left_dicts` by the trace form: the coefficient is s_b · h! times
+    that of ζ_{b*} in ξ_{h*} ζ_a, with h! = Π h_ij!."""
+    gstar, star, sign = _iota_indices(n, d)
+    left = _left_dicts(n, d)
+    out: List[Dict[int, Dict[int, int]]] = [{} for _ in star]
+    for h, g in enumerate(enum_M(n, d)):
+        fact = lambda_factorial([x for row in g.adj for x in row])
+        for a, col in left[gstar[h]].items():
+            for c, v in col.items():
+                out[a].setdefault(star[c], {})[h] = sign[c] * fact * v
+    return tuple(out)
+
+
+def _product(n: int, d: int, i: int, left_odd: bool, j: int, right_odd: bool) -> Dict[int, int]:
+    """The product of the i-th and the j-th basis symbol of the given
+    parities, as {k: integer coefficient of the k-th basis symbol of the
+    product's parity}.  Read-only: odd factors read the cached S⁻ tables,
+    and only ξ·ξ convolves."""
+    if left_odd and right_odd:
+        return _odd_dicts(n, d)[i].get(j, {})
+    if left_odd:
+        return _right_dicts(n, d)[j].get(i, {})
+    if right_odd:
+        return _left_dicts(n, d)[i].get(j, {})
+    evens, m_idx = _symbols(n, d)[0], graph_index("M", n, d)
+    return {m_idx[s.graph]: c for s, c in structure_constants(evens[i], evens[j]).items()}
+
+
+# -- the product table and its file --------------------------------------------
 
 Pair = Tuple[BasisSymbol, BasisSymbol]
 Terms = Dict[BasisSymbol, int]
 
 
-def all_symbols(n: int, d: int) -> List[BasisSymbol]:
-    """The canonical basis listing: even symbols first, then odd."""
-    return [xi(g) for g in enum_M(n, d)] + [zeta(g) for g in enum_N(n, d)]
+def build_table(n: int, d: int, cap: int | None = None) -> Dict[Pair, Terms]:
+    """Every nonzero product of two basis symbols at (n, d), as
+    {(a, b): {symbol: integer coefficient}}; a pair with a zero product is
+    absent.
 
-
-class ProductTable(Mapping):
-    """Every ordered pair of basis symbols at (n, d), mapped to its integer
-    structure constants, with only the nonzero products stored.
-
-    ``len`` is |basis|^2 and iteration yields every pair (a, b) in
-    :func:`all_symbols` order, ``a`` outermost.  A pair of basis symbols
-    with no stored terms answers a fresh ``{}``; any other key raises
-    ``KeyError``.  A symbol is in the basis exactly when its graph has n
-    vertices a side and degree d, so lookups never enumerate the basis;
-    the basis list is enumerated on first iteration unless given.
-    """
-
-    def __init__(self, n: int, d: int, nonzero: Dict[Pair, Terms], basis: List[BasisSymbol] | None = None) -> None:
-        self.n, self.d = n, d
-        self._nonzero = nonzero
-        self._basis = basis
-
-    @property
-    def basis(self) -> List[BasisSymbol]:
-        if self._basis is None:
-            self._basis = all_symbols(self.n, self.d)
-        return self._basis
-
-    @property
-    def nonzero(self) -> Mapping[Pair, Terms]:
-        """The stored pairs and their (nonzero) terms, read-only."""
-        return MappingProxyType(self._nonzero)
-
-    def _in_basis(self, sym: object) -> bool:
-        return isinstance(sym, BasisSymbol) and sym.n == self.n and sym.d == self.d
-
-    def __getitem__(self, key: Pair) -> Terms:
-        terms = self._nonzero.get(key)
-        if terms is not None:
-            return terms
-        if isinstance(key, tuple) and len(key) == 2 and all(map(self._in_basis, key)):
-            return {}
-        raise KeyError(key)
-
-    def __len__(self) -> int:
-        return len(self.basis) ** 2
-
-    def __iter__(self) -> Iterator[Pair]:
-        return itertools.product(self.basis, repeat=2)
-
-
-def build_table(n: int, d: int, cap: int | None = None) -> ProductTable:
-    """All pairwise integer structure constants at (n, d).
-
-    A product of two symbols vanishes unless the upper degree sequence of the
-    left graph equals the lower degree sequence of the right one (the weight
-    idempotents are orthogonal), so only those pairs are convolved, and only
-    the nonzero products are stored; every other pair answers ``{}``.
+    A product vanishes unless the upper degree sequence of the left graph
+    equals the lower degree sequence of the right one (the weight idempotents
+    are orthogonal), so only those pairs are read, through :func:`_product`.
     """
     check_basis_budget(n, d, cap)
-    syms = all_symbols(n, d)
-    by_lower: Dict[Tuple[int, ...], List[BasisSymbol]] = {}
-    for b in syms:
-        by_lower.setdefault(b.graph.lower_degrees, []).append(b)
-    nonzero: Dict[Pair, Terms] = {}
-    for a in syms:
-        for b in by_lower.get(a.graph.upper_degrees, ()):
-            terms = structure_constants(a, b)
-            if terms:
-                nonzero[(a, b)] = terms
-    return ProductTable(n, d, nonzero, syms)
+    syms = _symbols(n, d)
+    table: Dict[Pair, Terms] = {}
+    for left_odd, right_odd in itertools.product((False, True), repeat=2):
+        right, target = syms[right_odd], syms[left_odd != right_odd]
+        by_lower = _positions(b.graph.lower_degrees for b in right)
+        for i, a in enumerate(syms[left_odd]):
+            for j in by_lower.get(a.graph.upper_degrees, ()):
+                terms = _product(n, d, i, left_odd, j, right_odd)
+                if terms:
+                    table[a, right[j]] = {target[k]: c for k, c in terms.items()}
+    return table
 
 
-def save_table(table: ProductTable, n: int, d: int, path: str) -> None:
-    """Write the nonzero entries of ``table`` as canonical JSON.
+def save_table(table: Dict[Pair, Terms], n: int, d: int, path: str) -> None:
+    """Write ``table`` (as from :func:`build_table`) as canonical JSON.
 
     Entries are sorted by (left, right) and terms by symbol, both in
     ``sort_key`` order.  The file is written under a temporary name in the
     target directory and renamed into place, so ``path`` either holds a
     complete table or does not exist.
     """
-    rank = {s: i for i, s in enumerate(sorted(table.basis, key=BasisSymbol.sort_key))}
-    as_json = {s: s.to_json_dict() for s in rank}
+    key = {s: s.sort_key() for pair, terms in table.items() for s in (*pair, *terms)}
+    as_json = {s: s.to_json_dict() for s in key}
     entries = [
         {
             "left": as_json[a],
             "right": as_json[b],
-            "terms": [[as_json[s], c] for s, c in sorted(terms.items(), key=lambda kv: rank[kv[0]])],
+            "terms": [[as_json[s], c] for s, c in sorted(terms.items(), key=lambda kv: key[kv[0]])],
         }
-        for (a, b), terms in sorted(table.nonzero.items(), key=lambda kv: (rank[kv[0][0]], rank[kv[0][1]]))
+        for (a, b), terms in sorted(table.items(), key=lambda kv: (key[kv[0][0]], key[kv[0][1]]))
     ]
     text = json.dumps({"n": n, "d": d, "entries": entries}, separators=(",", ":"), sort_keys=True)
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
@@ -624,12 +690,12 @@ def save_table(table: ProductTable, n: int, d: int, path: str) -> None:
         raise
 
 
-def load_table(path: str) -> Tuple[int, int, ProductTable]:
-    """Read a table written by :func:`save_table`.
+def load_table(path: str) -> Tuple[int, int, Dict[Pair, Terms]]:
+    """Read a table written by :func:`save_table`: its (n, d) and the pairs
+    it lists with nonzero terms.
 
-    Only the pairs the file lists are stored; every other pair of basis
-    symbols answers ``{}``.  The basis is not enumerated here, so a caller
-    can compare the file's (n, d) with the one it wants at once.
+    The basis is not enumerated here, so a caller can compare the file's
+    (n, d) with the one it wants at once.
 
     Raises ``ValueError`` when a required key is missing or mistyped, when
     a coefficient is not an integer, or when the file names a symbol outside
@@ -663,7 +729,7 @@ def load_table(path: str) -> Tuple[int, int, ProductTable]:
                     seen[key] = sym
                 return sym
 
-            nonzero: Dict[Pair, Terms] = {}
+            table: Dict[Pair, Terms] = {}
             for rec in records:
                 terms = {}
                 for s, c in rec["terms"]:
@@ -672,10 +738,10 @@ def load_table(path: str) -> Tuple[int, int, ProductTable]:
                     terms[resolve(s)] = c
                 pair = (resolve(rec["left"]), resolve(rec["right"]))
                 if terms:
-                    nonzero[pair] = terms
+                    table[pair] = terms
         except (KeyError, TypeError) as exc:
             raise ValueError(f"missing or mistyped field: {exc!r}") from exc
     finally:
         if gc_was_enabled:
             gc.enable()
-    return n, d, ProductTable(n, d, nonzero)
+    return n, d, table

@@ -164,10 +164,11 @@ def cmd_table(args: argparse.Namespace) -> int:
         save_table(table, n, d, path)
         _note(f"cache written: {path}")
     counts = {"even*even": 0, "even*odd": 0, "odd*even": 0, "odd*odd": 0}
-    for (a, b), terms in table.nonzero.items():
+    for (a, b), terms in table.items():
         case = f"{'odd' if a.is_odd else 'even'}*{'odd' if b.is_odd else 'even'}"
         counts[case] += sum(1 for c in terms.values() if field.from_int(c))
     n_syms = basis_size(n, d)
+    n_pairs = n_syms**2
     if args.json:
         _emit_json(
             {
@@ -175,12 +176,12 @@ def cmd_table(args: argparse.Namespace) -> int:
                 "d": d,
                 "field": field.label,
                 "symbols": n_syms,
-                "pairs": len(table),
+                "pairs": n_pairs,
                 "nonzero": counts,
             }
         )
     else:
-        _emit(f"table ({n},{d}) over {field.label}: {n_syms} symbols, {len(table)} ordered pairs")
+        _emit(f"table ({n},{d}) over {field.label}: {n_syms} symbols, {n_pairs} ordered pairs")
         _emit(
             "nonzero structure constants: "
             + ", ".join(f"{case} {counts[case]}" for case in ("even*even", "even*odd", "odd*even", "odd*odd"))

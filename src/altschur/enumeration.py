@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from functools import lru_cache
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .graphs import BipartiteGraph, Word
@@ -123,8 +124,10 @@ def enum_M_rect(m: int, n: int, d: int) -> List[BipartiteGraph]:
     return [_to_graph(flat, m, n) for flat in _grids_lex(d, m * n, None)]
 
 
+@lru_cache(maxsize=None)
 def enum_M(n: int, d: int) -> List[BipartiteGraph]:
     """All square multigraphs with d edges, ascending flattened-lex.
+    Cached; callers must not mutate the result.
 
     >>> [g.adj for g in enum_M(1, 3)]
     [((3,),)]
@@ -134,8 +137,10 @@ def enum_M(n: int, d: int) -> List[BipartiteGraph]:
     return enum_M_rect(n, n, d)
 
 
+@lru_cache(maxsize=None)
 def enum_N(n: int, d: int) -> List[BipartiteGraph]:
     """All square simple graphs with d edges, ascending flattened-lex.
+    Cached; callers must not mutate the result.
 
     >>> len(enum_N(2, 2)), len(enum_N(1, 2))
     (6, 0)
@@ -224,15 +229,8 @@ def sign_of_permutation(w: Sequence[int]) -> int:
     return -1 if inv % 2 else 1
 
 
-_INDEX_CACHE: Dict[Tuple[str, int, int], Dict[BipartiteGraph, int]] = {}
-
-
+@lru_cache(maxsize=None)
 def graph_index(kind: str, n: int, d: int) -> Dict[BipartiteGraph, int]:
-    """Graph -> position map for ``enum_M`` (kind "M") or ``enum_N`` (kind "N")."""
-    key = (kind, n, d)
-    cached = _INDEX_CACHE.get(key)
-    if cached is None:
-        listing = enum_M(n, d) if kind == "M" else enum_N(n, d)
-        cached = {g: i for i, g in enumerate(listing)}
-        _INDEX_CACHE[key] = cached
-    return cached
+    """Graph -> position map for ``enum_M`` (kind "M") or ``enum_N`` (kind "N").
+    Cached; callers must not mutate the result."""
+    return {g: i for i, g in enumerate(enum_M(n, d) if kind == "M" else enum_N(n, d))}

@@ -13,18 +13,11 @@ exact arithmetic:
 * the equivalence between modules over the whole algebra and pairs (M, θ)
   of an S-module with a compatible map θ: D(M) → M.
 
-S⁻ is stored once, as the integer table of its left action ξ_g ζ_a.  Every
-other product with an odd factor is read off that table through the
-anti-involution ι(ξ_g) = ξ_{g*}, ι(ζ_a) = s_a ζ_{a*} (s = ``iota_sign``):
-
-* mirror: the coefficient of ζ_c in ζ_a ξ_g is s_a s_c times that of
-  ζ_{c*} in ξ_{g*} ζ_{a*};
-* trace form: the coefficient of ξ_h in ζ_a ζ_b is s_b · h! times that of
-  ζ_{b*} in ξ_{h*} ζ_a, where h! = Π h_ij!.
-
-Only ξ·ξ products are convolved.  Single products are read through one
-index-keyed accessor, ``_product``; the relation loops read the tables
-whole.  phi, psi's commutant and D impose the same relations
+Products are read from the integer tables of :mod:`altschur.algebra`, which
+stores S⁻ once, as the table of its left action, and reads every other
+product with an odd factor off it.  Single products go through the
+index-keyed accessor ``_product``; the relation loops read the tables whole.
+phi, psi's commutant and D impose the same relations
 ρ(g) = (x ξ_g) ⊗ y − x ⊗ (ξ_g y), one per even symbol g, through one loop
 that each feeds only its tables, pairs and coordinates.
 
@@ -68,8 +61,8 @@ from .linalg import (
     sparse_kernel,
 )
 from .graphs import gamma0_lambda
-from .enumeration import check_basis_budget, enum_Lambda, enum_M, enum_N, graph_index, lambda_factorial
-from .algebra import BasisSymbol, GradedElement, iota_sign, structure_constants, xi, zeta
+from .enumeration import check_basis_budget, enum_Lambda, enum_M, enum_N, graph_index
+from .algebra import GradedElement, Margin, _left_dicts, _odd_margins, _positions, _product, _right_dicts, xi
 
 __all__ = [
     "SModule",
@@ -116,103 +109,11 @@ class IncompatibleTheta(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# integer structure-constant tables (field-independent, cached per (n, d))
+# views of the integer tables
 # ---------------------------------------------------------------------------
 
 
-Margin = Tuple[int, ...]
 Pair = Tuple[int, int]
-
-
-@lru_cache(maxsize=None)
-def _odd_margins(n: int, d: int) -> Tuple[Tuple[Margin, ...], Tuple[Margin, ...]]:
-    """Lower and upper degree sequences of every odd symbol, in enum_N order."""
-    Ns = enum_N(n, d)
-    return tuple(a.lower_degrees for a in Ns), tuple(a.upper_degrees for a in Ns)
-
-
-def _positions(keys: Iterable[Margin]) -> Dict[Margin, List[int]]:
-    """Indices grouped by key, increasing within each group."""
-    out: Dict[Margin, List[int]] = {}
-    for i, key in enumerate(keys):
-        out.setdefault(key, []).append(i)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _left_dicts(n: int, d: int) -> Tuple[Dict[int, Dict[int, int]], ...]:
-    """Per even index g: {a: {c: coeff of ζ_c in ξ_g ζ_a}} over odd indices."""
-    Ms, Ns = enum_M(n, d), enum_N(n, d)
-    n_idx = graph_index("N", n, d)
-    by_lower = _positions(_odd_margins(n, d)[0])
-    out: List[Dict[int, Dict[int, int]]] = []
-    for g in Ms:
-        per: Dict[int, Dict[int, int]] = {}
-        for ai in by_lower.get(g.upper_degrees, ()):
-            sc = structure_constants(xi(g), zeta(Ns[ai]))
-            if sc:
-                per[ai] = {n_idx[s.graph]: c for s, c in sc.items()}
-        out.append(per)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _iota_indices(n: int, d: int) -> Tuple[List[int], List[int], List[int]]:
-    """The anti-involution ι on indices: g* per even index, a* per odd index,
-    and s_a = ``iota_sign(a)`` per odd index (s_{a*} = s_a as ι² = id)."""
-    m_idx, n_idx = graph_index("M", n, d), graph_index("N", n, d)
-    Ns = enum_N(n, d)
-    return [m_idx[g.star()] for g in enum_M(n, d)], [n_idx[a.star()] for a in Ns], [iota_sign(a) for a in Ns]
-
-
-@lru_cache(maxsize=None)
-def _right_dicts(n: int, d: int) -> Tuple[Dict[int, Dict[int, int]], ...]:
-    """Per even index g: {a: {c: coeff of ζ_c in ζ_a ξ_g}} over odd indices,
-    mirrored from :func:`_left_dicts` by ι(ξ_g) = ξ_{g*}, ι(ζ_a) = s_a ζ_{a*}:
-    the coefficient is s_a s_c times that of ζ_{c*} in ξ_{g*} ζ_{a*}."""
-    gstar, star, sign = _iota_indices(n, d)
-    left = _left_dicts(n, d)
-    return tuple(
-        {star[a]: {star[c]: sign[a] * sign[c] * v for c, v in col.items()} for a, col in left[gs].items()}
-        for gs in gstar
-    )
-
-
-@lru_cache(maxsize=None)
-def _odd_dicts(n: int, d: int) -> Tuple[Dict[int, Dict[int, int]], ...]:
-    """Per odd index a: {b: {h: coeff of ξ_h in ζ_a ζ_b}}, read off
-    :func:`_left_dicts` by the trace form: the coefficient is s_b · h! times
-    that of ζ_{b*} in ξ_{h*} ζ_a, with h! = Π h_ij!."""
-    gstar, star, sign = _iota_indices(n, d)
-    left = _left_dicts(n, d)
-    out: List[Dict[int, Dict[int, int]]] = [{} for _ in star]
-    for h, g in enumerate(enum_M(n, d)):
-        fact = lambda_factorial([x for row in g.adj for x in row])
-        for a, col in left[gstar[h]].items():
-            for c, v in col.items():
-                out[a].setdefault(star[c], {})[h] = sign[c] * fact * v
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _even_symbols(n: int, d: int) -> Tuple[BasisSymbol, ...]:
-    """ξ_g for every even graph g, in enum_M order."""
-    return tuple(xi(g) for g in enum_M(n, d))
-
-
-def _product(n: int, d: int, i: int, left_odd: bool, j: int, right_odd: bool) -> Dict[int, int]:
-    """The product of the i-th and the j-th basis symbol of the given
-    parities, as {k: integer coefficient of the k-th basis symbol of the
-    product's parity}.  Read-only: odd factors read the cached S⁻ tables,
-    and only ξ·ξ convolves."""
-    if left_odd and right_odd:
-        return _odd_dicts(n, d)[i].get(j, _ZERO)
-    if left_odd:
-        return _right_dicts(n, d)[j].get(i, _ZERO)
-    if right_odd:
-        return _left_dicts(n, d)[i].get(j, _ZERO)
-    evens, m_idx = _even_symbols(n, d), graph_index("M", n, d)
-    return {m_idx[s.graph]: c for s, c in structure_constants(evens[i], evens[j]).items()}
 
 
 @lru_cache(maxsize=None)

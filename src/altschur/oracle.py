@@ -177,21 +177,10 @@ def _block(sym: BasisSymbol) -> np.ndarray:
     return out
 
 
-_MATRIX_CACHE: Dict[BasisSymbol, np.ndarray] = {}
-
-
-def _cached_block(sym: BasisSymbol) -> np.ndarray:
-    block = _MATRIX_CACHE.get(sym)
-    if block is None:
-        block = _block(sym)
-        _MATRIX_CACHE[sym] = block
-    return block
-
-
 def _add_block(out: np.ndarray, sym: BasisSymbol, c: int) -> None:
     """Add c times the symbol's kernel matrix to the dense matrix ``out``."""
     lower, upper = _margins(sym)
-    out[np.ix_(_positions(lower), _positions(upper))] += c * _cached_block(sym)
+    out[np.ix_(_positions(lower), _positions(upper))] += c * _block(sym)
 
 
 def operator_matrix(sym: BasisSymbol, cap: int | None = None) -> OperatorMatrix:
@@ -397,7 +386,7 @@ def verify_table(
     blocks: Dict[BasisSymbol, np.ndarray] = {}
     for sym in syms:
         try:
-            blocks[sym] = _cached_block(sym)
+            blocks[sym] = _block(sym)
         except OutsideBlockError as exc:
             report.mismatches.append(str(exc))
     if report.mismatches:

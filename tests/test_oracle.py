@@ -249,7 +249,6 @@ def test_verify_table_builds_no_dense_matrix(monkeypatch):
 
     monkeypatch.setattr(oracle, "operator_matrix", refuse)
     monkeypatch.setattr(OperatorMatrix, "__matmul__", refuse)
-    monkeypatch.setattr(oracle, "_MATRIX_CACHE", {})
     assert verify_table(2, 3).ok
 
 
@@ -370,7 +369,6 @@ def test_entry_outside_block_is_reported(monkeypatch):
             yield s_word, u_word, 1
 
     monkeypatch.setattr(oracle, "_kernel_entries", corrupted)
-    monkeypatch.setattr(oracle, "_MATRIX_CACHE", {})
     report = verify_table(2, 3)
     assert not report.ok
     assert report.pairs_checked == 0
