@@ -35,9 +35,18 @@ through the anti-involution ι(ξ_g) = ξ_{g*}, ι(ζ_a) = s_a ζ_{a*}
 * trace form: the coefficient of ξ_h in ζ_a ζ_b is s_b · h! times that of
   ζ_{b*} in ξ_{h*} ζ_a, where h! = Π h_ij!.
 
-So only ξ·ξ and ξ·ζ products are convolved.  Single products are read by
-index through :func:`_product`, which :func:`build_table` and the duality
-diagnostics share.
+Renaming the boxes by σ ∈ S_n, on both sides of every graph, maps the left
+table to itself up to a sign: the coefficient of ζ_{σc} in ξ_{σg} ζ_{σa} is
+s_σ(a) s_σ(c) times that of ζ_c in ξ_g ζ_a, where s_σ(a) =
+:func:`relabel_sign` is the sign of a's standard labelling with its boxes
+renamed, as a labelling of σa.  Renaming the boxes of every configuration
+is an automorphism of the operators: it sends ξ_g to ξ_{σg} and ζ_a to
+s_σ(a) ζ_{σa}, since the ball labelling that ζ_a reads is renamed with
+the boxes.
+
+So only ξ·ξ products, and ξ·ζ products on one pair per S_n-orbit, are
+convolved.  Single products are read by index through :func:`_product`,
+which :func:`build_table` and the duality diagnostics share.
 """
 
 from __future__ import annotations
@@ -444,6 +453,14 @@ def iota_sign(g: BipartiteGraph) -> int:
     return labelling_sign([(j, i) for (i, j) in g.standard_labelling()])
 
 
+def relabel_sign(g: BipartiteGraph, sigma: Sequence[int]) -> int:
+    """s_σ(g): the sign of the standard labelling of g with every box i
+    renamed σ(i) on both sides, as a labelling of the renamed graph σg.
+    ``sigma[i - 1]`` is σ(i) - 1: the boxes are numbered from 1 in the
+    labelling and from 0 in ``sigma``."""
+    return labelling_sign([(sigma[i - 1], sigma[j - 1]) for i, j in g.standard_labelling()])
+
+
 def anti_involution(x: GradedElement) -> GradedElement:
     """The algebra anti-involution: even symbols reflect, odd symbols reflect
     and pick up :func:`iota_sign`."""
@@ -561,21 +578,61 @@ def _positions(keys: Iterable[Margin]) -> Dict[Margin, List[int]]:
     return out
 
 
+def _relabellings(n: int, d: int) -> List[Tuple[List[int], List[int], List[int]]]:
+    """Per σ ∈ S_n: the index of σg per even index, the index of σa per odd
+    index, and s_σ(a) = :func:`relabel_sign` per odd index.
+
+    Only the adjacent transpositions τ are relabelled graph by graph; every
+    other σ is reached as τ∘ρ, with (τρ)g = τ(ρg) and s_{τρ}(a) = s_τ(ρa) s_ρ(a)."""
+    Ms, Ns = enum_M(n, d), enum_N(n, d)
+    m_idx = {g.adj: k for k, g in enumerate(Ms)}
+    n_idx = {a.adj: k for k, a in enumerate(Ns)}
+
+    def moved(g: BipartiteGraph, tau: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+        # τ is an involution, so it is its own inverse
+        return tuple(tuple(g.adj[tau[i]][tau[j]] for j in range(n)) for i in range(n))
+
+    steps = []
+    for k in range(n - 1):
+        tau = tuple(k + 1 if i == k else k if i == k + 1 else i for i in range(n))
+        gmap, amap = [m_idx[moved(g, tau)] for g in Ms], [n_idx[moved(a, tau)] for a in Ns]
+        steps.append((tau, gmap, amap, [relabel_sign(a, tau) for a in Ns]))
+    found = {tuple(range(n)): (list(range(len(Ms))), list(range(len(Ns))), [1] * len(Ns))}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for rho in frontier:
+            gmap, amap, sign = found[rho]
+            for tau, tg, ta, ts in steps:
+                key = tuple(tau[i] for i in rho)
+                if key not in found:
+                    found[key] = ([tg[g] for g in gmap], [ta[a] for a in amap], [ts[b] * s for b, s in zip(amap, sign)])
+                    nxt.append(key)
+        frontier = nxt
+    return list(found.values())
+
+
 @lru_cache(maxsize=None)
 def _left_dicts(n: int, d: int) -> IntTable:
-    """Per even index g: {a: {c: coeff of ζ_c in ξ_g ζ_a}} over odd indices."""
+    """Per even index g: {a: {c: coeff of ζ_c in ξ_g ζ_a}} over odd indices.
+
+    One margin-matched pair (g, a) per S_n-orbit is convolved; the others
+    are filled by the box-relabelling identity (see the module docstring)."""
     evens, odds = _symbols(n, d)
     n_idx = graph_index("N", n, d)
     by_lower = _positions(_odd_margins(n, d)[0])
-    out: List[Dict[int, Dict[int, int]]] = []
-    for g in evens:
-        per: Dict[int, Dict[int, int]] = {}
-        for ai in by_lower.get(g.graph.upper_degrees, ()):
-            sc = structure_constants(g, odds[ai])
-            if sc:
-                per[ai] = {n_idx[s.graph]: c for s, c in sc.items()}
-        out.append(per)
-    return tuple(out)
+    moves = _relabellings(n, d)
+    zero: Dict[int, int] = {}  # marks a pair whose product vanishes
+    out: List[Dict[int, Dict[int, int]]] = [{} for _ in evens]
+    for g, x in enumerate(evens):
+        for a in by_lower.get(x.graph.upper_degrees, ()):
+            if a in out[g]:
+                continue  # filled from its orbit's representative
+            col = {n_idx[s.graph]: c for s, c in structure_constants(x, odds[a]).items()}
+            for gmap, amap, sign in moves:
+                sa = sign[a]
+                out[gmap[g]][amap[a]] = {amap[c]: sa * sign[c] * v for c, v in col.items()} if col else zero
+    return tuple({a: per[a] for a in sorted(per) if per[a]} for per in out)
 
 
 @lru_cache(maxsize=None)

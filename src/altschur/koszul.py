@@ -18,8 +18,19 @@ stores S⁻ once, as the table of its left action, and reads every other
 product with an odd factor off it.  Single products go through the
 index-keyed accessor ``_product``; the relation loops read the tables whole.
 phi, psi's commutant and D impose the same relations
-ρ(g) = (x ξ_g) ⊗ y − x ⊗ (ξ_g y), one per even symbol g, through one loop
-that each feeds only its tables, pairs and coordinates.
+ρ(g) = (x ξ_g) ⊗ y − x ⊗ (ξ_g y) through one loop that each feeds only its
+tables, pairs and coordinates.  ρ(g) is imposed only for the generators of
+S(n, d): the divided powers E_i^(r) 1_λ and F_i^(r) 1_λ, which are the ξ_g
+whose one off-diagonal entry sits at (i, i±1), and the idempotents 1_λ
+(Doty–Giaquinto, *Presenting Schur algebras*, IMRN 2002; Green, LNM 830,
+section 2).  That suffices: ρ is linear in g and
+
+    ρ_{gh}(x, y) = ρ_h(x ξ_g, y) + ρ_g(x, ξ_h y),
+
+so the relations of products of generators lie in the span of the
+generators' relations over all (x, y), and the products of generators span
+S(n, d) over Z.  For the same reason module maps, hom spaces and the Ringel
+dual need to commute only with the generators.
 
 Every linear map a module carries (the even and odd actions, θ, the actions
 built by D and by Hom_S(S⁻, −), S⁻ itself) is a list of sparse columns:
@@ -46,7 +57,7 @@ import random
 from dataclasses import dataclass, field as dataclass_field, InitVar
 from functools import lru_cache
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .fields import FieldSpec, GF, Scalar
 from .linalg import (
@@ -114,6 +125,8 @@ class IncompatibleTheta(ValueError):
 
 
 Pair = Tuple[int, int]
+# a table indexed by even symbol: a tuple over all of them, or a dict over some
+PerSymbol = Union[Sequence[Dict[int, SparseVec]], Dict[int, Dict[int, SparseVec]]]
 
 
 @lru_cache(maxsize=None)
@@ -148,6 +161,24 @@ def _int_column(col: Dict[int, int], field: FieldSpec, offset: int = 0) -> Spars
 def _diag_indices(n: int, d: int) -> List[int]:
     m_idx = graph_index("M", n, d)
     return [m_idx[gamma0_lambda(lam, n)] for lam in enum_Lambda(n, d)]
+
+
+@lru_cache(maxsize=None)
+def _generators(n: int, d: int) -> Tuple[int, ...]:
+    """Even indices of the divided powers E_i^(r) 1_λ and F_i^(r) 1_λ: the
+    graphs with exactly one non-zero off-diagonal entry, at (i, i+1) or
+    (i+1, i).  With the diagonal idempotents they generate S(n, d) over Z."""
+    out = []
+    for k, g in enumerate(enum_M(n, d)):
+        off = [i - j for i, row in enumerate(g.adj) for j, x in enumerate(row) if x and i != j]
+        if len(off) == 1 and abs(off[0]) == 1:
+            out.append(k)
+    return tuple(out)
+
+
+def _algebra_generators(n: int, d: int) -> List[int]:
+    """:func:`_generators` and the diagonal idempotents, in enum_M order."""
+    return sorted((*_generators(n, d), *_diag_indices(n, d)))
 
 
 def _check_columns(what: str, columns: Sequence[SparseVec], nrows: int, field: FieldSpec) -> None:
@@ -447,15 +478,16 @@ def _matched_pairs(first: Sequence[Margin], second: Sequence[Margin]) -> Tuple[L
 
 
 def _tensor_rows(
-    right: Sequence[Dict[int, SparseVec]], left: Sequence[Dict[int, SparseVec]],
+    right: PerSymbol, left: PerSymbol, gens: Iterable[int],
     pairs: Callable[[int], Iterable[Pair]], coord: Callable[[int, int], int], p: int = 0,
 ) -> Iterator[SparseVec]:
     """The relations ρ(g) = (x ξ_g) ⊗ y − x ⊗ (ξ_g y) of a tensor product over S:
     ``right[g]`` maps x to the column of x ξ_g, ``left[g]`` maps y to that of
-    ξ_g y (a missing key is a zero column).  Yields, g by g, the non-empty rows
-    for the pairs (x, y) of ``pairs(g)`` over the coordinates ``coord(x, y)``
-    of x ⊗ y, reduced mod ``p`` when it is non-zero."""
-    for g, (right_g, left_g) in enumerate(zip(right, left)):
+    ξ_g y (a missing key is a zero column).  Yields, for each g of ``gens`` in
+    turn, the non-empty rows for the pairs (x, y) of ``pairs(g)`` over the
+    coordinates ``coord(x, y)`` of x ⊗ y, reduced mod ``p`` when it is non-zero."""
+    for g in gens:
+        right_g, left_g = right[g], left[g]
         for x, y in pairs(g):
             # coord is injective, so each of the two terms hits a key once
             row = {coord(c, y): v for c, v in right_g.get(x, _ZERO).items()}
@@ -509,19 +541,18 @@ def _phi_surviving(n: int, d: int) -> Tuple[List[Pair], Dict[Pair, int]]:
 
 
 def _phi_relation_rows(n: int, d: int) -> Iterator[Dict[int, int]]:
-    """ρ(g) on ζ_a ⊗ ζ_b for every non-diagonal g, projected to the
-    surviving coordinates (integer rows)."""
-    Ms, diagonal = enum_M(n, d), set(_diag_indices(n, d))
+    """ρ(g) on ζ_a ⊗ ζ_b for every off-diagonal generator g, projected to the
+    surviving coordinates (integer rows); the diagonal ones are accounted
+    for by the projection."""
+    Ms = enum_M(n, d)
     _, coord = _phi_surviving(n, d)
     by_lower, by_upper = map(_positions, _odd_margins(n, d))
 
     def pairs(gi: int) -> Iterable[Pair]:
-        if gi in diagonal:
-            return ()  # diagonal symbols are already accounted for by the projection
         g = Ms[gi]
         return [(a, b) for a in by_upper.get(g.lower_degrees, ()) for b in by_lower.get(g.upper_degrees, ())]
 
-    return _tensor_rows(_right_dicts(n, d), _left_dicts(n, d), pairs, lambda a, b: coord[a, b])
+    return _tensor_rows(_right_dicts(n, d), _left_dicts(n, d), _generators(n, d), pairs, lambda a, b: coord[a, b])
 
 
 def phi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) -> PhiReport:
@@ -629,19 +660,17 @@ def _commutant_vars(n: int, d: int) -> Tuple[List[Pair], Dict[Pair, int]]:
 
 def _commutant_rows(n: int, d: int) -> Iterator[Dict[int, int]]:
     """Constraint rows of θ·R_g = R_g·θ over the block variables, for every
-    non-diagonal even symbol g: ρ(g) with θ[c, a] as the tensor coordinate
+    off-diagonal generator g: ρ(g) with θ[c, a] as the tensor coordinate
     (a, c), R_g acting on a from the right and its transpose on c."""
-    Ms, diagonal = enum_M(n, d), set(_diag_indices(n, d))
+    Ms = enum_M(n, d)
     _, var = _commutant_vars(n, d)
     by_upper = _positions(_odd_margins(n, d)[1])
 
     def pairs(gi: int) -> Iterable[Pair]:
-        if gi in diagonal:
-            return ()
         g = Ms[gi]
         return [(a, c) for c in by_upper.get(g.upper_degrees, ()) for a in by_upper.get(g.lower_degrees, ())]
 
-    return _tensor_rows(_right_dicts(n, d), _right_rows(n, d), pairs, lambda a, c: var[c, a])
+    return _tensor_rows(_right_dicts(n, d), _right_rows(n, d), _generators(n, d), pairs, lambda a, c: var[c, a])
 
 
 def psi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) -> PsiReport:
@@ -650,13 +679,13 @@ def psi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) ->
 
     The map is injective iff the kernel is zero and surjective iff the image
     dimension |M| − kernel_dim equals the commutant dimension.  The commutant
-    system is solved against all |M| generators: the diagonal ones in closed
-    form (they force block-diagonal shape) and the rest as linear rows.  It
-    splits over the weight blocks: the variable θ[c, a] lies in block
-    (c.lower, a.lower), and so do its constraint rows and the images of the
-    even symbols h with (h.lower, h.upper) equal to that pair.  The image of
-    the map lies in the commutant; :func:`_certified_dim` picks the rank path
-    from that bound.
+    system is solved against the generators of S(n, d): the diagonal
+    idempotents in closed form (they force block-diagonal shape) and the
+    divided powers as linear rows.  It splits over the weight blocks: the
+    variable θ[c, a] lies in block (c.lower, a.lower), and so do its
+    constraint rows and the images of the even symbols h with
+    (h.lower, h.upper) equal to that pair.  The image of the map lies in the
+    commutant; :func:`_certified_dim` picks the rank path from that bound.
     """
     check_basis_budget(n, d, cap)
     nM = len(enum_M(n, d))
@@ -700,11 +729,14 @@ def psi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) ->
 
 
 def _dual_relations(M: SModule) -> List[Dict[int, Scalar]]:
-    """ρ(g) on ζ_a ⊗ v for every even g, over coordinates a*dim + i."""
+    """ρ(g) on ζ_a ⊗ v for every generator g, the diagonal idempotents
+    included, over coordinates a*dim + i."""
     f, dim = M.field, M.dim
     nN = len(enum_N(M.n, M.d))
-    right = [{a: _int_column(col, f) for a, col in per.items()} for per in _right_dicts(M.n, M.d)]
-    left = [{i: col for i, col in enumerate(cols) if col} for cols in M.action]
+    gens = _algebra_generators(M.n, M.d)
+    right_dicts = _right_dicts(M.n, M.d)
+    right = {g: {a: _int_column(col, f) for a, col in right_dicts[g].items()} for g in gens}
+    left = {g: {i: col for i, col in enumerate(M.action[g]) if col} for g in gens}
 
     def pairs(g: int) -> Iterator[Pair]:
         for a in range(nN):
@@ -712,7 +744,7 @@ def _dual_relations(M: SModule) -> List[Dict[int, Scalar]]:
             for i in range(dim) if right[g].get(a) else left[g]:
                 yield a, i
 
-    return list(_tensor_rows(right, left, pairs, lambda a, i: a * dim + i, f.p))
+    return list(_tensor_rows(right, left, gens, pairs, lambda a, i: a * dim + i, f.p))
 
 
 def _tensor_quotient(M: SModule) -> Tuple[List[Dict[int, Scalar]], QuotientSpace]:
@@ -807,13 +839,15 @@ def eta_map(M: SModule) -> EtaReport:
 def ringel_dual(M: SModule, validate: str = "auto") -> SModule:
     """Hom_S(S⁻, M) as a left S-module.
 
-    The carrier is the joint solution space of h·L_g = A_g·h over all even
-    basis symbols; ξ_g then acts by precomposition with right multiplication.
+    The carrier is the joint solution space of h·L_g = A_g·h over the
+    generators g of S(n, d); ξ_g then acts by precomposition with right
+    multiplication.
     """
     f = M.field
     n, d = M.n, M.d
     nN = len(enum_N(n, d))
-    basis = intertwiner_space(list(zip(M.action, odd_smodule(n, d, f).action)), M.dim, nN, f)
+    odd = odd_smodule(n, d, f).action
+    basis = intertwiner_space([(M.action[g], odd[g]) for g in _algebra_generators(n, d)], M.dim, nN, f)
     solver = SpanSolver(f, basis)
     action = []
     for rows_g in _right_rows(n, d):
@@ -851,8 +885,8 @@ def pair_to_as_module(pair: ThetaPair, validate: str = "auto") -> ASModule:
     theta = pair.theta
     if len(theta) != D1.dim:
         raise ValueError(f"theta has shape {(dim, len(theta))}, expected {(dim, D1.dim)}")
-    for a_g, d_g in zip(M.action, D1.action):
-        if compose(theta, d_g, f) != compose(a_g, theta, f):
+    for g in _algebra_generators(n, d):
+        if compose(theta, D1.action[g], f) != compose(M.action[g], theta, f):
             raise IncompatibleTheta("theta is not a module map")
     odd_action = [
         compose(theta, [quotient.project({ai * dim + i: f.one}) for i in range(dim)], f) for ai in range(nN)
@@ -934,7 +968,8 @@ def _hom_vectors(source: SModule, target: SModule) -> List[SparseVec]:
     """Basis of Hom_S(source, target) over row-major coordinates r * source.dim + c."""
     if (source.n, source.d, source.field) != (target.n, target.d, target.field):
         raise ValueError("hom spaces need matching parameters and field")
-    return intertwiner_space(list(zip(target.action, source.action)), target.dim, source.dim, source.field)
+    pairs = [(target.action[g], source.action[g]) for g in _algebra_generators(source.n, source.d)]
+    return intertwiner_space(pairs, target.dim, source.dim, source.field)
 
 
 def _hom_matrix(vec: SparseVec, source: SModule, target: SModule) -> ExactMatrix:

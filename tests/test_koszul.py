@@ -2,6 +2,7 @@
 functor D with its natural transformations, and the (M, theta) equivalence."""
 
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -230,17 +231,65 @@ def test_odd_products_are_read_off_the_left_table(monkeypatch):
     assert len(mixed) == len(set(mixed))
 
 
-@pytest.mark.parametrize("n,d", [(2, 3), (3, 2)])
+def _relabelled(g, sigma):
+    """g with box i renamed sigma[i] on both sides (0-based)."""
+    adj = [[0] * g.n_up for _ in range(g.n_down)]
+    for i, row in enumerate(g.adj):
+        for j, x in enumerate(row):
+            adj[sigma[i]][sigma[j]] = x
+    return BipartiteGraph.from_adj(adj)
+
+
+def _orbit(g, a):
+    """The S_n-orbit of the pair (g, a), every box renamed on both sides."""
+    return frozenset((_relabelled(g, s), _relabelled(a, s)) for s in itertools.permutations(range(g.n_up)))
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (3, 3)])
 def test_build_table_convolves_each_even_odd_pair_once(monkeypatch, n, d):
-    """``build_table`` convolves no product with an odd left factor, and
-    each margin-matched ξ·ζ pair exactly once, for the left table."""
+    """``build_table`` convolves no product with an odd left factor.  Its ξ·ζ
+    products are convolved only while the left table is built, each on a
+    margin-matched pair, exactly one pair per S_n-orbit."""
     calls = _convolutions(monkeypatch, lambda: build_table(n, d))
     assert not [(x, y) for x, y, _ in calls if x.is_odd]
-    matched = [
-        (xi(g), zeta(a)) for g in enum_M(n, d) for a in enum_N(n, d) if g.upper_degrees == a.lower_degrees
-    ]
-    assert Counter((x, y) for x, y, _ in calls if y.is_odd) == Counter(matched)
+    mixed = [(x.graph, y.graph) for x, y, _ in calls if y.is_odd]
+    assert all(g.upper_degrees == a.lower_degrees for g, a in mixed)
+    orbits = {_orbit(g, a) for g in enum_M(n, d) for a in enum_N(n, d) if g.upper_degrees == a.lower_degrees}
+    assert Counter(_orbit(g, a) for g, a in mixed) == Counter(dict.fromkeys(orbits, 1))
     assert {caller for x, y, caller in calls if y.is_odd} == {"_left_dicts"}
+
+
+def _convolved_left_dicts(n, d):
+    """The left action ξ_g ζ_a read directly off the structure constants, for
+    every odd a whose lower margins meet the upper margins of g."""
+    Ns = enum_N(n, d)
+    n_idx = graph_index("N", n, d)
+    out = []
+    for g in enum_M(n, d):
+        per = {}
+        for ai, a in enumerate(Ns):
+            if a.lower_degrees == g.upper_degrees:
+                sc = structure_constants(xi(g), zeta(a))
+                if sc:
+                    per[ai] = {n_idx[s.graph]: c for s, c in sc.items()}
+        out.append(per)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n,d", MIRROR_CELLS + [(5, 2), pytest.param(4, 3, marks=pytest.mark.stretch)])
+def test_left_table_orbit_fill_equals_the_convolved_table(n, d):
+    """The left table, convolved on one pair per S_n-orbit and filled by
+    box relabelling, equals the products ξ_g ζ_a convolved one by one."""
+    assert algebra._left_dicts(n, d) == _convolved_left_dicts(n, d)
+
+
+def test_orbit_fill_gate_catches_a_dropped_relabelling_sign(monkeypatch):
+    monkeypatch.setattr(algebra, "relabel_sign", lambda g, sigma: 1)
+    _clear(*_TABLE_CACHES)
+    try:
+        assert any(algebra._left_dicts(n, d) != _convolved_left_dicts(n, d) for n, d in MIRROR_CELLS if n >= 2)
+    finally:
+        _clear(*_TABLE_CACHES)  # drop the tables built with the wrong sign
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2)])
@@ -563,6 +612,120 @@ def test_blockwise_reports_match_one_global_echelon(n, d, field):
     assert psi.commutant_dim == V - _global_rank(koszul._commutant_rows(n, d), field, bound)
 
 
+# -- relations for the generators only ------------------------------------------
+
+
+def _generated_dim(n, d, field):
+    """Dimension over ``field`` of the subalgebra generated by
+    ``koszul._generators`` and the diagonal idempotents: the span of the
+    generators, closed under left multiplication by them.  Every vector met
+    lies in one weight block, so only the generators whose upper margin is
+    that block's lower one act on it."""
+    Ms = enum_M(n, d)
+    gens = sorted({*koszul._generators(n, d), *koszul._diag_indices(n, d)})
+    by_lower = algebra._positions(g.lower_degrees for g in Ms)
+    acting = algebra._positions(Ms[g].upper_degrees for g in gens)
+    left = {g: {h: algebra._product(n, d, g, False, h, False) for h in by_lower[Ms[g].upper_degrees]} for g in gens}
+    ech = SparseEchelon(field)
+    queue = [{g: field.one} for g in gens]
+    while queue:
+        vec = ech.reduce(queue.pop())
+        if not vec:
+            continue
+        ech.add_row(vec)
+        for k in acting.get(Ms[next(iter(vec))].lower_degrees, ()):
+            g = gens[k]
+            out = {}
+            for h, x in vec.items():
+                for t, c in left[g][h].items():
+                    out[t] = field.add(out.get(t, field.zero), field.mul(x, field.from_int(c)))
+            queue.append({t: x for t, x in out.items() if x})
+    return ech.rank
+
+
+GENERATOR_CELLS = [(n, d) for n in range(1, 4) for d in range(1, 5)] + [(4, 2)]
+STRETCH_GENERATOR_CELLS = [pytest.param(4, d, marks=pytest.mark.stretch) for d in (3, 4)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=str)
+@pytest.mark.parametrize("n,d", GENERATOR_CELLS + STRETCH_GENERATOR_CELLS)
+def test_generators_generate_the_schur_algebra(n, d, field):
+    assert _generated_dim(n, d, field) == len(enum_M(n, d))
+
+
+def test_generators_are_the_divided_powers():
+    """At (3, 2): E_i^(r) 1_λ and F_i^(r) 1_λ for i = 1, 2 and r = 1, 2, that
+    is one off-diagonal entry r at (i, i+1) or (i+1, i) and 2 − r balls on
+    the diagonal: 4 · 3 graphs with r = 1 and 4 with r = 2."""
+    Ms = enum_M(3, 2)
+    offs = [
+        [(i, j) for i, row in enumerate(Ms[g].adj) for j, x in enumerate(row) if x and i != j]
+        for g in koszul._generators(3, 2)
+    ]
+    assert len(offs) == 16
+    assert all(len(off) == 1 and abs(off[0][0] - off[0][1]) == 1 for off in offs)
+
+
+def _every_off_diagonal(n, d):
+    """Every even index but the diagonal idempotents: ρ(g) for all of them is
+    the all-rows relation stream."""
+    diagonal = set(koszul._diag_indices(n, d))
+    return tuple(g for g in range(len(enum_M(n, d))) if g not in diagonal)
+
+
+def _analyses(monkeypatch, n, d, field, all_rows):
+    """The per-block relation ranks that phi and psi reach, and their reports,
+    from the generator rows or from all rows."""
+    ranks, recorded = koszul._Blocks.ranks, []
+
+    def recording(self, rows, bounds, f):
+        out = ranks(self, rows, bounds, f)
+        recorded.append(list(out))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(koszul._Blocks, "ranks", recording)
+        if all_rows:
+            m.setattr(koszul, "_generators", _every_off_diagonal)
+        phi, psi = phi_analysis(n, d, field, cap=6000), psi_analysis(n, d, field, cap=6000)
+    return recorded, phi.to_json_dict(), psi.to_json_dict(), psi.kernel_vectors
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=str)
+@pytest.mark.parametrize(
+    "n,d",
+    [(n, d) for n in range(1, 4) for d in range(1, 5)]
+    + [pytest.param(n, 5, marks=pytest.mark.stretch) for n in range(1, 4)]
+    + [pytest.param(4, 3, marks=pytest.mark.stretch)],
+)
+def test_generator_rows_reach_the_all_rows_ranks(monkeypatch, n, d, field):
+    """phi and psi from the generators' relations against the all-rows
+    stream: the same rank in every block, the same reports and kernel."""
+    assert _analyses(monkeypatch, n, d, field, False) == _analyses(monkeypatch, n, d, field, True)
+
+
+def test_relations_are_imposed_for_generators_only(monkeypatch):
+    """Every ρ(g) that phi, psi, D, η and the (M, θ) round trip impose is
+    for a generator or a diagonal idempotent."""
+    tensor_rows, seen = koszul._tensor_rows, set()
+
+    def recording(right, left, gens, pairs, coord, p=0):
+        gens = list(gens)
+        seen.update(gens)
+        return tensor_rows(right, left, gens, pairs, coord, p)
+
+    monkeypatch.setattr(koszul, "_tensor_rows", recording)
+    for n, d in [(2, 3), (3, 2)]:
+        seen.clear()
+        phi_analysis(n, d, QQ)
+        psi_analysis(n, d, QQ)
+        M = regular_smodule(n, d, GF(5))
+        eta_map(M)
+        pair_to_as_module(as_module_to_pair(regular_as_module(n, d, GF(5))))
+        allowed = {*koszul._generators(n, d), *koszul._diag_indices(n, d)}
+        assert seen and seen <= allowed
+
+
 CROSS_CELLS = [(1, 1), (2, 2), (2, 3), (3, 2), (2, 4)]
 CROSS_PARAMS = [(n, d, f) for n, d in CROSS_CELLS for f in (QQ, GF(3), GF(5))] + [
     pytest.param(3, 3, f, marks=pytest.mark.stretch) for f in (GF(3), GF(5))
@@ -633,6 +796,23 @@ def test_phi_psi_4_3(field, method):
     assert phi.iso and psi.iso
     assert phi.tensor_dim == phi.phi_rank == psi.commutant_dim == 816
     assert (phi.method, psi.method) == (method, method)
+
+
+@pytest.mark.stretch
+@pytest.mark.parametrize(
+    "n,d,field,phi_rank",
+    [(4, 4, GF(5), 3876), (4, 4, GF(3), 3620), (5, 3, GF(5), 2925)],
+    ids=["4-4-GF(5)", "4-4-GF(3)", "5-3-GF(5)"],
+)
+def test_phi_psi_beyond_the_default_cap(n, d, field, phi_rank):
+    """Cells past the default basis cap.  phi's tensor quotient has the
+    dimension of S(n, d) in each.  Over GF(3) at (4, 4) phi's rank falls
+    short by 256, the number of symbols with an entry 3, so phi is no
+    isomorphism there.  psi is an isomorphism in all three."""
+    nM = len(enum_M(n, d))
+    phi, psi = phi_analysis(n, d, field, cap=6000), psi_analysis(n, d, field, cap=6000)
+    assert (phi.tensor_dim, phi.phi_rank, phi.iso) == (nM, phi_rank, phi_rank == nM)
+    assert (psi.kernel_dim, psi.commutant_dim, psi.iso) == (0, nM, True)
 
 
 # -- the functor D ----------------------------------------------------------------
