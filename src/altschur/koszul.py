@@ -17,9 +17,12 @@ Products are read from the integer tables of :mod:`altschur.algebra`, which
 stores S⁻ once, as the table of its left action, and reads every other
 product with an odd factor off it.  Single products go through the
 index-keyed accessor ``_product``; the relation loops read the tables whole.
-phi, psi's commutant and D impose the same relations
-ρ(g) = (x ξ_g) ⊗ y − x ⊗ (ξ_g y) through one loop that each feeds only its
-tables, pairs and coordinates.  ρ(g) is imposed only for the generators of
+phi, psi's commutant, D, the hom spaces and the Ringel dual impose the same
+relations ρ(g) = (x ξ_g) ⊗ y − x ⊗ (ξ_g y) through one loop that each feeds
+only its tables, pairs and coordinates.  A hom space Hom_S(B, A) is the
+kernel of the rows A_g V − V B_g, with A_g read by rows as x ↦ x ξ_g and B_g
+by columns, and the Ringel dual is Hom_S(S⁻, M) with S⁻ acting on the
+right by precomposition.  ρ(g) is imposed only for the generators of
 S(n, d): the divided powers E_i^(r) 1_λ and F_i^(r) 1_λ, which are the ξ_g
 whose one off-diagonal entry sits at (i, i±1), and the idempotents 1_λ
 (Doty–Giaquinto, *Presenting Schur algebras*, IMRN 2002; Green, LNM 830,
@@ -29,8 +32,8 @@ section 2).  That suffices: ρ is linear in g and
 
 so the relations of products of generators lie in the span of the
 generators' relations over all (x, y), and the products of generators span
-S(n, d) over Z.  For the same reason module maps, hom spaces and the Ringel
-dual need to commute only with the generators.
+S(n, d) over Z.  For the same reason module maps need to commute only with
+the generators.
 
 Every linear map a module carries (the even and odd actions, θ, the actions
 built by D and by Hom_S(S⁻, −), S⁻ itself) is a list of sparse columns:
@@ -65,10 +68,9 @@ from .linalg import (
     QuotientSpace,
     SparseEchelon,
     SparseVec,
-    SpanSolver,
     add_scaled,
+    combine,
     compose,
-    intertwiner_space,
     sparse_kernel,
 )
 from .graphs import gamma0_lambda
@@ -110,6 +112,11 @@ _EXACT_CUTOFF = 600
 
 _SAMPLE_PAIRS = 25
 
+# find_module_isomorphism: random combinations tried after the basis homs,
+# and the seed that makes them reproducible.
+_ISO_ATTEMPTS = 64
+_ISO_SEED = 0
+
 # A linear map as its list of sparse columns (see the module docstring).
 Columns = List[SparseVec]
 _ZERO: SparseVec = {}  # the zero column
@@ -129,17 +136,19 @@ Pair = Tuple[int, int]
 PerSymbol = Union[Sequence[Dict[int, SparseVec]], Dict[int, Dict[int, SparseVec]]]
 
 
+def _transpose(columns: Iterable[Tuple[int, Dict[int, Scalar]]]) -> Dict[int, Dict[int, Scalar]]:
+    """The rows {r: {a: entry}} of a map given by its (a, column a) pairs."""
+    rows: Dict[int, Dict[int, Scalar]] = {}
+    for a, col in columns:
+        for r, v in col.items():
+            rows.setdefault(r, {})[a] = v
+    return rows
+
+
 @lru_cache(maxsize=None)
 def _right_rows(n: int, d: int) -> Tuple[Dict[int, Dict[int, int]], ...]:
     """Row-major transpose of :func:`_right_dicts`: per g, {c: {a: coeff}}."""
-    out: List[Dict[int, Dict[int, int]]] = []
-    for per in _right_dicts(n, d):
-        rows: Dict[int, Dict[int, int]] = {}
-        for a, col in per.items():
-            for c, v in col.items():
-                rows.setdefault(c, {})[a] = v
-        out.append(rows)
-    return tuple(out)
+    return tuple(_transpose(per.items()) for per in _right_dicts(n, d))
 
 
 def _int_column(col: Dict[int, int], field: FieldSpec, offset: int = 0) -> SparseVec:
@@ -499,6 +508,24 @@ def _tensor_rows(
                 yield row
 
 
+def _generator_rows(
+    n: int, d: int, right: Dict[int, Dict[int, SparseVec]], left: Sequence[Columns], nx: int, ny: int, p: int
+) -> Iterator[SparseVec]:
+    """ρ(g) on x ⊗ y over the coordinates x * ny + y, for every generator g
+    of S(n, d), the diagonal idempotents included: ``right[g]`` maps x to the
+    column of x ξ_g and ``left[g]`` is the map of ξ_g on the y side."""
+    gens = _algebra_generators(n, d)
+    left_cols = {g: {y: col for y, col in enumerate(left[g]) if col} for g in gens}
+
+    def pairs(g: int) -> Iterator[Pair]:
+        for x in range(nx):
+            # a row is empty unless x ξ_g or ξ_g y is non-zero
+            for y in range(ny) if right[g].get(x) else left_cols[g]:
+                yield x, y
+
+    return _tensor_rows(right, left_cols, gens, pairs, lambda x, y: x * ny + y, p)
+
+
 # ---------------------------------------------------------------------------
 # phi: multiplication of the odd component over the even subalgebra
 # ---------------------------------------------------------------------------
@@ -731,20 +758,9 @@ def psi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) ->
 def _dual_relations(M: SModule) -> List[Dict[int, Scalar]]:
     """ρ(g) on ζ_a ⊗ v for every generator g, the diagonal idempotents
     included, over coordinates a*dim + i."""
-    f, dim = M.field, M.dim
-    nN = len(enum_N(M.n, M.d))
-    gens = _algebra_generators(M.n, M.d)
-    right_dicts = _right_dicts(M.n, M.d)
-    right = {g: {a: _int_column(col, f) for a, col in right_dicts[g].items()} for g in gens}
-    left = {g: {i: col for i, col in enumerate(M.action[g]) if col} for g in gens}
-
-    def pairs(g: int) -> Iterator[Pair]:
-        for a in range(nN):
-            # a row is empty unless ζ_a ξ_g or ξ_g e_i is non-zero
-            for i in range(dim) if right[g].get(a) else left[g]:
-                yield a, i
-
-    return list(_tensor_rows(right, left, gens, pairs, lambda a, i: a * dim + i, f.p))
+    f, right_dicts = M.field, _right_dicts(M.n, M.d)
+    right = {g: {a: _int_column(col, f) for a, col in right_dicts[g].items()} for g in _algebra_generators(M.n, M.d)}
+    return list(_generator_rows(M.n, M.d, right, M.action, len(enum_N(M.n, M.d)), M.dim, f.p))
 
 
 def _tensor_quotient(M: SModule) -> Tuple[List[Dict[int, Scalar]], QuotientSpace]:
@@ -839,16 +855,18 @@ def eta_map(M: SModule) -> EtaReport:
 def ringel_dual(M: SModule, validate: str = "auto") -> SModule:
     """Hom_S(S⁻, M) as a left S-module.
 
-    The carrier is the joint solution space of h·L_g = A_g·h over the
-    generators g of S(n, d); ξ_g then acts by precomposition with right
-    multiplication.
+    The carrier is :func:`_hom_vectors` from the odd module to M; ξ_g acts
+    by precomposition with right multiplication.  That basis is canonical
+    (see :func:`~altschur.linalg.sparse_kernel`), so the coordinates of an
+    image are its values at the basis vectors' largest keys.  An image they
+    do not rebuild (one outside the hom space, or a basis that is not
+    canonical) raises ``RuntimeError``.
     """
     f = M.field
     n, d = M.n, M.d
     nN = len(enum_N(n, d))
-    odd = odd_smodule(n, d, f).action
-    basis = intertwiner_space([(M.action[g], odd[g]) for g in _algebra_generators(n, d)], M.dim, nN, f)
-    solver = SpanSolver(f, basis)
+    basis = _hom_vectors(odd_smodule(n, d, f), M)
+    keys = [max(h) for h in basis]
     action = []
     for rows_g in _right_rows(n, d):
         cols = []
@@ -857,10 +875,10 @@ def ringel_dual(M: SModule, validate: str = "auto") -> SModule:
             for coord, val in h.items():
                 r, k = divmod(coord, nN)
                 add_scaled(image, val, {r * nN + c2: f.from_int(v) for c2, v in rows_g.get(k, {}).items()}, f)
-            coords = solver.coordinates(image)
-            if coords is None:
-                raise RuntimeError("hom space is not stable under the right action")
-            cols.append({j: x for j, x in enumerate(coords) if x})
+            col = {j: image[key] for j, key in enumerate(keys) if key in image}
+            if combine(basis, col, f) != image:
+                raise RuntimeError("right action image is not rebuilt from the hom basis")
+            cols.append(col)
         action.append(cols)
     return SModule(n, d, f, len(basis), action, validate=validate)
 
@@ -965,11 +983,18 @@ def zero_smodule(n: int, d: int, field: FieldSpec) -> SModule:
 
 
 def _hom_vectors(source: SModule, target: SModule) -> List[SparseVec]:
-    """Basis of Hom_S(source, target) over row-major coordinates r * source.dim + c."""
+    """Basis of Hom_S(source, target) over row-major coordinates r * source.dim + c.
+
+    The maps V with A_g V = V B_g for every generator g of S(n, d), A_g the
+    action on ``target`` and B_g that on ``source``: the canonical kernel
+    basis of the rows (A_g V − V B_g)[r, c], with A_g read by rows.
+    """
     if (source.n, source.d, source.field) != (target.n, target.d, target.field):
         raise ValueError("hom spaces need matching parameters and field")
-    pairs = [(target.action[g], source.action[g]) for g in _algebra_generators(source.n, source.d)]
-    return intertwiner_space(pairs, target.dim, source.dim, source.field)
+    n, d, f = source.n, source.d, source.field
+    right = {g: _transpose(enumerate(target.action[g])) for g in _algebra_generators(n, d)}
+    rows = _generator_rows(n, d, right, source.action, target.dim, source.dim, f.p)
+    return sparse_kernel(rows, target.dim * source.dim, f)
 
 
 def _hom_matrix(vec: SparseVec, source: SModule, target: SModule) -> ExactMatrix:
@@ -985,14 +1010,12 @@ def module_homs(source: SModule, target: SModule) -> List[ExactMatrix]:
     return [_hom_matrix(vec, source, target) for vec in _hom_vectors(source, target)]
 
 
-def find_module_isomorphism(
-    source: SModule, target: SModule, attempts: int = 64, rng_seed: int = 0
-) -> Optional[ExactMatrix]:
+def find_module_isomorphism(source: SModule, target: SModule) -> Optional[ExactMatrix]:
     """Search the hom space for an invertible element; None if not found.
 
-    Tries each basis hom, then seeded random small-integer combinations, so a
-    returned witness is reproducible.  Absence of a witness after ``attempts``
-    tries is not a proof that none exists.
+    Tries each basis hom, then ``_ISO_ATTEMPTS`` random small-integer
+    combinations seeded with ``_ISO_SEED``, so a returned witness is
+    reproducible.  Absence of a witness is not a proof that none exists.
     """
     if source.dim != target.dim:
         return None
@@ -1004,8 +1027,8 @@ def find_module_isomorphism(
         h = _hom_matrix(vec, source, target)
         if h.rank() == source.dim:
             return h
-    rng = random.Random(rng_seed)
-    for _ in range(attempts):
+    rng = random.Random(_ISO_SEED)
+    for _ in range(_ISO_ATTEMPTS):
         combo: SparseVec = {}
         for vec in vecs:
             add_scaled(combo, f.from_int(rng.randint(-3, 3)), vec, f)

@@ -10,22 +10,23 @@ There is one elimination core, :class:`SparseEchelon`: dict-keyed rows,
 forward reduction only, the smallest key of a row as its pivot.  Everything
 else is built on it: the rank of an :class:`ExactMatrix`, the fully reduced
 form :func:`rref_sparse` (back-substitution over the echelon), the kernels
-of :func:`sparse_kernel`, the quotients of :class:`QuotientSpace`, the span
-coordinates of :class:`SpanSolver` (rows extended by unit coordinates that
-record their combinations) and the hom spaces of :func:`intertwiner_space`.
+of :func:`sparse_kernel` and the quotients of :class:`QuotientSpace`.  Hom
+spaces are kernels: :mod:`altschur.koszul` writes their defining relations
+as rows and reads coordinates in them off the canonical kernel basis.
 
 Everything here is deterministic: rows are reduced in their given order, so
 ranks, kernels and reduced forms are reproducible across runs and platforms.
 Scalars are raw values (``Fraction`` over Q, canonical ints over GF(p)).
-The large, redundant relation systems of :mod:`altschur.koszul` are split
-into their weight-space blocks by the caller and run one small echelon per
-block, so no elimination ever spans the whole ambient space.
+The large, redundant relation systems of phi and psi in
+:mod:`altschur.koszul` are split into their weight-space blocks by the
+caller and run one small echelon per block; the quotient behind D and the
+hom-space kernels still run one elimination over their whole ambient space.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .fields import FieldSpec, Scalar
 
@@ -36,11 +37,9 @@ __all__ = [
     "combine",
     "compose",
     "SparseEchelon",
-    "SpanSolver",
     "QuotientSpace",
     "rref_sparse",
     "sparse_kernel",
-    "intertwiner_space",
 ]
 
 SparseVec = Dict[int, Scalar]
@@ -185,13 +184,7 @@ def rref_sparse(rows: Iterable[SparseVec], field: FieldSpec) -> Dict[int, Sparse
         row = ech.pivot_rows[p]
         for q in list(row):
             if q != p and q in ech.pivot_rows:
-                coef = row[q]
-                for k, v in ech.pivot_rows[q].items():
-                    new = f.sub(row.get(k, f.zero), f.mul(coef, v))
-                    if new:
-                        row[k] = new
-                    else:
-                        row.pop(k, None)
+                add_scaled(row, f.neg(row[q]), ech.pivot_rows[q], f)
     return ech.pivot_rows
 
 
@@ -202,6 +195,12 @@ def sparse_kernel(rows: Iterable[SparseVec], ncols: int, field: FieldSpec) -> Li
     (free coordinate 1).  Columns never touched by any row are free and yield
     unit vectors, so the vectors stay sparse when the system only constrains
     a small corner of a huge space.
+
+    The basis is canonical: a pivot is the smallest key of its reduced row,
+    so the largest key of each vector is its free column, where it is 1 and
+    every other vector is 0.  The basis depends only on the kernel, not on
+    the rows that cut it out, and the coordinates of a kernel element are
+    its values at those largest keys.
     """
     f = field
     reduced = rref_sparse(rows, f)
@@ -269,87 +268,3 @@ class QuotientSpace:
     def lift(self, k: int) -> SparseVec:
         """Ambient unit vector representing quotient basis vector ``k``."""
         return {self.basis_coords[k]: self.field.one}
-
-
-class SpanSolver:
-    """Express vectors in the span of a fixed list of sparse basis vectors.
-
-    Basis vector i enters one :class:`SparseEchelon` extended by the unit
-    coordinate ``offset + i``, where ``offset`` lies past every ambient key,
-    so each stored row carries the combination of basis vectors that
-    produced it.  Reducing a vector w leaves ``w - sum c_i basis_i`` on the
-    ambient keys and ``-c`` on the extension keys.
-    """
-
-    def __init__(self, field: FieldSpec, basis: Sequence[SparseVec]):
-        self.field = field
-        self.n = len(basis)
-        self.offset = 1 + max((k for vec in basis for k in vec), default=-1)
-        self.echelon = SparseEchelon(field)
-        for i, vec in enumerate(basis):
-            self.echelon.add_row({**vec, self.offset + i: field.one})
-
-    def coordinates(self, vec: SparseVec) -> Optional[List[Scalar]]:
-        """Coefficients c with ``sum c_i basis_i == vec``, or None if outside."""
-        f, offset = self.field, self.offset
-        if any(k >= offset for k, v in vec.items() if v):
-            return None
-        residue = self.echelon.reduce(vec)
-        if any(k < offset for k in residue):
-            return None
-        out = [f.zero] * self.n
-        for k, c in residue.items():
-            out[k - offset] = f.neg(c)
-        return out
-
-
-def intertwiner_space(
-    pairs: Sequence[Tuple[Sequence[SparseVec], Sequence[SparseVec]]],
-    nrows: int,
-    ncols: int,
-    field: FieldSpec,
-) -> List[SparseVec]:
-    """Joint solution space ``{V in F^{nrows x ncols} : P V = V Q for all (P, Q)}``.
-
-    ``P`` and ``Q`` are given as lists of sparse columns.  Returns sparse
-    vectors over row-major coordinates ``r * ncols + c``.  The space is cut
-    down one constraint at a time; constraints are imposed in order of
-    increasing support so that near-diagonal ones (whose kernels are
-    coordinate subspaces) collapse the dimension early.  Starting from the
-    unit basis, each pair maps the current basis through ``V -> P V - V Q``
-    and keeps the combinations in the kernel.  Every pair is imposed, none
-    is assumed redundant.
-    """
-
-    def nnz(columns: Sequence[SparseVec]) -> int:
-        return sum(len(col) for col in columns)
-
-    order = sorted(range(len(pairs)), key=lambda i: (nnz(pairs[i][0]) + nnz(pairs[i][1]), i))
-    f = field
-    basis: List[SparseVec] = [{c: f.one} for c in range(nrows * ncols)]
-
-    for idx in order:
-        p_cols, q_cols = pairs[idx]
-        q_rows: List[SparseVec] = [{} for _ in range(ncols)]
-        for c, col in enumerate(q_cols):
-            for k, v in col.items():
-                q_rows[k][c] = v
-
-        def constraint_image(vec: SparseVec) -> SparseVec:
-            # image coordinate (r, c): sum_k P[r,k] V[k,c] - sum_k V[r,k] Q[k,c]
-            out: SparseVec = {}
-            for coord, val in vec.items():
-                k, c = divmod(coord, ncols)
-                add_scaled(out, val, {r * ncols + c: pv for r, pv in p_cols[k].items()}, f)
-                add_scaled(out, f.neg(val), {k * ncols + c2: qv for c2, qv in q_rows[c].items()}, f)
-            return out
-
-        # kernel of the (output coords) x len(basis) sparse system
-        rows_by_out: Dict[int, SparseVec] = {}
-        for col, b in enumerate(basis):
-            for out_coord, val in constraint_image(b).items():
-                rows_by_out.setdefault(out_coord, {})[col] = val
-        basis = [combine(basis, combo, f) for combo in sparse_kernel(rows_by_out.values(), len(basis), f)]
-        if not basis:
-            return []
-    return basis

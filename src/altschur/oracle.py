@@ -223,25 +223,23 @@ def decompose(
     op: OperatorMatrix,
     parity: str,
     field: FieldSpec = QQ,
-    rng_seed: int = 0,
     spot_checks: int = 8,
-    rebuild_check: bool = True,
 ) -> GradedElement:
     """Read an equivariant integer matrix back as a combination of symbols.
 
     Coefficients are read at the representative pair of each graph of the
-    stated parity.  Equivariance is spot-checked on ``spot_checks`` seeded
-    random permutations (NonEquivariantError on failure); for odd parity the
-    matrix must vanish at non-transverse pairs (NonZeroAtNonTransverse).
-    With ``rebuild_check`` the combination is re-materialized from the
-    symbols' blocks and compared entrywise, so a successful return is a
+    stated parity.  Equivariance is spot-checked on ``spot_checks``
+    random permutations from a fixed seed (NonEquivariantError on failure);
+    for odd parity the matrix must vanish at non-transverse pairs
+    (NonZeroAtNonTransverse).  The combination is then re-materialized from
+    the symbols' blocks and compared entrywise, so a successful return is a
     proof of membership.
     """
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
     n, d, m = op.n, op.d, op.matrix
     p = field.characteristic
-    rng = random.Random(rng_seed)
+    rng = random.Random(0)
     sign_needed = parity == "odd"
 
     def differs(x: np.ndarray, y: np.ndarray) -> bool:
@@ -267,27 +265,26 @@ def decompose(
         c = int(m[word_index(s_word, n), word_index(u_word, n)])
         if c:
             coeffs[BasisSymbol(parity, g)] = c
-    if rebuild_check:
-        rebuilt = np.zeros_like(m)
-        for sym, c in coeffs.items():
-            _add_block(rebuilt, sym, c)
-        if differs(rebuilt, m):
-            residue = (m - rebuilt) % p if p else m - rebuilt
-            if parity == "odd":
-                rows, cols = np.nonzero(residue)
-                words = list(enum_B(n, d))
-                for r, c2 in zip(rows, cols):
-                    try:
-                        pair_sign(words[r], words[c2])
-                    except Exception:
-                        raise NonZeroAtNonTransverseError(
-                            f"odd kernel has value {int(residue[r, c2])} at the "
-                            f"non-transverse pair ({words[r]}, {words[c2]})"
-                        ) from None
-            raise DecompositionError(
-                "matrix is not an integer combination of basis operators "
-                f"of parity {parity}"
-            )
+    rebuilt = np.zeros_like(m)
+    for sym, c in coeffs.items():
+        _add_block(rebuilt, sym, c)
+    if differs(rebuilt, m):
+        residue = (m - rebuilt) % p if p else m - rebuilt
+        if parity == "odd":
+            rows, cols = np.nonzero(residue)
+            words = list(enum_B(n, d))
+            for r, c2 in zip(rows, cols):
+                try:
+                    pair_sign(words[r], words[c2])
+                except Exception:
+                    raise NonZeroAtNonTransverseError(
+                        f"odd kernel has value {int(residue[r, c2])} at the "
+                        f"non-transverse pair ({words[r]}, {words[c2]})"
+                    ) from None
+        raise DecompositionError(
+            "matrix is not an integer combination of basis operators "
+            f"of parity {parity}"
+        )
     terms = {sym: field.from_int(c) for sym, c in coeffs.items()}
     return GradedElement(n, d, field, terms)
 

@@ -16,6 +16,7 @@ from altschur.algebra import BasisSymbol, GradedElement, all_symbols, xi, zeta
 from altschur.enumeration import enum_B, enum_M, enum_N, graph_index, words_with_content
 from altschur.fields import FieldSpec, Scalar
 from altschur.graphs import Word, pair_sign
+from altschur.linalg import SparseVec, add_scaled, combine, sparse_kernel
 from altschur.oracle import VerifyReport
 
 
@@ -258,6 +259,61 @@ def dense_product_failure(
         if lhs != rhs:
             return i, j
     return None
+
+
+# An iterated hom-space solver: it cuts the space down one pair at a time, so
+# it checks the one-shot kernels of altschur.koszul by a different order of
+# work.
+def intertwiner_space(
+    pairs: Sequence[Tuple[Sequence[SparseVec], Sequence[SparseVec]]],
+    nrows: int,
+    ncols: int,
+    field: FieldSpec,
+) -> List[SparseVec]:
+    """Joint solution space ``{V in F^{nrows x ncols} : P V = V Q for all (P, Q)}``.
+
+    ``P`` and ``Q`` are given as lists of sparse columns.  Returns sparse
+    vectors over row-major coordinates ``r * ncols + c``.  The space is cut
+    down one constraint at a time; constraints are imposed in order of
+    increasing support so that near-diagonal ones (whose kernels are
+    coordinate subspaces) collapse the dimension early.  Starting from the
+    unit basis, each pair maps the current basis through ``V -> P V - V Q``
+    and keeps the combinations in the kernel.  Every pair is imposed, none
+    is assumed redundant.
+    """
+
+    def nnz(columns: Sequence[SparseVec]) -> int:
+        return sum(len(col) for col in columns)
+
+    order = sorted(range(len(pairs)), key=lambda i: (nnz(pairs[i][0]) + nnz(pairs[i][1]), i))
+    f = field
+    basis: List[SparseVec] = [{c: f.one} for c in range(nrows * ncols)]
+
+    for idx in order:
+        p_cols, q_cols = pairs[idx]
+        q_rows: List[SparseVec] = [{} for _ in range(ncols)]
+        for c, col in enumerate(q_cols):
+            for k, v in col.items():
+                q_rows[k][c] = v
+
+        def constraint_image(vec: SparseVec) -> SparseVec:
+            # image coordinate (r, c): sum_k P[r,k] V[k,c] - sum_k V[r,k] Q[k,c]
+            out: SparseVec = {}
+            for coord, val in vec.items():
+                k, c = divmod(coord, ncols)
+                add_scaled(out, val, {r * ncols + c: pv for r, pv in p_cols[k].items()}, f)
+                add_scaled(out, f.neg(val), {k * ncols + c2: qv for c2, qv in q_rows[c].items()}, f)
+            return out
+
+        # kernel of the (output coords) x len(basis) sparse system
+        rows_by_out: Dict[int, SparseVec] = {}
+        for col, b in enumerate(basis):
+            for out_coord, val in constraint_image(b).items():
+                rows_by_out.setdefault(out_coord, {})[col] = val
+        basis = [combine(basis, combo, f) for combo in sparse_kernel(rows_by_out.values(), len(basis), f)]
+        if not basis:
+            return []
+    return basis
 
 
 @functools.lru_cache(maxsize=None)

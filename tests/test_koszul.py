@@ -33,9 +33,9 @@ from altschur.koszul import (
     zero_smodule,
 )
 from altschur.algebra import build_table, structure_constants, xi, zeta
-from altschur.linalg import ExactMatrix, SparseEchelon, SpanSolver, intertwiner_space, sparse_kernel
+from altschur.linalg import ExactMatrix, SparseEchelon, add_scaled, sparse_kernel
 
-from bruteforce import dense_product_failure
+from bruteforce import dense_product_failure, intertwiner_space
 
 
 def scaled(columns, c, field):
@@ -514,8 +514,11 @@ def test_psi_kernel_contains_parallel_edge_symbol():
     symbol kills every odd symbol."""
     report = psi_analysis(2, 3, QQ)
     target = graph_index("M", 2, 3)[BipartiteGraph.from_adj([[3, 0], [0, 0]])]
-    solver = SpanSolver(QQ, report.kernel_vectors)
-    assert solver.coordinates({target: QQ.one}) is not None
+    echelon = SparseEchelon(QQ)
+    for vec in report.kernel_vectors:
+        echelon.add_row(vec)
+    # in the span: adding the target does not raise the rank
+    assert not echelon.add_row({target: QQ.one})
 
 
 def test_psi_kernel_elements_annihilate():
@@ -741,7 +744,7 @@ def test_phi_tensor_is_the_dual_of_the_odd_module(n, d, field):
 @pytest.mark.parametrize("n,d,field", CROSS_PARAMS, ids=str)
 def test_psi_commutant_matches_intertwiner_space(n, d, field):
     """psi's commutant against the joint solution space of θ R_g = R_g θ,
-    solved by intertwiner_space from the convolved right action."""
+    solved by the iterated reference from the convolved right action."""
     nN = len(enum_N(n, d))
     right = [
         [{c: field.from_int(v) for c, v in sorted(per.get(a, {}).items()) if field.from_int(v)} for a in range(nN)]
@@ -884,6 +887,49 @@ def test_module_homs_parameter_mismatch():
         module_homs(regular_smodule(2, 2, QQ), regular_smodule(2, 2, GF(5)))
 
 
+# -- hom spaces against the iterated reference ---------------------------------------
+
+
+HOM_CELLS = [(n, d) for n in range(1, 4) for d in range(1, 3)] + [(2, 3)]
+HOM_PARAMS = [(n, d, f) for n, d in HOM_CELLS for f in (QQ, GF(3), GF(5))] + [
+    pytest.param(3, 3, f, marks=pytest.mark.stretch) for f in (QQ, GF(3), GF(5))
+]
+
+
+@pytest.mark.parametrize("n,d,field", HOM_PARAMS, ids=str)
+def test_hom_vectors_match_the_iterated_reference(n, d, field):
+    """The one-shot kernel of the generator rows equals, list for list, the
+    space the iterated reference cuts down one even symbol at a time, every
+    symbol imposed, for Hom(M, M), Hom(D M, M), Hom(S⁻, M) and every
+    Hom(column_module(λ), M) on the regular module M."""
+    M = regular_smodule(n, d, field)
+    sources = [M, koszul_dual(M), odd_smodule(n, d, field)]
+    sources += [column_module(n, d, field, lam) for lam in enum_Lambda(n, d)]
+    for source in sources:
+        pairs = [(M.action[g], source.action[g]) for g in range(len(enum_M(n, d)))]
+        assert koszul._hom_vectors(source, M) == intertwiner_space(pairs, M.dim, source.dim, field)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_ringel_dual_catches_a_basis_that_is_not_canonical(monkeypatch, field):
+    """With the second kernel vector added to the first, the basis spans the
+    same space but the coordinates read at the largest keys are wrong, so the
+    right action must fail its rebuild check instead of coming out wrong."""
+    kernel = koszul.sparse_kernel
+
+    def skewed(rows, ncols, f):
+        basis = kernel(rows, ncols, f)
+        first = dict(basis[0])
+        add_scaled(first, f.one, basis[1], f)
+        return [first, *basis[1:]]
+
+    M = regular_smodule(2, 2, field)
+    assert len(koszul._hom_vectors(odd_smodule(2, 2, field), M)) >= 2
+    monkeypatch.setattr(koszul, "sparse_kernel", skewed)
+    with pytest.raises(RuntimeError, match="not rebuilt from the hom basis"):
+        ringel_dual(M)
+
+
 def _entries(m, nrows=None):
     """Dense entries as strings.  A map in sparse column form is densified
     first, with ``nrows`` rows (default: square)."""
@@ -900,8 +946,9 @@ def _digest(obj):
 
 # sha256 of Hom(M, M), Hom(D(M), M), the action of the Ringel dual and the
 # isomorphism witness M -> M (entries as strings), with eta's (rank,
-# source_dim), on the regular module; recorded while ExactMatrix.rank,
-# SpanSolver and intertwiner_space still ran their own elimination loops.
+# source_dim), on the regular module; recorded while ExactMatrix.rank, span
+# coordinates and the iterated hom-space solver still ran their own
+# elimination loops.
 PINNED_HOMS = [
     (QQ, 2, 2, 10, 10, (
         "47cae0eb4b6d60c69bb5e016bad08c772b4ed9555271bb1ebb3446a56ff3a57f",
