@@ -44,9 +44,14 @@ is an automorphism of the operators: it sends ξ_g to ξ_{σg} and ζ_a to
 s_σ(a) ζ_{σa}, since the ball labelling that ζ_a reads is renamed with
 the boxes.
 
-So only ξ·ξ products, and ξ·ζ products on one pair per S_n-orbit, are
-convolved.  Single products are read by index through :func:`_product`,
-which :func:`build_table` and the duality diagnostics share.
+On S(n, d) neither σ nor ι needs a sign: the coefficient of ξ_{σk} in
+ξ_{σg} ξ_{σh}, and that of ξ_{k*} in ξ_{h*} ξ_{g*}, equal the coefficient
+of ξ_k in ξ_g ξ_h.
+
+So ξ·ξ products are convolved on one pair per S_n × ⟨ι⟩-orbit, and ξ·ζ
+products on one pair per S_n-orbit.  Single products are read by index
+through :func:`_product`, which :func:`build_table` and the duality
+diagnostics share.
 """
 
 from __future__ import annotations
@@ -578,7 +583,8 @@ def _positions(keys: Iterable[Margin]) -> Dict[Margin, List[int]]:
     return out
 
 
-def _relabellings(n: int, d: int) -> List[Tuple[List[int], List[int], List[int]]]:
+@lru_cache(maxsize=None)
+def _relabellings(n: int, d: int) -> Tuple[Tuple[List[int], List[int], List[int]], ...]:
     """Per σ ∈ S_n: the index of σg per even index, the index of σa per odd
     index, and s_σ(a) = :func:`relabel_sign` per odd index.
 
@@ -609,7 +615,7 @@ def _relabellings(n: int, d: int) -> List[Tuple[List[int], List[int], List[int]]
                     found[key] = ([tg[g] for g in gmap], [ta[a] for a in amap], [ts[b] * s for b, s in zip(amap, sign)])
                     nxt.append(key)
         frontier = nxt
-    return list(found.values())
+    return tuple(found.values())
 
 
 @lru_cache(maxsize=None)
@@ -633,6 +639,29 @@ def _left_dicts(n: int, d: int) -> IntTable:
                 sa = sign[a]
                 out[gmap[g]][amap[a]] = {amap[c]: sa * sign[c] * v for c, v in col.items()} if col else zero
     return tuple({a: per[a] for a in sorted(per) if per[a]} for per in out)
+
+
+@lru_cache(maxsize=None)
+def _even_dicts(n: int, d: int) -> IntTable:
+    """Per even index g: {h: {k: coeff of ξ_k in ξ_g ξ_h}} over even indices.
+
+    One margin-matched pair (g, h) per S_n × ⟨ι⟩-orbit is convolved; the
+    others are filled by box relabelling and by ι (see the module docstring)."""
+    evens = _symbols(n, d)[0]
+    m_idx = graph_index("M", n, d)
+    by_lower = _positions(x.graph.lower_degrees for x in evens)
+    gstar = _iota_indices(n, d)[0]
+    out: List[Dict[int, Dict[int, int]]] = [{} for _ in evens]
+    for g, x in enumerate(evens):
+        for h in by_lower.get(x.graph.upper_degrees, ()):
+            if h in out[g]:
+                continue  # filled from its orbit's representative
+            col = {m_idx[s.graph]: c for s, c in structure_constants(x, evens[h]).items()}
+            for gmap, _, _ in _relabellings(n, d):
+                image = {gmap[k]: v for k, v in col.items()}
+                out[gmap[g]][gmap[h]] = image
+                out[gstar[gmap[h]]][gstar[gmap[g]]] = {gstar[k]: v for k, v in image.items()}
+    return tuple({h: per[h] for h in sorted(per) if per[h]} for per in out)
 
 
 @lru_cache(maxsize=None)
@@ -676,16 +705,14 @@ def _odd_dicts(n: int, d: int) -> IntTable:
 def _product(n: int, d: int, i: int, left_odd: bool, j: int, right_odd: bool) -> Dict[int, int]:
     """The product of the i-th and the j-th basis symbol of the given
     parities, as {k: integer coefficient of the k-th basis symbol of the
-    product's parity}.  Read-only: odd factors read the cached S⁻ tables,
-    and only ξ·ξ convolves."""
+    product's parity}.  Read-only: every product is read off a cached table."""
     if left_odd and right_odd:
         return _odd_dicts(n, d)[i].get(j, {})
     if left_odd:
         return _right_dicts(n, d)[j].get(i, {})
     if right_odd:
         return _left_dicts(n, d)[i].get(j, {})
-    evens, m_idx = _symbols(n, d)[0], graph_index("M", n, d)
-    return {m_idx[s.graph]: c for s, c in structure_constants(evens[i], evens[j]).items()}
+    return _even_dicts(n, d)[i].get(j, {})
 
 
 # -- the product table and its file --------------------------------------------
@@ -725,17 +752,16 @@ def save_table(table: Dict[Pair, Terms], n: int, d: int, path: str) -> None:
     target directory and renamed into place, so ``path`` either holds a
     complete table or does not exist.
     """
-    key = {s: s.sort_key() for pair, terms in table.items() for s in (*pair, *terms)}
-    as_json = {s: s.to_json_dict() for s in key}
-    entries = [
-        {
-            "left": as_json[a],
-            "right": as_json[b],
-            "terms": [[as_json[s], c] for s, c in sorted(terms.items(), key=lambda kv: key[kv[0]])],
-        }
-        for (a, b), terms in sorted(table.items(), key=lambda kv: (key[kv[0][0]], key[kv[0][1]]))
-    ]
-    text = json.dumps({"n": n, "d": d, "entries": entries}, separators=(",", ":"), sort_keys=True)
+    # each symbol is ranked and formatted once; the text is what json.dumps
+    # writes with sort_keys=True and separators (",", ":")
+    syms = sorted({s for pair, terms in table.items() for s in (*pair, *terms)}, key=BasisSymbol.sort_key)
+    rank = {s: r for r, s in enumerate(syms)}
+    frag = [json.dumps(s.to_json_dict(), separators=(",", ":"), sort_keys=True) for s in syms]
+    entries = []
+    for a, b in sorted(table, key=lambda pair: (rank[pair[0]], rank[pair[1]])):
+        terms = ",".join(f"[{frag[r]},{c}]" for r, c in sorted((rank[s], c) for s, c in table[a, b].items()))
+        entries.append(f'{{"left":{frag[rank[a]]},"right":{frag[rank[b]]},"terms":[{terms}]}}')
+    text = f'{{"d":{d},"entries":[{",".join(entries)}],"n":{n}}}'
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     fh = open(tmp, "x", encoding="utf-8")
     try:

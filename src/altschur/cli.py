@@ -164,9 +164,10 @@ def cmd_table(args: argparse.Namespace) -> int:
         save_table(table, n, d, path)
         _note(f"cache written: {path}")
     counts = {"even*even": 0, "even*odd": 0, "odd*even": 0, "odd*odd": 0}
+    p = field.characteristic
     for (a, b), terms in table.items():
         case = f"{'odd' if a.is_odd else 'even'}*{'odd' if b.is_odd else 'even'}"
-        counts[case] += sum(1 for c in terms.values() if field.from_int(c))
+        counts[case] += sum(1 for c in terms.values() if (c % p if p else c))
     n_syms = basis_size(n, d)
     n_pairs = n_syms**2
     if args.json:

@@ -7,6 +7,7 @@ code paths under test, so a match is evidence rather than tautology.
 
 import functools
 import itertools
+import json
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -369,3 +370,20 @@ def dense_verify_table(
                 )
             report.pairs_checked += 1
     return report
+
+
+def table_json(table: Dict[Tuple[BasisSymbol, BasisSymbol], Dict[BasisSymbol, int]], n: int, d: int) -> str:
+    """The canonical JSON text of a product table, built as nested dicts and
+    serialised by one ``json.dumps(..., sort_keys=True)`` call: entries sorted
+    by (left, right) and terms by symbol, both in ``sort_key`` order."""
+    key = {s: s.sort_key() for pair, terms in table.items() for s in (*pair, *terms)}
+    as_json = {s: s.to_json_dict() for s in key}
+    entries = [
+        {
+            "left": as_json[a],
+            "right": as_json[b],
+            "terms": [[as_json[s], c] for s, c in sorted(terms.items(), key=lambda kv: key[kv[0]])],
+        }
+        for (a, b), terms in sorted(table.items(), key=lambda kv: (key[kv[0][0]], key[kv[0][1]]))
+    ]
+    return json.dumps({"n": n, "d": d, "entries": entries}, separators=(",", ":"), sort_keys=True)

@@ -50,7 +50,7 @@ from altschur.algebra import all_symbols, build_table, convolve, load_table, sav
 from altschur.enumeration import act_word, enum_M_rect, lambda_factorial
 from altschur.graphs import pair_sign
 
-from bruteforce import convolution_value, convolve_by_words, kernel_value, latin_count
+from bruteforce import convolution_value, convolve_by_words, kernel_value, latin_count, table_json
 
 
 def elem(sym, field=QQ, coeff=None):
@@ -611,12 +611,14 @@ TABLE_CELLS = [(n, d) for n in range(1, 4) for d in range(1, 5)] + [(2, 5), (4, 
 @pytest.mark.parametrize("n,d", TABLE_CELLS)
 def test_table_mapping_contract(tmp_path, n, d):
     """The built table, and its file read back, hold exactly the pairs with
-    a nonzero product, each with its convolved terms."""
+    a nonzero product, each with its convolved terms; the file holds the
+    bytes of the reference writer."""
     nonzero = {k: v for k, v in _all_pairs_reference(n, d).items() if v}
     built = build_table(n, d)
     path = tmp_path / "table.json"
     save_table(built, n, d, str(path))
     assert built == nonzero
+    assert path.read_bytes() == table_json(built, n, d).encode()
     assert load_table(str(path)) == (n, d, nonzero)
 
 

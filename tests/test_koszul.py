@@ -186,8 +186,8 @@ def test_trace_form_gate_catches_a_mutation(monkeypatch, name, fake):
 
 
 _TABLE_CACHES = (
-    algebra._symbols, algebra._odd_margins, algebra._left_dicts, algebra._iota_indices,
-    algebra._right_dicts, algebra._odd_dicts, koszul._right_rows,
+    algebra._symbols, algebra._odd_margins, algebra._relabellings, algebra._left_dicts, algebra._even_dicts,
+    algebra._iota_indices, algebra._right_dicts, algebra._odd_dicts, koszul._right_rows,
 )
 
 
@@ -211,8 +211,9 @@ def _convolutions(monkeypatch, run):
 
 
 def test_odd_products_are_read_off_the_left_table(monkeypatch):
-    """No product with an odd left factor is convolved, and ξ·ζ only while
-    the left table is built, each pair once."""
+    """No product with an odd left factor is convolved, ξ·ζ only while the
+    left table is built, each pair once, and ξ·ξ only while the even table
+    is built."""
 
     def run():
         for n, d in [(2, 3), (3, 2)]:
@@ -229,6 +230,7 @@ def test_odd_products_are_read_off_the_left_table(monkeypatch):
     mixed = [(x, y) for x, y, _ in calls if y.is_odd]
     assert mixed and {caller for x, y, caller in calls if y.is_odd} == {"_left_dicts"}
     assert len(mixed) == len(set(mixed))
+    assert {caller for x, y, caller in calls if not x.is_odd and not y.is_odd} == {"_even_dicts"}
 
 
 def _relabelled(g, sigma):
@@ -259,19 +261,54 @@ def test_build_table_convolves_each_even_odd_pair_once(monkeypatch, n, d):
     assert {caller for x, y, caller in calls if y.is_odd} == {"_left_dicts"}
 
 
-def _convolved_left_dicts(n, d):
-    """The left action ξ_g ζ_a read directly off the structure constants, for
-    every odd a whose lower margins meet the upper margins of g."""
-    Ns = enum_N(n, d)
-    n_idx = graph_index("N", n, d)
+def _even_orbit(g, h):
+    """The S_n × ⟨ι⟩-orbit of the pair (g, h): every box renamed on both
+    sides, and ι sending (g, h) to (h*, g*)."""
+    return _orbit(g, h) | frozenset((y.star(), x.star()) for x, y in _orbit(g, h))
+
+
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (3, 3)])
+def test_build_table_convolves_one_even_pair_per_orbit(monkeypatch, n, d):
+    """``build_table`` convolves ξ·ξ only while the even table is built, on
+    margin-matched pairs, exactly one pair per S_n × ⟨ι⟩-orbit."""
+    calls = _convolutions(monkeypatch, lambda: build_table(n, d))
+    even = [(x.graph, y.graph, caller) for x, y, caller in calls if not x.is_odd and not y.is_odd]
+    assert {caller for _, _, caller in even} == {"_even_dicts"}
+    assert all(g.upper_degrees == h.lower_degrees for g, h, _ in even)
+    Ms = enum_M(n, d)
+    orbits = {_even_orbit(g, h) for g in Ms for h in Ms if g.upper_degrees == h.lower_degrees}
+    assert Counter(_even_orbit(g, h) for g, h, _ in even) == Counter(dict.fromkeys(orbits, 1))
+
+
+def test_duality_analyses_leave_the_even_table_unbuilt(monkeypatch):
+    """phi and psi read only the S⁻ tables: they convolve no ξ·ξ product and
+    never build the even table."""
+    built = []
+
+    def run():
+        phi_analysis(3, 3, GF(5))
+        psi_analysis(3, 3, GF(5))
+        built.append(algebra._even_dicts.cache_info().currsize)
+
+    calls = _convolutions(monkeypatch, run)
+    assert not [(x, y) for x, y, _ in calls if not x.is_odd and not y.is_odd]
+    assert built == [0]
+
+
+def _convolved_left_dicts(n, d, right_odd=True):
+    """The products ξ_g ζ_a (ξ_g ξ_h if not ``right_odd``) read directly off
+    the structure constants, for every right factor whose lower margins meet
+    the upper margins of g."""
+    rights = (enum_N if right_odd else enum_M)(n, d)
+    index = graph_index("N" if right_odd else "M", n, d)
     out = []
     for g in enum_M(n, d):
         per = {}
-        for ai, a in enumerate(Ns):
+        for ai, a in enumerate(rights):
             if a.lower_degrees == g.upper_degrees:
-                sc = structure_constants(xi(g), zeta(a))
+                sc = structure_constants(xi(g), (zeta if right_odd else xi)(a))
                 if sc:
-                    per[ai] = {n_idx[s.graph]: c for s, c in sc.items()}
+                    per[ai] = {index[s.graph]: c for s, c in sc.items()}
         out.append(per)
     return tuple(out)
 
@@ -290,6 +327,31 @@ def test_orbit_fill_gate_catches_a_dropped_relabelling_sign(monkeypatch):
         assert any(algebra._left_dicts(n, d) != _convolved_left_dicts(n, d) for n, d in MIRROR_CELLS if n >= 2)
     finally:
         _clear(*_TABLE_CACHES)  # drop the tables built with the wrong sign
+
+
+@pytest.mark.parametrize("n,d", MIRROR_CELLS + [(5, 2), pytest.param(4, 3, marks=pytest.mark.stretch)])
+def test_even_table_orbit_fill_equals_the_convolved_table(n, d):
+    """The even table, convolved on one pair per S_n × ⟨ι⟩-orbit and filled
+    by box relabelling and ι, equals the products ξ_g ξ_h convolved one by
+    one."""
+    assert algebra._even_dicts(n, d) == _convolved_left_dicts(n, d, right_odd=False)
+
+
+def test_even_orbit_fill_gate_catches_a_wrong_iota(monkeypatch):
+    iota = algebra._iota_indices
+
+    def no_star(n, d):
+        gstar, star, sign = iota(n, d)
+        return list(range(len(gstar))), star, sign
+
+    monkeypatch.setattr(algebra, "_iota_indices", no_star)
+    _clear(*_TABLE_CACHES)
+    try:
+        assert any(
+            algebra._even_dicts(n, d) != _convolved_left_dicts(n, d, right_odd=False) for n, d in MIRROR_CELLS if n >= 2
+        )
+    finally:
+        _clear(*_TABLE_CACHES)  # drop the tables built with the wrong ι
 
 
 @pytest.mark.parametrize("n,d", [(2, 2), (2, 3), (3, 2)])
