@@ -215,7 +215,11 @@ def _sweep_cell(payload: Tuple[int, int, str, Optional[int]]) -> Dict[str, objec
 
 
 def _run_pool(worker: Callable, payloads: Sequence[tuple], workers: int) -> List[dict]:
-    if workers > 1 and len(payloads) > 1:
+    """``worker`` over ``payloads``, in order, on at most ``workers``
+    processes and never more than one per payload: the pool may start all
+    of its processes at once."""
+    workers = min(workers, len(payloads))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, payloads))
     return [worker(p) for p in payloads]

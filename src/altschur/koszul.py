@@ -47,6 +47,20 @@ compositions (λ, μ).  Each relation row is reduced in the small
 :class:`~altschur.linalg.SparseEchelon` of its block, which stops taking rows
 once its rank reaches the bound set by the image of the map under study.
 
+Renaming the boxes by σ ∈ S_n is an automorphism of the algebra: it sends
+ξ_g to ξ_{σg} and ζ_a to s_σ(a) ζ_{σa} (:mod:`altschur.algebra`).  So σ maps
+block (λ, μ) of phi's tensor quotient, of psi's commutant and of psi's
+kernel onto block (σλ, σμ), with the same size, relation rank and image.
+For phi the anti-involution ι acts too: x ⊗ y ↦ ι(y) ⊗ ι(x) is well defined
+on S⁻ ⊗_S S⁻, since it maps ρ_g(x, y) to −ρ_{g*}(ι(y), ι(x)), and it maps
+block (λ, μ) onto (μ, λ).  psi uses S_n alone: ι turns the commutant of the
+right action into that of the left one, a different system.  Two keys lie
+in one S_n-orbit exactly when they have the same multiset of columns
+(λ_i, μ_i).  So phi and psi solve one representative block per orbit and
+count it once for every block of its orbit.  psi's kernel vectors also
+need the other blocks of each orbit whose representative has a non-zero
+kernel; those are solved directly.
+
 phi and psi share one rank path, ``_certified_dim``: large quotients over Q
 get a mod-p certificate, accepted only when it pinches against an exact
 rational bound, and exact sparse elimination otherwise.  Every module axiom
@@ -57,6 +71,7 @@ one product check, ``_check_products``.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field, InitVar
 from functools import lru_cache
 from fractions import Fraction
@@ -380,21 +395,43 @@ def odd_smodule(n: int, d: int, field: FieldSpec) -> SModule:
 # ---------------------------------------------------------------------------
 
 
-def _even_keys(n: int, d: int) -> List[Tuple[Margin, Margin]]:
+BlockKey = Tuple[Margin, Margin]
+
+
+def _even_keys(n: int, d: int) -> List[BlockKey]:
     """Weight block (lower, upper) of every even symbol, in enum_M order."""
     return [(g.lower_degrees, g.upper_degrees) for g in enum_M(n, d)]
 
 
+def _sn_rep(key: BlockKey) -> BlockKey:
+    """The representative of the S_n-orbit of a block key (λ, μ): the boxes
+    renamed so that the columns (λ_i, μ_i) increase."""
+    return tuple(zip(*sorted(zip(*key))))
+
+
+def _sn_iota_rep(key: BlockKey) -> BlockKey:
+    """The representative of the S_n × ⟨ι⟩-orbit of a block key, where ι
+    sends (λ, μ) to (μ, λ)."""
+    return min(_sn_rep(key), _sn_rep(key[::-1]))
+
+
 class _Blocks:
-    """Ambient coordinates grouped into weight-space blocks.
+    """Ambient coordinates grouped into weight-space blocks, one of them
+    solved per orbit of the block keys.
 
     Blocks are numbered in order of first appearance.  Each coordinate gets a
     local index inside its block that preserves coordinate order, so a
-    block's echelon works on small consecutive keys.
+    block's echelon works on small consecutive keys.  ``rep`` names the
+    representative key of each key's orbit; the group behind it must map
+    blocks onto blocks of the same size, relation rank and image (see the
+    module docstring), so the blocks are closed under it.  ``weights[b]`` is
+    the size of b's orbit when b is its orbit's representative and 0
+    otherwise, and ``solved`` maps each λ to the μ of the representative
+    blocks (λ, μ).  Only representative blocks are solved.
     """
 
-    def __init__(self, keys: Iterable[object]):
-        self.ids: Dict[object, int] = {}
+    def __init__(self, keys: Iterable[BlockKey], rep: Callable[[BlockKey], BlockKey]):
+        self.ids: Dict[BlockKey, int] = {}
         self.block_of: List[int] = []
         self.local_of: List[int] = []
         self.sizes: List[int] = []
@@ -405,8 +442,15 @@ class _Blocks:
             self.block_of.append(b)
             self.local_of.append(self.sizes[b])
             self.sizes[b] += 1
+        reps = {key: rep(key) for key in self.ids}
+        orbit_size = Counter(reps.values())
+        self.weights: List[int] = [orbit_size[key] if reps[key] == key else 0 for key in self.ids]
+        self.solved: Dict[Margin, List[Margin]] = {}
+        for (lam, mu), w in zip(self.ids, self.weights):
+            if w:
+                self.solved.setdefault(lam, []).append(mu)
 
-    def count(self, keys: Iterable[object]) -> List[int]:
+    def count(self, keys: Iterable[BlockKey]) -> List[int]:
         """How many of ``keys`` fall into each block (others are ignored)."""
         counts = [0] * len(self.sizes)
         for key in keys:
@@ -414,6 +458,11 @@ class _Blocks:
             if b is not None:
                 counts[b] += 1
         return counts
+
+    def total(self, per_block: Sequence[int]) -> int:
+        """The sum over all blocks of a quantity given on the representative
+        blocks, which their orbits share."""
+        return sum(w * x for w, x in zip(self.weights, per_block))
 
     def ranks(self, rows: Iterable[Dict[int, int]], bounds: Sequence[int], field: FieldSpec) -> List[int]:
         """Per-block rank over ``field`` of integer rows that never cross blocks.
@@ -451,11 +500,13 @@ def _certified_dim(
     """Dimension of the blocks' span modulo the relation ``rows()``, and the
     method label of the rank path that found it.
 
-    ``image`` holds, per block, the dimension over ``field`` of the image of
-    a map that kills every relation, and ``image_over(p)`` the same over the
-    certificate prime field; a block's relation rank is at most its size
-    minus its image.  Over GF(p), and over Q up to ``_EXACT_CUTOFF``
-    coordinates, the rank is taken over the field itself.  Otherwise it is
+    ``rows()`` holds the relations of the representative blocks.  ``image``
+    holds, per representative block, the dimension over ``field`` of the
+    image of a map that kills every relation, and ``image_over(p)`` the same
+    over the certificate prime field; a block's relation rank is at most its
+    size minus its image.  Each representative counts once per block of its
+    orbit.  Over GF(p), and over Q up to ``_EXACT_CUTOFF`` coordinates of
+    all blocks, the rank is taken over the field itself.  Otherwise it is
     first taken modulo ``_CERT_PRIME``: the quotient dimension mod p bounds
     the rational one from above and the rational image from below, so when
     the two meet the answer is exact; else exact elimination decides.
@@ -463,8 +514,9 @@ def _certified_dim(
     size = sum(blocks.sizes)
 
     def dim_over(f: FieldSpec, image_f: Sequence[int]) -> int:
-        bounds = [s - im for s, im in zip(blocks.sizes, image_f)]
-        return size - sum(blocks.ranks(rows(), bounds, f))
+        bounds = [s - im if w else 0 for s, im, w in zip(blocks.sizes, image_f, blocks.weights)]
+        ranks = blocks.ranks(rows(), bounds, f)
+        return blocks.total([s - r for s, r in zip(blocks.sizes, ranks)])
 
     if field.kind == "GF":
         # both labels name the same block solver; the split at 2^21 keeps
@@ -474,7 +526,7 @@ def _certified_dim(
         return dim_over(field, image), "exact"
     cert = GF(_CERT_PRIME)
     dim = dim_over(cert, image_over(cert))
-    if dim == sum(image):
+    if dim == blocks.total(image):
         return dim, "certificate"
     return dim_over(field, image), "exact-fallback"
 
@@ -567,17 +619,35 @@ def _phi_surviving(n: int, d: int) -> Tuple[List[Pair], Dict[Pair, int]]:
     return _matched_pairs(upper, lower)
 
 
-def _phi_relation_rows(n: int, d: int) -> Iterator[Dict[int, int]]:
-    """ρ(g) on ζ_a ⊗ ζ_b for every off-diagonal generator g, projected to the
-    surviving coordinates (integer rows); the diagonal ones are accounted
-    for by the projection."""
+def _grouped(first: Sequence[Margin], second: Sequence[Margin]) -> Dict[Margin, Dict[Margin, List[int]]]:
+    """Indices i grouped by first[i], then by second[i], increasing within each group."""
+    out: Dict[Margin, Dict[Margin, List[int]]] = {}
+    for i, (x, y) in enumerate(zip(first, second)):
+        out.setdefault(x, {}).setdefault(y, []).append(i)
+    return out
+
+
+def _phi_relation_rows(
+    n: int, d: int, coord: Dict[Pair, int], solved: Dict[Margin, List[Margin]]
+) -> Iterator[Dict[int, int]]:
+    """ρ(g) on ζ_a ⊗ ζ_b for every off-diagonal generator g, over the
+    surviving coordinates ``coord`` (integer rows); the diagonal ones are
+    accounted for by the projection.  Only the pairs (a, b) of the solved
+    blocks (a.lower, b.upper) are read: ``solved`` maps λ to their μ."""
     Ms = enum_M(n, d)
-    _, coord = _phi_surviving(n, d)
-    by_lower, by_upper = map(_positions, _odd_margins(n, d))
+    lower, upper = _odd_margins(n, d)
+    by_upper = _positions(upper)
+    by_lower = _grouped(lower, upper)
 
     def pairs(gi: int) -> Iterable[Pair]:
         g = Ms[gi]
-        return [(a, b) for a in by_upper.get(g.lower_degrees, ()) for b in by_lower.get(g.upper_degrees, ())]
+        right = by_lower.get(g.upper_degrees, {})
+        return [
+            (a, b)
+            for a in by_upper.get(g.lower_degrees, ())
+            for mu in solved.get(lower[a], ())
+            for b in right.get(mu, ())
+        ]
 
     return _tensor_rows(_right_dicts(n, d), _left_dicts(n, d), _generators(n, d), pairs, lambda a, b: coord[a, b])
 
@@ -589,31 +659,34 @@ def phi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) ->
     space by the basis-triple relations; ``phi_rank`` the dimension of its
     image in the even subalgebra.  Both split over the weight blocks: the
     tensor coordinate ζ_a ⊗ ζ_b lies in block (a.lower, b.upper), and so do
-    its relations and the even symbols in the expansion of ζ_a ζ_b.  The
+    its relations and the even symbols in the expansion of ζ_a ζ_b.  Only
+    one block per S_n × ⟨ι⟩-orbit is solved (see the module docstring).  The
     product map kills every relation; :func:`_certified_dim` picks the rank
     path from that bound.
     """
     check_basis_budget(n, d, cap)
     nM = len(enum_M(n, d))
-    surviving, _ = _phi_surviving(n, d)
-    S = len(surviving)
-    if S == 0:
+    surviving, coord = _phi_surviving(n, d)
+    if not surviving:
         return PhiReport(n, d, field, 0, 0, nM, False, True, False, "empty")
     lower, upper = _odd_margins(n, d)
-    blocks = _Blocks((lower[a], upper[b]) for a, b in surviving)
+    blocks = _Blocks(((lower[a], upper[b]) for a, b in surviving), _sn_iota_rep)
+    rep_pairs = [pair for pair, b in zip(surviving, blocks.block_of) if blocks.weights[b]]
     even_keys = _even_keys(n, d)
 
     def image(f: FieldSpec) -> List[int]:
         # per-block rank of the product map: its pivots are even symbols
         ech = SparseEchelon(f)
-        for a, b in surviving:
+        for a, b in rep_pairs:
             row = _product(n, d, a, True, b, True)
             ech.add_row({k: f.from_int(v) for k, v in row.items()})
         return blocks.count(even_keys[h] for h in ech.pivot_rows)
 
     image_q = image(field)
-    phi_rank = sum(image_q)
-    tensor_dim, method = _certified_dim(blocks, lambda: _phi_relation_rows(n, d), field, image_q, image)
+    phi_rank = blocks.total(image_q)
+    tensor_dim, method = _certified_dim(
+        blocks, lambda: _phi_relation_rows(n, d, coord, blocks.solved), field, image_q, image
+    )
     return PhiReport(
         n,
         d,
@@ -663,15 +736,29 @@ class PsiReport:
         }
 
 
-def _psi_kernel_rows(n: int, d: int) -> List[Dict[int, int]]:
-    """One row per matrix entry (c, a) of the stacked left-multiplication
-    matrices; columns are even basis indices."""
-    rows: Dict[Pair, Dict[int, int]] = {}
-    for gi, per in enumerate(_left_dicts(n, d)):
-        for a, col in per.items():
-            for c, v in col.items():
-                rows.setdefault((c, a), {})[gi] = v
-    return [rows[key] for key in sorted(rows)]
+def _psi_kernel(n: int, d: int, field: FieldSpec, keys: Iterable[BlockKey]) -> Dict[BlockKey, List[SparseVec]]:
+    """The kernel of left multiplication S → End(S⁻) on each weight block of
+    ``keys``, as its canonical basis (:func:`sparse_kernel`) over the even
+    indices.
+
+    The entry (c, a) of the matrix of ξ_h is non-zero only when h's block
+    (h.lower, h.upper) is (c.lower, a.lower), so the kernel is the direct sum
+    of the blocks' kernels, and the union of their canonical bases is the
+    canonical basis of the whole kernel."""
+    members = _positions(_even_keys(n, d))
+    left = _left_dicts(n, d)
+    out: Dict[BlockKey, List[SparseVec]] = {}
+    for key in keys:
+        hs = members[key]
+        # one row per matrix entry (c, a); columns are local even indices
+        rows: Dict[Pair, SparseVec] = {}
+        for k, h in enumerate(hs):
+            for a, col in left[h].items():
+                for c, v in col.items():
+                    rows.setdefault((c, a), {})[k] = field.from_int(v)
+        basis = sparse_kernel([rows[entry] for entry in sorted(rows)], len(hs), field)
+        out[key] = [{hs[k]: x for k, x in vec.items()} for vec in basis]
+    return out
 
 
 def _commutant_vars(n: int, d: int) -> Tuple[List[Pair], Dict[Pair, int]]:
@@ -685,17 +772,28 @@ def _commutant_vars(n: int, d: int) -> Tuple[List[Pair], Dict[Pair, int]]:
     return _matched_pairs(upper, upper)
 
 
-def _commutant_rows(n: int, d: int) -> Iterator[Dict[int, int]]:
-    """Constraint rows of θ·R_g = R_g·θ over the block variables, for every
-    off-diagonal generator g: ρ(g) with θ[c, a] as the tensor coordinate
-    (a, c), R_g acting on a from the right and its transpose on c."""
+def _commutant_rows(
+    n: int, d: int, var: Dict[Pair, int], solved: Dict[Margin, List[Margin]]
+) -> Iterator[Dict[int, int]]:
+    """Constraint rows of θ·R_g = R_g·θ over the block variables ``var``, for
+    every off-diagonal generator g: ρ(g) with θ[c, a] as the tensor
+    coordinate (a, c), R_g acting on a from the right and its transpose on
+    c.  Only the entries (c, a) of the solved blocks (c.lower, a.lower) are
+    read: ``solved`` maps λ to their μ."""
     Ms = enum_M(n, d)
-    _, var = _commutant_vars(n, d)
-    by_upper = _positions(_odd_margins(n, d)[1])
+    lower, upper = _odd_margins(n, d)
+    by_upper = _positions(upper)
+    by_lower = _grouped(upper, lower)
 
     def pairs(gi: int) -> Iterable[Pair]:
         g = Ms[gi]
-        return [(a, c) for c in by_upper.get(g.upper_degrees, ()) for a in by_upper.get(g.lower_degrees, ())]
+        right = by_lower.get(g.lower_degrees, {})
+        return [
+            (a, c)
+            for c in by_upper.get(g.upper_degrees, ())
+            for mu in solved.get(lower[c], ())
+            for a in right.get(mu, ())
+        ]
 
     return _tensor_rows(_right_dicts(n, d), _right_rows(n, d), _generators(n, d), pairs, lambda a, c: var[c, a])
 
@@ -711,31 +809,38 @@ def psi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) ->
     divided powers as linear rows.  It splits over the weight blocks: the
     variable θ[c, a] lies in block (c.lower, a.lower), and so do its
     constraint rows and the images of the even symbols h with
-    (h.lower, h.upper) equal to that pair.  The image of the map lies in the
-    commutant; :func:`_certified_dim` picks the rank path from that bound.
+    (h.lower, h.upper) equal to that pair.  Only one block per S_n-orbit is
+    solved, and the kernel also in the other blocks of every orbit where it
+    is non-zero (see the module docstring).  The image of the map lies in
+    the commutant; :func:`_certified_dim` picks the rank path from that
+    bound.
     """
     check_basis_budget(n, d, cap)
     nM = len(enum_M(n, d))
-    kernel_rows = _psi_kernel_rows(n, d)
-    vars_, _ = _commutant_vars(n, d)
+    vars_, var = _commutant_vars(n, d)
     lower = _odd_margins(n, d)[0]
-    blocks = _Blocks((lower[c], lower[a]) for c, a in vars_)
+    blocks = _Blocks(((lower[c], lower[a]) for c, a in vars_), _sn_rep)
     even_keys = _even_keys(n, d)
     even_count = blocks.count(even_keys)
+    keys = list(dict.fromkeys(even_keys))
+    reps = [key for key in keys if _sn_rep(key) == key]
 
-    def kernel_of(f: FieldSpec) -> List[Dict[int, Scalar]]:
-        return sparse_kernel([{k: f.from_int(v) for k, v in row.items()} for row in kernel_rows], nM, f)
+    def image(kernel_f: Dict[BlockKey, List[SparseVec]]) -> List[int]:
+        return [total - len(kernel_f.get(key, ())) for total, key in zip(even_count, blocks.ids)]
 
-    def image(kernel_f: List[Dict[int, Scalar]]) -> List[int]:
-        # the kernel rows never cross blocks, so neither does a kernel vector
-        in_kernel = blocks.count(even_keys[next(iter(vec))] for vec in kernel_f)
-        return [total - k for total, k in zip(even_count, in_kernel)]
-
-    kernel = kernel_of(field)
-    kernel_dim = len(kernel)
+    kernel = _psi_kernel(n, d, field, reps)
+    others = [key for key in keys if key not in kernel and kernel[_sn_rep(key)]]
+    kernel.update(_psi_kernel(n, d, field, others))
+    # a kernel vector's largest key is its free column (sparse_kernel)
+    vectors = sorted((vec for basis in kernel.values() for vec in basis), key=max)
+    kernel_dim = len(vectors)
     image_dim = nM - kernel_dim
     commutant_dim, method = _certified_dim(
-        blocks, lambda: _commutant_rows(n, d), field, image(kernel), lambda f: image(kernel_of(f))
+        blocks,
+        lambda: _commutant_rows(n, d, var, blocks.solved),
+        field,
+        image(kernel),
+        lambda f: image(_psi_kernel(n, d, f, reps)),
     )
     return PsiReport(
         n,
@@ -746,7 +851,7 @@ def psi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) ->
         nM,
         iso=(kernel_dim == 0 and image_dim == commutant_dim),
         method=method,
-        kernel_vectors=kernel,
+        kernel_vectors=vectors,
     )
 
 

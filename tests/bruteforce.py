@@ -8,12 +8,22 @@ code paths under test, so a match is evidence rather than tautology.
 import functools
 import itertools
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from altschur import BipartiteGraph, NonTransverseError, oracle, pair_graph
-from altschur.algebra import BasisSymbol, GradedElement, all_symbols, xi, zeta
+from altschur import BipartiteGraph, NonTransverseError, koszul, oracle, pair_graph
+from altschur.algebra import (
+    BasisSymbol,
+    GradedElement,
+    _left_dicts,
+    _odd_margins,
+    _positions,
+    _right_dicts,
+    all_symbols,
+    xi,
+    zeta,
+)
 from altschur.enumeration import enum_B, enum_M, enum_N, graph_index, words_with_content
 from altschur.fields import FieldSpec, Scalar
 from altschur.graphs import Word, pair_sign
@@ -387,3 +397,51 @@ def table_json(table: Dict[Tuple[BasisSymbol, BasisSymbol], Dict[BasisSymbol, in
         for (a, b), terms in sorted(table.items(), key=lambda kv: (key[kv[0][0]], key[kv[0][1]]))
     ]
     return json.dumps({"n": n, "d": d, "entries": entries}, separators=(",", ":"), sort_keys=True)
+
+
+# The relation streams of phi and psi over every weight block, as the
+# analyses read them before they solved one block per orbit.  The block
+# solver is checked against one echelon of all of these rows.
+def phi_relation_rows(n: int, d: int) -> Iterator[Dict[int, int]]:
+    """ρ(g) on ζ_a ⊗ ζ_b for every off-diagonal generator g, projected to the
+    surviving coordinates (integer rows); the diagonal ones are accounted
+    for by the projection."""
+    Ms = enum_M(n, d)
+    _, coord = koszul._phi_surviving(n, d)
+    by_lower, by_upper = map(_positions, _odd_margins(n, d))
+
+    def pairs(gi: int) -> Iterable[Tuple[int, int]]:
+        g = Ms[gi]
+        return [(a, b) for a in by_upper.get(g.lower_degrees, ()) for b in by_lower.get(g.upper_degrees, ())]
+
+    return koszul._tensor_rows(
+        _right_dicts(n, d), _left_dicts(n, d), koszul._generators(n, d), pairs, lambda a, b: coord[a, b]
+    )
+
+
+def psi_kernel_rows(n: int, d: int) -> List[Dict[int, int]]:
+    """One row per matrix entry (c, a) of the stacked left-multiplication
+    matrices; columns are even basis indices."""
+    rows: Dict[Tuple[int, int], Dict[int, int]] = {}
+    for gi, per in enumerate(_left_dicts(n, d)):
+        for a, col in per.items():
+            for c, v in col.items():
+                rows.setdefault((c, a), {})[gi] = v
+    return [rows[key] for key in sorted(rows)]
+
+
+def commutant_rows(n: int, d: int) -> Iterator[Dict[int, int]]:
+    """Constraint rows of θ·R_g = R_g·θ over the block variables, for every
+    off-diagonal generator g: ρ(g) with θ[c, a] as the tensor coordinate
+    (a, c), R_g acting on a from the right and its transpose on c."""
+    Ms = enum_M(n, d)
+    _, var = koszul._commutant_vars(n, d)
+    by_upper = _positions(_odd_margins(n, d)[1])
+
+    def pairs(gi: int) -> Iterable[Tuple[int, int]]:
+        g = Ms[gi]
+        return [(a, c) for c in by_upper.get(g.upper_degrees, ()) for a in by_upper.get(g.lower_degrees, ())]
+
+    return koszul._tensor_rows(
+        _right_dicts(n, d), koszul._right_rows(n, d), koszul._generators(n, d), pairs, lambda a, c: var[c, a]
+    )

@@ -313,6 +313,42 @@ def test_sweep_workers_agree(capsys):
     assert serial == parallel
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and maps
+    in this process, so no process is started."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, payloads):
+        return map(fn, payloads)
+
+
+@pytest.mark.parametrize(
+    "argv,jobs",
+    [(["sweep", "--n-max", "2", "--d-max", "2"], 4), (["verify", "2", "2"], 6)],
+    ids=["sweep", "verify"],
+)
+def test_workers_never_exceed_the_jobs(capsys, monkeypatch, argv, jobs):
+    """A large --workers starts one process per job at most, and a single
+    job runs without a pool; the output is the serial one."""
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    _, serial, _ = run(capsys, argv)
+    _, pooled, _ = run(capsys, argv + ["--workers", "100000"])
+    assert _SerialPool.sizes == [jobs] and pooled == serial
+    run(capsys, ["sweep", "--n-max", "1", "--d-max", "1", "--workers", "100000"])
+    assert _SerialPool.sizes == [jobs]
+
+
 # -- verify -------------------------------------------------------------------
 
 

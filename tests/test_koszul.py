@@ -35,7 +35,7 @@ from altschur.koszul import (
 from altschur.algebra import build_table, structure_constants, xi, zeta
 from altschur.linalg import ExactMatrix, SparseEchelon, add_scaled, sparse_kernel
 
-from bruteforce import dense_product_failure, intertwiner_space
+from bruteforce import commutant_rows, dense_product_failure, intertwiner_space, phi_relation_rows, psi_kernel_rows
 
 
 def scaled(columns, c, field):
@@ -615,34 +615,58 @@ def _product_rows(n, d):
     return [algebra._product(n, d, a, True, b, True) for a, b in koszul._phi_surviving(n, d)[0]]
 
 
+def _solved_keys(blocks):
+    return {key for key, w in zip(blocks.ids, blocks.weights) if w}
+
+
+def _row_multiset(rows):
+    return Counter(tuple(sorted(row.items())) for row in rows)
+
+
 @pytest.mark.parametrize("n,d", BLOCK_CELLS)
 def test_phi_rows_stay_in_one_block(n, d):
     """Every relation row of phi lies in one block (a.lower, b.upper), and the
     product row of a tensor coordinate only reaches even symbols whose
-    margins are that coordinate's block."""
+    margins are that coordinate's block.  The solver's rows are the
+    reference rows of the representative blocks, in some order."""
     Ms, Ns = enum_M(n, d), enum_N(n, d)
-    surviving, _ = koszul._phi_surviving(n, d)
+    surviving, coord = koszul._phi_surviving(n, d)
     key = [(Ns[a].lower_degrees, Ns[b].upper_degrees) for a, b in surviving]
-    for row in koszul._phi_relation_rows(n, d):
+    reference = list(phi_relation_rows(n, d))
+    for row in reference:
         assert len({key[k] for k in row}) == 1
     for k, row in enumerate(_product_rows(n, d)):
         assert {_even_key(Ms[h]) for h in row} <= {key[k]}
+    if surviving:
+        blocks = koszul._Blocks(key, koszul._sn_iota_rep)
+        solved = list(koszul._phi_relation_rows(n, d, coord, blocks.solved))
+        solved_keys = _solved_keys(blocks)
+        kept = [row for row in reference if key[next(iter(row))] in solved_keys]
+        assert _row_multiset(solved) == _row_multiset(kept)
 
 
 @pytest.mark.parametrize("n,d", BLOCK_CELLS)
 def test_psi_rows_stay_in_one_block(n, d):
     """Every commutant row of psi lies in one block (c.lower, a.lower), and
     the kernel row of the entry (c, a) only involves even symbols whose
-    margins are that block."""
+    margins are that block.  The solver's rows are the reference rows of
+    the representative blocks, in some order."""
     Ms, Ns = enum_M(n, d), enum_N(n, d)
-    vars_, _ = koszul._commutant_vars(n, d)
+    vars_, var = koszul._commutant_vars(n, d)
     key = [(Ns[c].lower_degrees, Ns[a].lower_degrees) for c, a in vars_]
-    for row in koszul._commutant_rows(n, d):
+    reference = list(commutant_rows(n, d))
+    for row in reference:
         assert len({key[k] for k in row}) == 1
     for gi, per in enumerate(algebra._left_dicts(n, d)):
         for a, col in per.items():
             for c in col:
                 assert _even_key(Ms[gi]) == (Ns[c].lower_degrees, Ns[a].lower_degrees)
+    if vars_:
+        blocks = koszul._Blocks(key, koszul._sn_rep)
+        solved = list(koszul._commutant_rows(n, d, var, blocks.solved))
+        solved_keys = _solved_keys(blocks)
+        kept = [row for row in reference if key[next(iter(row))] in solved_keys]
+        assert _row_multiset(solved) == _row_multiset(kept)
 
 
 def _global_rank(rows, field, bound=None):
@@ -665,16 +689,78 @@ def test_blockwise_reports_match_one_global_echelon(n, d, field):
     S = len(koszul._phi_surviving(n, d)[0])
     phi_rank = _global_rank(_product_rows(n, d), field)
     assert phi.phi_rank == phi_rank
-    assert phi.tensor_dim == S - _global_rank(koszul._phi_relation_rows(n, d), field, S - phi_rank)
+    assert phi.tensor_dim == S - _global_rank(phi_relation_rows(n, d), field, S - phi_rank)
 
     psi = psi_analysis(n, d, field)
     nM = len(enum_M(n, d))
-    kernel_rows = [{k: field.from_int(v) for k, v in row.items()} for row in koszul._psi_kernel_rows(n, d)]
+    kernel_rows = [{k: field.from_int(v) for k, v in row.items()} for row in psi_kernel_rows(n, d)]
     kernel = sparse_kernel(kernel_rows, nM, field)
     assert psi.kernel_vectors == kernel
     V = len(koszul._commutant_vars(n, d)[0])
     bound = V - (nM - len(kernel))
-    assert psi.commutant_dim == V - _global_rank(koszul._commutant_rows(n, d), field, bound)
+    assert psi.commutant_dim == V - _global_rank(commutant_rows(n, d), field, bound)
+
+
+def _block_solve(monkeypatch, analysis, n, d, field, every_block):
+    """The report of ``analysis``, psi's kernel vectors, and the relation
+    rank of every solved block by key, once per rank pass: from one block
+    per orbit, or from every block with ``every_block``."""
+    ranks, recorded = koszul._Blocks.ranks, []
+
+    def recording(self, rows, bounds, f):
+        out = ranks(self, rows, bounds, f)
+        recorded.append({key: r for key, r, w in zip(self.ids, out, self.weights) if w})
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(koszul._Blocks, "ranks", recording)
+        if every_block:
+            m.setattr(koszul, "_sn_rep", lambda key: key)
+            m.setattr(koszul, "_sn_iota_rep", lambda key: key)
+        report = analysis(n, d, field, cap=6000)
+    return recorded, report.to_json_dict(), getattr(report, "kernel_vectors", None)
+
+
+def _orbit_gate_failures(monkeypatch, n, d, field):
+    """Where phi and psi, solved on one block per orbit, differ from the
+    all-blocks solve: per-block ranks (every block against its orbit's
+    representative), reports or psi's kernel vectors."""
+    failures = []
+    for analysis, rep in [(phi_analysis, koszul._sn_iota_rep), (psi_analysis, koszul._sn_rep)]:
+        ranks, report, kernel = _block_solve(monkeypatch, analysis, n, d, field, False)
+        all_ranks, all_report, all_kernel = _block_solve(monkeypatch, analysis, n, d, field, True)
+        if (report, kernel) != (all_report, all_kernel):
+            failures.append((analysis.__name__, "report"))
+        if len(ranks) != len(all_ranks) or any(
+            set(solved) != {rep(key) for key in every} or any(r != solved[rep(key)] for key, r in every.items())
+            for solved, every in zip(ranks, all_ranks)
+        ):
+            failures.append((analysis.__name__, "ranks"))
+    return failures
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=str)
+@pytest.mark.parametrize(
+    "n,d", [(n, d) for n in range(1, 4) for d in range(1, 6)] + [pytest.param(4, 3, marks=pytest.mark.stretch)]
+)
+def test_representative_blocks_match_every_block(monkeypatch, n, d, field):
+    """Every block has the relation rank of its orbit's representative, and
+    the reports and psi's kernel vectors equal those of the all-blocks
+    solve."""
+    assert _orbit_gate_failures(monkeypatch, n, d, field) == []
+
+
+def test_orbit_gate_catches_unweighted_representatives(monkeypatch):
+    """With every representative counted once, ignoring its orbit's size,
+    the gate fails."""
+    init = koszul._Blocks.__init__
+
+    def unweighted(self, keys, rep):
+        init(self, keys, rep)
+        self.weights = [min(w, 1) for w in self.weights]
+
+    monkeypatch.setattr(koszul._Blocks, "__init__", unweighted)
+    assert all(_orbit_gate_failures(monkeypatch, n, d, field) for n, d in [(2, 3), (3, 3)] for field in (QQ, GF(3)))
 
 
 # -- relations for the generators only ------------------------------------------
@@ -863,21 +949,41 @@ def test_phi_psi_4_3(field, method):
     assert (phi.method, psi.method) == (method, method)
 
 
+def _below_three(n, d):
+    """#{A in M(n, d) : every a_ij < 3}, the GF(3) image of phi for d ≤ n."""
+    return sum(1 for g in enum_M(n, d) if all(x < 3 for row in g.adj for x in row))
+
+
 @pytest.mark.stretch
 @pytest.mark.parametrize(
     "n,d,field,phi_rank",
-    [(4, 4, GF(5), 3876), (4, 4, GF(3), 3620), (5, 3, GF(5), 2925)],
-    ids=["4-4-GF(5)", "4-4-GF(3)", "5-3-GF(5)"],
+    [(4, 4, GF(5), 3876), (4, 4, GF(3), 3620), (4, 4, QQ, 3876), (5, 3, GF(5), 2925), (6, 3, GF(3), 8400)],
+    ids=["4-4-GF(5)", "4-4-GF(3)", "4-4-Q", "5-3-GF(5)", "6-3-GF(3)"],
 )
 def test_phi_psi_beyond_the_default_cap(n, d, field, phi_rank):
-    """Cells past the default basis cap.  phi's tensor quotient has the
-    dimension of S(n, d) in each.  Over GF(3) at (4, 4) phi's rank falls
-    short by 256, the number of symbols with an entry 3, so phi is no
-    isomorphism there.  psi is an isomorphism in all three."""
+    """Cells past the default basis cap, all with d ≤ n.  phi's tensor
+    quotient has the dimension of S(n, d) in each.  Over GF(3) phi's rank is
+    the number of symbols with every entry below 3, so it falls short by 256
+    at (4, 4) and by 36 at (6, 3), and phi is no isomorphism there.  psi is
+    an isomorphism in all of them."""
     nM = len(enum_M(n, d))
-    phi, psi = phi_analysis(n, d, field, cap=6000), psi_analysis(n, d, field, cap=6000)
+    phi, psi = phi_analysis(n, d, field, cap=40000), psi_analysis(n, d, field, cap=40000)
     assert (phi.tensor_dim, phi.phi_rank, phi.iso) == (nM, phi_rank, phi_rank == nM)
     assert (psi.kernel_dim, psi.commutant_dim, psi.iso) == (0, nM, True)
+    if field == GF(3):
+        assert phi_rank == _below_three(n, d)
+
+
+@pytest.mark.stretch
+def test_phi_psi_4_5_gf3():
+    """(4, 5) over GF(3), where d > n: the tensor quotient equals the
+    commutant, and psi is onto it with a kernel of 3136.  phi's rank is
+    below the count of symbols with every entry below 3 (13,328), so the
+    d ≤ n law does not extend here."""
+    phi, psi = phi_analysis(4, 5, GF(3), cap=40000), psi_analysis(4, 5, GF(3), cap=40000)
+    assert (phi.tensor_dim, phi.phi_rank, phi.target_dim, phi.iso) == (12368, 11792, 15504, False)
+    assert (psi.kernel_dim, psi.commutant_dim, psi.source_dim, psi.iso) == (3136, 12368, 15504, False)
+    assert phi.phi_rank < _below_three(4, 5) == 13328
 
 
 # -- the functor D ----------------------------------------------------------------
