@@ -22,8 +22,7 @@ the table when a factor is odd; :func:`convolve` gives the argument.  The test
 suite keeps an independent walk over middle and target words as the reference.
 
 All structure constants are integers, reduced into a field at the point of
-use.  :func:`convolve` memoizes each product of two graphs, and the
-index-keyed tables below are cached once per (n, d).
+use.  The index-keyed tables below are cached once per (n, d).
 
 The odd part S⁻ is stored once, as the integer table of its left action
 ξ_g ζ_a.  Every other product with an odd factor is read off that table
@@ -50,8 +49,8 @@ of ξ_k in ξ_g ξ_h.
 
 So ξ·ξ products are convolved on one pair per S_n × ⟨ι⟩-orbit, and ξ·ζ
 products on one pair per S_n-orbit.  Single products are read by index
-through :func:`_product`, which :func:`build_table` and the duality
-diagnostics share.
+through :func:`_product`, which :func:`build_table`, the duality diagnostics
+and the matrix oracle share; :func:`multiply` convolves each product anew.
 """
 
 from __future__ import annotations
@@ -259,8 +258,6 @@ class GradedElement:
 
 # -- the convolution kernel --------------------------------------------------
 
-_CONVOLVE_CACHE: Dict[Tuple[BipartiteGraph, BipartiteGraph, bool, bool], Dict[BipartiteGraph, int]] = {}
-
 # a partial table of convolve: its cell sums and the (middle box, slice) pairs
 _State = Tuple[Tuple[int, ...], Tuple[Tuple[int, Tuple[int, ...]], ...]]
 
@@ -345,10 +342,6 @@ def convolve(
         raise ValueError("odd factor requires a simple graph")
     if g1.upper_degrees != g2.lower_degrees:
         return {}
-    key = (g1, g2, odd1, odd2)
-    cached = _CONVOLVE_CACHE.get(key)
-    if cached is not None:
-        return dict(cached)
 
     # only the upper boxes of g2 and the lower boxes of g1 that hold balls
     # can carry them; the tables live on those cells
@@ -397,9 +390,7 @@ def convolve(
             if odd2:
                 count *= pair_sign(t_word, u_word)
         coeffs[target] = coeffs.get(target, 0) + count
-    result = {g: c for g, c in coeffs.items() if c}
-    _CONVOLVE_CACHE[key] = result
-    return dict(result)
+    return {g: c for g, c in coeffs.items() if c}
 
 
 def structure_constants(sym1: BasisSymbol, sym2: BasisSymbol) -> Dict[BasisSymbol, int]:
@@ -794,7 +785,8 @@ def load_table(path: str) -> Tuple[int, int, Dict[Pair, Terms]]:
             data = json.load(fh)
         try:
             n, d, records = data["n"], data["d"], data["entries"]
-            if not (isinstance(n, int) and isinstance(d, int) and n >= 1 and d >= 0):
+            # type() and not isinstance(): JSON true and false load as bools
+            if not (type(n) is int and type(d) is int and n >= 1 and d >= 0):
                 raise ValueError(f"(n, d) = ({n!r}, {d!r}) is not a pair of parameters")
             seen: Dict[tuple, BasisSymbol] = {}  # (parity, adj) as read -> symbol
 
@@ -816,7 +808,7 @@ def load_table(path: str) -> Tuple[int, int, Dict[Pair, Terms]]:
             for rec in records:
                 terms = {}
                 for s, c in rec["terms"]:
-                    if not isinstance(c, int):
+                    if type(c) is not int:
                         raise ValueError(f"coefficient {c!r} is not an integer")
                     terms[resolve(s)] = c
                 pair = (resolve(rec["left"]), resolve(rec["right"]))

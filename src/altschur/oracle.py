@@ -8,11 +8,14 @@ rows are the words of the first content and whose columns are the words of
 the second, each in ``enum_B`` order.  This module builds that block entry
 by entry from the kernel definition (numpy int64, exact at desk scale), and
 the same pass checks that the definition places no entry outside it.
-Because the blocks come from the definitions and never from tables,
-agreement between block products and the convolution structure constants is
-an independent check of the whole combinatorial layer; :func:`verify_table`
-runs that check over a complete basis.  The dense matrix is built only on
-request, by :func:`operator_matrix` and :func:`decompose`, from the blocks.
+The blocks come from the definitions and never from tables.  The structure
+constants that :func:`verify_table` compares them with are read by index
+through ``algebra._product``, off the integer tables that the product table
+and the duality diagnostics read: convolved on one pair per orbit and filled
+by box relabelling, the ι mirror and the trace form.  So agreement over a
+complete basis is an independent check of the convolution and of every fill
+together.  The dense matrix is built only on request, by
+:func:`operator_matrix` and :func:`decompose`, from the blocks.
 
 Matrix convention: rows are indexed by the lower configuration and columns
 by the upper one, both in ``enum_B`` order, so the matrix of a product of
@@ -41,7 +44,7 @@ from .enumeration import (
     sign_of_permutation,
     words_with_content,
 )
-from .algebra import BasisSymbol, GradedElement, structure_constants, all_symbols
+from .algebra import BasisSymbol, GradedElement, _product, _symbols
 
 __all__ = [
     "OracleError",
@@ -358,18 +361,20 @@ def verify_table(
     """Check every basis product against the matrix oracle.
 
     The product of the kernel matrices of an ordered pair must equal the
-    combination of kernel matrices dictated by the convolution structure
-    constants; over a prime field the comparison is entrywise mod p.  When
-    the upper content of the left factor is the lower content of the right
-    one, the product is the product of their blocks and is compared with the
-    combination on that block.  Otherwise the product is zero, because every
-    symbol's block holds its whole kernel (checked as the blocks are built);
-    the pair's constants are still read, and it passes exactly when each
-    coefficient is zero in the field, since terms of one parity with
-    distinct graphs have disjoint supports.  Every ordered pair counts in
-    ``pairs_checked``; a mismatch names the first differing position of the
-    full n^d x n^d matrices.  A symbol whose definition reaches outside its
-    block is reported and no pair is checked.
+    combination of kernel matrices dictated by its structure constants, read
+    off the engine's integer tables through ``algebra._product``; over a
+    prime field the comparison is entrywise mod p.  When the upper content
+    of the left factor is the lower content of the right one, the product is
+    the product of their blocks and is compared with the combination on
+    that block.  Otherwise the product is zero, because every symbol's block
+    holds its whole kernel (checked as the blocks are built), and the tables
+    are keyed by matching margins, so they hold nothing for the pair; its
+    constants are still read, and it passes exactly when each coefficient is
+    zero in the field, since terms of one parity with distinct graphs have
+    disjoint supports.  Every ordered pair counts in ``pairs_checked``; a
+    mismatch names the first differing position of the full n^d x n^d
+    matrices.  A symbol whose definition reaches outside its block is
+    reported and no pair is checked.
 
     Returns a report rather than raising, so callers can render diagnostics.
     ``cap`` bounds n^d (see :func:`check_power_budget`) and ``basis_cap``
@@ -377,28 +382,30 @@ def verify_table(
     """
     check_power_budget(n, d, cap)
     check_basis_budget(n, d, basis_cap)
-    syms = all_symbols(n, d)
+    syms = _symbols(n, d)  # (even symbols, odd symbols), each in index order
     p = field.characteristic
     report = VerifyReport(n, d, field.label, 0)
     blocks: Dict[BasisSymbol, np.ndarray] = {}
-    for sym in syms:
+    for sym in itertools.chain(*syms):
         try:
             blocks[sym] = _block(sym)
         except OutsideBlockError as exc:
             report.mismatches.append(str(exc))
     if report.mismatches:
         return report
-    factors = [(sym, blocks[sym]) + _margins(sym) for sym in syms]
-    for a, block_a, lower_a, upper_a in factors:
-        for b, block_b, lower_b, upper_b in factors:
-            terms = structure_constants(a, b)
+    factors = [(sym, odd, k, blocks[sym]) + _margins(sym) for odd in (False, True) for k, sym in enumerate(syms[odd])]
+    for a, odd_a, i, block_a, lower_a, upper_a in factors:
+        for b, odd_b, j, block_b, lower_b, upper_b in factors:
+            found = _product(n, d, i, odd_a, j, odd_b)
             report.pairs_checked += 1
             if upper_a == lower_b:
                 product: Optional[np.ndarray] = block_a @ block_b
-            elif not terms or all(c % p == 0 if p else c == 0 for c in terms.values()):
+            elif not found or all(c % p == 0 if p else c == 0 for c in found.values()):
                 continue
             else:
                 product = None
+            target = syms[odd_a != odd_b]
+            terms = {target[k]: c for k, c in found.items()}
             first = _first_difference(product, (lower_a, upper_b), terms, blocks, p)
             if first is not None:
                 r, c2, got, want = first

@@ -20,6 +20,7 @@ from altschur.algebra import (
     _odd_margins,
     _positions,
     _right_dicts,
+    _symbols,
     all_symbols,
     xi,
     zeta,
@@ -353,22 +354,24 @@ def dense_verify_table(
     """The all-pairs dense matrix oracle: for every ordered pair (or only the
     given ``pairs``), multiply the two dense kernel matrices and compare with
     the combination the structure constants dictate, entrywise mod p over
-    GF(p).  The constants are read from ``oracle.structure_constants`` at
+    GF(p).  The constants are read by index from ``oracle._product`` at
     call time, so a test that patches them there patches both oracles."""
-    syms = all_symbols(n, d)
+    by_parity = _symbols(n, d)
+    factors = [(sym, odd, k) for odd in (False, True) for k, sym in enumerate(by_parity[odd])]
     mats = dense_operators(n, d)
     wanted = None if pairs is None else set(pairs)
     p = field.characteristic
     report = VerifyReport(n, d, field.label, 0)
-    for a in syms:
+    for a, a_odd, i in factors:
         ma = mats[a]
-        for b in syms:
+        for b, b_odd, j in factors:
             if wanted is not None and (a, b) not in wanted:
                 continue
             prod = ma @ mats[b]
             expected = np.zeros_like(prod)
-            for sym, c in oracle.structure_constants(a, b).items():
-                expected += c * mats[sym]
+            target = by_parity[a_odd != b_odd]
+            for k, c in oracle._product(n, d, i, a_odd, j, b_odd).items():
+                expected += c * mats[target[k]]
             diff = prod - expected
             if p:
                 diff = diff % p

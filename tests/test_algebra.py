@@ -441,18 +441,6 @@ def test_convolve_error_paths():
         convolve(a, a, True, False)  # odd factor on a non-simple graph
 
 
-def test_convolve_caches_only_margin_matched_pairs(monkeypatch):
-    monkeypatch.setattr(algebra, "_CONVOLVE_CACHE", {})
-    a = BipartiteGraph.from_adj([[2, 0], [0, 0]])  # upper degrees (2, 0)
-    b = BipartiteGraph.from_adj([[0, 0], [0, 2]])  # lower degrees (0, 2)
-    assert convolve(a, b, False, False) == {}
-    assert algebra._CONVOLVE_CACHE == {}
-    with pytest.raises(ValueError):
-        convolve(a, b, True, False)  # the input checks still come first
-    assert convolve(a, a, False, False) == {a: 1}
-    assert list(algebra._CONVOLVE_CACHE) == [(a, a, False, False)]
-
-
 def test_structure_constants_parameter_mismatch():
     with pytest.raises(ValueError):
         structure_constants(xi(gamma_perm((1, 2))), xi(gamma_perm((1, 2, 3))))
@@ -567,7 +555,6 @@ def test_even_products_satisfy_column_count_identity(n, d):
 
 def test_column_count_identity_for_k4_squared():
     k4 = complete_bipartite(4)
-    algebra._CONVOLVE_CACHE.pop((k4, k4, False, False), None)
     start = time.perf_counter()
     _assert_column_count(k4, k4)
     assert time.perf_counter() - start < 5.0
@@ -734,6 +721,23 @@ def test_load_table_rejects_non_integer_coefficient(tmp_path):
     entry = {"left": sym, "right": sym, "terms": [[sym, "1"]]}
     with pytest.raises(ValueError, match="not an integer"):
         load_table(_write_json(tmp_path / "t.json", {"n": 2, "d": 2, "entries": [entry]}))
+
+
+def _one_entry_table(n=1, d=1, coeff=1):
+    sym = {"parity": "even", "adj": [[1]]}
+    return {"n": n, "d": d, "entries": [{"left": sym, "right": sym, "terms": [[sym, coeff]]}]}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [_one_entry_table(n=True), _one_entry_table(d=True), _one_entry_table(coeff=True)],
+    ids=["n", "d", "coefficient"],
+)
+def test_load_table_rejects_booleans(tmp_path, data):
+    """JSON true is not the integer 1: as n, as d or as a coefficient."""
+    assert load_table(_write_json(tmp_path / "good.json", _one_entry_table()))[:2] == (1, 1)
+    with pytest.raises(ValueError, match="not a pair of parameters|not an integer"):
+        load_table(_write_json(tmp_path / "t.json", data))
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -10,6 +10,7 @@ from altschur import QQ, BipartiteGraph, xi
 from altschur.algebra import GradedElement, identity
 from altschur import algebra, cli
 from altschur.cli import main
+from conftest import _TABLE_CACHES, _clear
 
 
 def run(capsys, argv):
@@ -412,6 +413,24 @@ def test_verify_max_basis_reaches_the_oracle(capsys, monkeypatch):
     code, out, err = run(capsys, ["verify", "2", "2", "--max-basis", "100"])
     assert code == 0, err
     assert out.splitlines()[-1] == "verify (2,2) over Q: 6/6 suites passed"
+
+
+@pytest.mark.parametrize(
+    "name,fake",
+    [("relabel_sign", lambda g, sigma: 1), ("lambda_factorial", lambda parts: 1), ("iota_sign", lambda g: 1)],
+    ids=["s_sigma", "h!", "iota_sign"],
+)
+def test_verify_catches_a_table_fill_mutation(capsys, monkeypatch, name, fake):
+    """The oracle reads the products off the orbit-filled, mirrored and
+    trace-form tables, so a wrong sign or factor in a fill fails it."""
+    monkeypatch.setattr(algebra, name, fake)
+    _clear(*_TABLE_CACHES)
+    try:
+        code, out, _ = run(capsys, ["verify", "3", "2"])
+    finally:
+        _clear(*_TABLE_CACHES)  # drop the tables built with the mutation
+    assert code == 1
+    assert any(line.startswith("FAIL oracle: ") for line in out.splitlines())
 
 
 def test_verify_reports_failure(capsys, monkeypatch):

@@ -35,6 +35,7 @@ from altschur.koszul import (
 from altschur.algebra import build_table, structure_constants, xi, zeta
 from altschur.linalg import ExactMatrix, SparseEchelon, add_scaled, sparse_kernel
 
+from conftest import _TABLE_CACHES, _clear
 from bruteforce import commutant_rows, dense_product_failure, intertwiner_space, phi_relation_rows, psi_kernel_rows
 
 
@@ -136,11 +137,6 @@ def test_right_action_is_the_mirror_of_the_left(n, d):
     assert algebra._right_dicts(n, d) == _convolved_right_dicts(n, d)
 
 
-def _clear(*caches):
-    for cache in caches:
-        cache.cache_clear()
-
-
 def test_mirror_gate_catches_a_dropped_sign(monkeypatch):
     monkeypatch.setattr(algebra, "iota_sign", lambda g: 1)
     _clear(algebra._iota_indices, algebra._right_dicts)
@@ -183,12 +179,6 @@ def test_trace_form_gate_catches_a_mutation(monkeypatch, name, fake):
         assert any(algebra._odd_dicts(n, d) != _convolved_odd_dicts(n, d) for n, d in MIRROR_CELLS)
     finally:
         _clear(algebra._iota_indices, algebra._odd_dicts)  # drop the tables built with the mutation
-
-
-_TABLE_CACHES = (
-    algebra._symbols, algebra._odd_margins, algebra._relabellings, algebra._left_dicts, algebra._even_dicts,
-    algebra._iota_indices, algebra._right_dicts, algebra._odd_dicts, koszul._right_rows,
-)
 
 
 def _convolutions(monkeypatch, run):

@@ -23,7 +23,7 @@ from altschur import (
     xi,
     zeta,
 )
-from altschur.algebra import GradedElement, all_symbols, iota_sign
+from altschur.algebra import GradedElement, _symbols, all_symbols, iota_sign
 from altschur.enumeration import sign_of_permutation, words_with_content
 from altschur import oracle
 from altschur.oracle import (
@@ -266,10 +266,26 @@ def _pairs(n, d, matched, parities):
                 yield a, b
 
 
+def _index(sym):
+    """The position of a symbol in the index order of its parity."""
+    return _symbols(sym.n, sym.d)[sym.is_odd].index(sym)
+
+
+def _by_symbol(a, b, found):
+    """Index-keyed constants of a * b, keyed by symbol."""
+    target = _symbols(a.n, a.d)[a.is_odd != b.is_odd]
+    return {target[k]: c for k, c in found.items()}
+
+
+def _constants(a, b):
+    """The structure constants of a * b as ``verify_table`` reads them."""
+    return _by_symbol(a, b, oracle._product(a.n, a.d, _index(a), a.is_odd, _index(b), b.is_odd))
+
+
 def _odd_sign_flip(n, d):
     """One odd*odd coefficient, nonzero mod 5, with its sign flipped."""
     for a, b in _pairs(n, d, True, ("odd", "odd")):
-        for sym, c in oracle.structure_constants(a, b).items():
+        for sym, c in _constants(a, b).items():
             if c % 5:
                 return (a, b), lambda terms: {**terms, sym: -c}
     raise AssertionError("no odd*odd product with a unit coefficient")
@@ -278,7 +294,7 @@ def _odd_sign_flip(n, d):
 def _even_raised(n, d, by=1):
     """One even*even coefficient raised by ``by``."""
     for a, b in _pairs(n, d, True, ("even", "even")):
-        terms = oracle.structure_constants(a, b)
+        terms = _constants(a, b)
         if terms:
             sym, c = next(iter(terms.items()))
             return (a, b), lambda terms: {**terms, sym: c + by}
@@ -295,13 +311,19 @@ def _stray_term(n, d, coeff=1):
 
 
 def _patch(monkeypatch, pair, change):
-    real = oracle.structure_constants
+    """Make ``oracle._product`` return ``change`` of the symbol-keyed
+    constants at ``pair`` and the tables' constants at every other pair."""
+    real = oracle._product
+    a, b = pair
+    key = (a.n, a.d, _index(a), a.is_odd, _index(b), b.is_odd)
 
-    def patched(a, b):
-        terms = real(a, b)
-        return change(terms) if (a, b) == pair else terms
+    def patched(*args):
+        found = real(*args)
+        if args != key:
+            return found
+        return {_index(s): c for s, c in change(_by_symbol(a, b, found)).items()}
 
-    monkeypatch.setattr(oracle, "structure_constants", patched)
+    monkeypatch.setattr(oracle, "_product", patched)
 
 
 MUTATION_CASES = [(2, 3, QQ), (2, 3, GF(5)), (3, 3, GF(5))]
