@@ -37,6 +37,7 @@ from .algebra import (
     GradedElement,
     anti_involution,
     delta_check,
+    delta_checks,
     factorization_check,
     identity,
     multiply,
@@ -93,6 +94,7 @@ __all__ = [
     "enum_N",
     "anti_involution",
     "delta_check",
+    "delta_checks",
     "factorization_check",
     "identity",
     "multiply",

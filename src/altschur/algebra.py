@@ -62,7 +62,7 @@ import math
 import os
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .fields import FieldSpec, Scalar
 from .graphs import (
@@ -91,6 +91,7 @@ __all__ = [
     "iota_sign",
     "factorization_check",
     "delta_check",
+    "delta_checks",
     "rect_compose",
     "build_table",
     "save_table",
@@ -514,23 +515,50 @@ def factorization_check(g: BipartiteGraph) -> CheckReport:
     return CheckReport(not failures, failures)
 
 
+def delta_checks(graphs: Iterable[BipartiteGraph]) -> Iterator[CheckReport]:
+    """:func:`delta_check` of each graph in turn, lazily.
+
+    The probe ζ(d_of(g)*) depends only on the upper degrees of g, since the
+    standard labelling lists the edges by upper endpoint first.  So the
+    products ξ_{g'} · probe over every g' ∈ M(n, d) are convolved once per
+    probe, when a graph first needs it, and each graph of that probe reads
+    its coefficients at ζ(u_of(g)) from them.
+    """
+    # (n, d, upper degrees) -> {graph of a target: [(index of g', coeff)]}
+    columns: Dict[Tuple[int, int, Margin], Dict[BipartiteGraph, List[Tuple[int, int]]]] = {}
+    for g in graphs:
+        n, d = g.n_up, g.degree
+        probe = zeta(d_of(g).star())
+        key = (n, d, g.upper_degrees)
+        if key not in columns:
+            column: Dict[BipartiteGraph, List[Tuple[int, int]]] = {}
+            for k, other in enumerate(_symbols(n, d)[0]):
+                for s, c in structure_constants(other, probe).items():
+                    column.setdefault(s.graph, []).append((k, c))
+            columns[key] = column
+        i = graph_index("M", n, d)[g]
+        coeffs = dict(columns[key].get(u_of(g), ()))
+        coeffs.setdefault(i, 0)
+        Ms = enum_M(n, d)
+        failures = [
+            f"coefficient at g'={Ms[k]} is {c}, expected {int(k == i)}"
+            for k, c in sorted(coeffs.items())
+            if c != int(k == i)
+        ]
+        yield CheckReport(not failures, failures)
+
+
 def delta_check(g: BipartiteGraph) -> CheckReport:
     """Verify that only ``g`` itself hits zeta(u_of(g)) against zeta(d_of(g)*).
 
     For every multigraph g' with the same parameters, the coefficient of
     zeta(u_of(g)) in xi(g') * zeta(d_of(g).star()) must be 1 when g' = g and
-    0 otherwise.  Requires a square graph with n >= d.
+    0 otherwise.  d_of(g) depends only on the upper degrees of g, and a run
+    of :func:`delta_checks` over a whole cell convolves each product
+    ξ_{g'} · ζ(d_of(g)*) once; this is its one-graph case.  Requires a
+    square graph with n >= d.
     """
-    n, d = g.n_up, g.degree
-    probe = zeta(d_of(g).star())
-    target = zeta(u_of(g))
-    failures = []
-    for other in enum_M(n, d):
-        coeff = structure_constants(xi(other), probe).get(target, 0)
-        want = 1 if other == g else 0
-        if coeff != want:
-            failures.append(f"coefficient at g'={other} is {coeff}, expected {want}")
-    return CheckReport(not failures, failures)
+    return next(delta_checks([g]))
 
 
 def rect_compose(g1: BipartiteGraph, g2: BipartiteGraph) -> Dict[BipartiteGraph, int]:

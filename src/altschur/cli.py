@@ -39,7 +39,7 @@ from .algebra import (
     all_symbols,
     anti_involution,
     build_table,
-    delta_check,
+    delta_checks,
     factorization_check,
     identity,
     load_table,
@@ -338,8 +338,8 @@ def _suite_delta(n: int, d: int, field: FieldSpec, caps: _Caps) -> Tuple[bool, i
     if n < d:
         return True, 0, ""
     checks = 0
-    for g in enum_M(n, d):
-        report = delta_check(g)
+    graphs = enum_M(n, d)
+    for g, report in zip(graphs, delta_checks(graphs)):
         if not report.ok:
             return False, checks, f"delta reading fails on {g}: {report.failures[0]}"
         checks += 1
@@ -366,6 +366,8 @@ def _run_verify_suite(payload: Tuple[str, int, int, str, _Caps]) -> Dict[str, ob
 
 def cmd_verify(args: argparse.Namespace) -> int:
     n, d = args.n, args.d
+    if n < 1 or d < 0:
+        raise _Failure(EXIT_VALIDATION, f"verify needs n >= 1 and d >= 0, got n = {n}, d = {d}")
     field = _parse_field(args.field)
     check_power_budget(n, d, args.max_power)
     check_basis_budget(n, d, args.max_basis)
@@ -389,6 +391,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser and entry point
 # ---------------------------------------------------------------------------
+
+
+def _worker_count(text: str) -> int:
+    """The --workers value: an integer of at least 1."""
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
+    return workers
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--d-max", type=int, default=3)
     p_sweep.add_argument("--field", default="Q")
     p_sweep.add_argument("--json", action="store_true")
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=_worker_count, default=1)
     p_sweep.add_argument("--max-basis", type=int, default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -436,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("d", type=int)
     p_verify.add_argument("--field", default="Q")
     p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument("--workers", type=int, default=1)
+    p_verify.add_argument("--workers", type=_worker_count, default=1)
     p_verify.add_argument("--max-power", type=int, default=None)
     p_verify.add_argument("--max-basis", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify)

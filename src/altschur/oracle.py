@@ -366,12 +366,15 @@ def verify_table(
     prime field the comparison is entrywise mod p.  When the upper content
     of the left factor is the lower content of the right one, the product is
     the product of their blocks and is compared with the combination on
-    that block.  Otherwise the product is zero, because every symbol's block
-    holds its whole kernel (checked as the blocks are built), and the tables
-    are keyed by matching margins, so they hold nothing for the pair; its
-    constants are still read, and it passes exactly when each coefficient is
-    zero in the field, since terms of one parity with distinct graphs have
-    disjoint supports.  Every ordered pair counts in ``pairs_checked``; a
+    that block; when every term lies on that block too, the combination is
+    summed there and the two blocks compared in place, and
+    :func:`_first_difference` locates the first differing position only when
+    they disagree or a term lies elsewhere.  Otherwise the product is zero,
+    because every symbol's block holds its whole kernel (checked as the
+    blocks are built), and the tables are keyed by matching margins, so
+    they hold nothing for the pair; its constants are still read, and it
+    passes exactly when each coefficient is zero in the field, since terms
+    of one parity with distinct graphs have disjoint supports.  Every ordered pair counts in ``pairs_checked``; a
     mismatch names the first differing position of the full n^d x n^d
     matrices.  A symbol whose definition reaches outside its block is
     reported and no pair is checked.
@@ -393,19 +396,32 @@ def verify_table(
             report.mismatches.append(str(exc))
     if report.mismatches:
         return report
-    factors = [(sym, odd, k, blocks[sym]) + _margins(sym) for odd in (False, True) for k, sym in enumerate(syms[odd])]
+    # per parity, per index: the symbol's block and its (lower, upper) contents
+    block_of = [[blocks[sym] for sym in syms[odd]] for odd in (False, True)]
+    margins_of = [[_margins(sym) for sym in syms[odd]] for odd in (False, True)]
+    factors = [
+        (sym, odd, k, block_of[odd][k]) + margins_of[odd][k] for odd in (False, True) for k, sym in enumerate(syms[odd])
+    ]
     for a, odd_a, i, block_a, lower_a, upper_a in factors:
         for b, odd_b, j, block_b, lower_b, upper_b in factors:
             found = _product(n, d, i, odd_a, j, odd_b)
             report.pairs_checked += 1
+            odd = odd_a != odd_b
             if upper_a == lower_b:
                 product: Optional[np.ndarray] = block_a @ block_b
+                key = (lower_a, upper_b)
+                if all(margins_of[odd][k] == key for k in found):
+                    # every term lies on the product's block: compare in place
+                    diff = product - sum(c * block_of[odd][k] for k, c in found.items())
+                    if p:
+                        diff %= p
+                    if not diff.any():
+                        continue
             elif not found or all(c % p == 0 if p else c == 0 for c in found.values()):
                 continue
             else:
                 product = None
-            target = syms[odd_a != odd_b]
-            terms = {target[k]: c for k, c in found.items()}
+            terms = {syms[odd][k]: c for k, c in found.items()}
             first = _first_difference(product, (lower_a, upper_b), terms, blocks, p)
             if first is not None:
                 r, c2, got, want = first

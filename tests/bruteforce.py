@@ -12,9 +12,10 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from altschur import BipartiteGraph, NonTransverseError, koszul, oracle, pair_graph
+from altschur import BipartiteGraph, NonTransverseError, algebra, koszul, oracle, pair_graph
 from altschur.algebra import (
     BasisSymbol,
+    CheckReport,
     GradedElement,
     _left_dicts,
     _odd_margins,
@@ -27,7 +28,7 @@ from altschur.algebra import (
 )
 from altschur.enumeration import enum_B, enum_M, enum_N, graph_index, words_with_content
 from altschur.fields import FieldSpec, Scalar
-from altschur.graphs import Word, pair_sign
+from altschur.graphs import Word, d_of, pair_sign, u_of
 from altschur.linalg import SparseVec, add_scaled, combine, sparse_kernel
 from altschur.oracle import VerifyReport
 
@@ -383,6 +384,37 @@ def dense_verify_table(
                 )
             report.pairs_checked += 1
     return report
+
+
+def delta_check(g: BipartiteGraph) -> CheckReport:
+    """All-pairs reference for ``algebra.delta_check``: the coefficient of
+    ζ(u_of(g)) in ξ_{g'} · ζ(d_of(g)*), convolved anew for every g' and
+    every g, must be 1 when g' = g and 0 otherwise.  Reads
+    ``algebra.structure_constants`` at call time, so a patch reaches it."""
+    n, d = g.n_up, g.degree
+    probe = zeta(d_of(g).star())
+    target = zeta(u_of(g))
+    failures = []
+    for other in enum_M(n, d):
+        coeff = algebra.structure_constants(xi(other), probe).get(target, 0)
+        want = 1 if other == g else 0
+        if coeff != want:
+            failures.append(f"coefficient at g'={other} is {coeff}, expected {want}")
+    return CheckReport(not failures, failures)
+
+
+def delta_suite(n: int, d: int) -> Tuple[bool, int, str]:
+    """The ``verify`` delta suite's (ok, checks, detail), one
+    :func:`delta_check` per graph of M(n, d) in ``enum_M`` order."""
+    if n < d:
+        return True, 0, ""
+    checks = 0
+    for g in enum_M(n, d):
+        report = delta_check(g)
+        if not report.ok:
+            return False, checks, f"delta reading fails on {g}: {report.failures[0]}"
+        checks += 1
+    return True, checks, ""
 
 
 def table_json(table: Dict[Tuple[BasisSymbol, BasisSymbol], Dict[BasisSymbol, int]], n: int, d: int) -> str:

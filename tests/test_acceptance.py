@@ -16,7 +16,7 @@ from altschur import (
     BipartiteGraph,
     anti_involution,
     complete_bipartite,
-    delta_check,
+    delta_checks,
     enum_Lambda,
     enum_M,
     enum_N,
@@ -144,8 +144,8 @@ def test_criterion_07_factorization_and_delta_checks():
             odd_checked += 1
     even_checked = 0
     for n, d in [(2, 2), (3, 3)]:
-        for g in enum_M(n, d):
-            assert delta_check(g).ok
+        for report in delta_checks(enum_M(n, d)):
+            assert report.ok
             even_checked += 1
     print(f"criterion 07: PASS (factorization {odd_checked} odd, delta {even_checked} even)")
 

@@ -27,6 +27,7 @@ from altschur import (
     anti_involution,
     complete_bipartite,
     delta_check,
+    delta_checks,
     enum_B,
     enum_Lambda,
     enum_M,
@@ -45,11 +46,12 @@ from altschur import (
     xi,
     zeta,
 )
-from altschur import algebra
+from altschur import algebra, cli
 from altschur.algebra import all_symbols, build_table, convolve, load_table, save_table
 from altschur.enumeration import act_word, enum_M_rect, lambda_factorial
-from altschur.graphs import pair_sign
+from altschur.graphs import d_of, pair_sign, u_of
 
+import bruteforce
 from bruteforce import convolution_value, convolve_by_words, kernel_value, latin_count, table_json
 
 
@@ -369,8 +371,46 @@ def test_factorization_check_2_2():
 
 
 def test_delta_check_2_2():
-    for g in enum_M(2, 2):
-        assert delta_check(g).ok
+    graphs = enum_M(2, 2)
+    reports = list(delta_checks(graphs))
+    assert len(reports) == len(graphs) and all(r.ok for r in reports)
+    assert [delta_check(g) for g in graphs] == reports
+
+
+_DELTA_CELLS = [(2, 2), (3, 2), (3, 3), (4, 2), pytest.param(4, 3, marks=pytest.mark.stretch)]
+
+
+@pytest.mark.parametrize("n,d", _DELTA_CELLS)
+def test_delta_suite_matches_the_all_pairs_reference(n, d):
+    """The per-cell loop convolves each probe's products once; its suite
+    result equals the reference's, which convolves them once per graph."""
+    assert cli._suite_delta(n, d, GF(5), (None, None)) == bruteforce.delta_suite(n, d) == (True, len(enum_M(n, d)), "")
+    if n * d <= 9:
+        graphs = enum_M(n, d)
+        assert list(delta_checks(graphs)) == [bruteforce.delta_check(g) for g in graphs]
+
+
+@pytest.mark.parametrize("matched", [True, False], ids=["margin-matched", "mismatched"])
+def test_delta_suite_catches_one_wrong_product(monkeypatch, matched):
+    """One extra 1 at ζ(u(g)) in a single product ξ_{g'} · ζ(d(g)*), g' ≠ g,
+    fails the suite at g, with the reference's checks and detail."""
+    n, d = 3, 3
+    graphs = enum_M(n, d)
+    g = graphs[100]
+    probe, target = zeta(d_of(g).star()), zeta(u_of(g))
+    other = next(h for h in graphs if h != g and (h.upper_degrees == g.upper_degrees) == matched)
+    real = algebra.structure_constants
+
+    def one_wrong(sym1, sym2):
+        out = dict(real(sym1, sym2))
+        if (sym1, sym2) == (xi(other), probe):
+            out[target] = out.get(target, 0) + 1
+        return out
+
+    monkeypatch.setattr(algebra, "structure_constants", one_wrong)
+    got = cli._suite_delta(n, d, GF(5), (None, None))
+    assert got == bruteforce.delta_suite(n, d)
+    assert got == (False, 100, f"delta reading fails on {g}: coefficient at g'={other} is 1, expected 0")
 
 
 def test_factorization_rejects_bad_inputs():

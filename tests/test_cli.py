@@ -400,6 +400,26 @@ def test_verify_budget(capsys):
     assert "refused" in err
 
 
+@pytest.mark.parametrize("n,d", [(0, 2), (-1, 2), (2, -1)])
+def test_verify_rejects_a_cell_without_symbols(capsys, n, d):
+    """n < 1 or d < 0 is invalid input: exit 2 with one error line and no
+    traceback, before any suite runs."""
+    code, out, err = run(capsys, ["verify", str(n), str(d)])
+    assert code == 2 and out == ""
+    assert err == f"error: verify needs n >= 1 and d >= 0, got n = {n}, d = {d}\n"
+
+
+@pytest.mark.parametrize("argv", [["sweep"], ["verify", "2", "2"]], ids=["sweep", "verify"])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_are_rejected(capsys, argv, workers):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--workers", workers])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --workers: must be at least 1, got {int(workers)}" in err
+    assert "Traceback" not in err
+
+
 def test_verify_power_cap_is_not_a_basis_cap(capsys):
     # n^d = 4 fits the power cap; the 16 basis symbols fit the basis cap
     code, out, err = run(capsys, ["verify", "2", "2", "--max-power", "4", "--max-basis", "100"])
