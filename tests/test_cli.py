@@ -401,7 +401,7 @@ def test_verify_budget(capsys):
 
 
 @pytest.mark.parametrize("n,d", [(0, 2), (-1, 2), (2, -1)])
-def test_verify_rejects_a_cell_without_symbols(capsys, n, d):
+def test_verify_rejects_n_below_one_or_negative_d(capsys, n, d):
     """n < 1 or d < 0 is invalid input: exit 2 with one error line and no
     traceback, before any suite runs."""
     code, out, err = run(capsys, ["verify", str(n), str(d)])
