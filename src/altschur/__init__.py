@@ -46,7 +46,7 @@ from .algebra import (
     xi,
     zeta,
 )
-from .oracle import VerifyReport, operator_matrix, verify_table
+from .oracle import VerifyReport, verify_table
 from .koszul import (
     ASModule,
     IncompatibleTheta,
@@ -103,7 +103,6 @@ __all__ = [
     "xi",
     "zeta",
     "VerifyReport",
-    "operator_matrix",
     "verify_table",
     "ASModule",
     "IncompatibleTheta",

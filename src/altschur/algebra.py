@@ -824,7 +824,7 @@ def load_table(path: str) -> Tuple[int, int, Dict[Pair, Terms]]:
                 if sym is None:
                     parity, adj = key
                     try:
-                        sym = BasisSymbol(parity, BipartiteGraph(len(adj), len(adj[0]) if adj else 0, adj))
+                        sym = BasisSymbol(parity, BipartiteGraph.from_adj(adj))
                     except ValueError:
                         sym = None
                     if sym is None or sym.n != n or sym.d != d:

@@ -70,6 +70,12 @@ def _parse_field(label: str) -> FieldSpec:
     return FieldSpec.from_label(text)
 
 
+def _check_cell(command: str, n: int, d: int) -> None:
+    """Refuse a cell without boxes or with a negative degree as invalid input."""
+    if n < 1 or d < 0:
+        raise _Failure(EXIT_VALIDATION, f"{command} needs n >= 1 and d >= 0, got n = {n}, d = {d}")
+
+
 def _emit(text: str) -> None:
     sys.stdout.write(text + "\n")
 
@@ -89,6 +95,7 @@ def _note(text: str) -> None:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n, d, kind = args.n, args.d, args.kind
+    _check_cell("enumerate", n, d)
     check_basis_budget(n, d, args.max_basis)
     if kind in ("M", "N"):
         graphs = (enum_M if kind == "M" else enum_N)(n, d)
@@ -147,6 +154,7 @@ def _cache_dir(args: argparse.Namespace) -> str:
 
 def cmd_table(args: argparse.Namespace) -> int:
     n, d = args.n, args.d
+    _check_cell("table", n, d)
     field = _parse_field(args.field)
     check_basis_budget(n, d, args.max_basis)
     path = args.out or os.path.join(_cache_dir(args), f"table_n{n}_d{d}.json")
@@ -366,8 +374,7 @@ def _run_verify_suite(payload: Tuple[str, int, int, str, _Caps]) -> Dict[str, ob
 
 def cmd_verify(args: argparse.Namespace) -> int:
     n, d = args.n, args.d
-    if n < 1 or d < 0:
-        raise _Failure(EXIT_VALIDATION, f"verify needs n >= 1 and d >= 0, got n = {n}, d = {d}")
+    _check_cell("verify", n, d)
     field = _parse_field(args.field)
     check_power_budget(n, d, args.max_power)
     check_basis_budget(n, d, args.max_basis)

@@ -14,8 +14,9 @@ through ``algebra._product``, off the integer tables that the product table
 and the duality diagnostics read: convolved on one pair per orbit and filled
 by box relabelling, the ι mirror and the trace form.  So agreement over a
 complete basis is an independent check of the convolution and of every fill
-together.  The dense matrix is built only on request, by
-:func:`operator_matrix` and :func:`decompose`, from the blocks.
+together.  No dense n^d x n^d matrix is built here; the dense reference
+that tests compare these blocks with, read off the pair graph of every
+configuration pair, lives in ``tests/bruteforce.py``.
 
 Matrix convention: rows are indexed by the lower configuration and columns
 by the upper one, both in ``enum_B`` order, so the matrix of a product of
@@ -26,58 +27,27 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .fields import FieldSpec, QQ
-from .graphs import Word, pair_sign, representative_pair
-from .enumeration import (
-    act_word,
-    check_power_budget,
-    check_basis_budget,
-    enum_B,
-    enum_M,
-    enum_N,
-    sign_of_permutation,
-    words_with_content,
-)
-from .algebra import BasisSymbol, GradedElement, _product, _symbols
+from .graphs import Word, pair_sign
+from .enumeration import check_power_budget, check_basis_budget, words_with_content
+from .algebra import BasisSymbol, _product, _symbols
 
 __all__ = [
     "OracleError",
-    "NonEquivariantError",
-    "NonZeroAtNonTransverseError",
-    "DecompositionError",
     "OutsideBlockError",
-    "OperatorMatrix",
     "word_index",
-    "operator_matrix",
-    "permutation_matrix",
-    "decompose",
     "verify_table",
     "VerifyReport",
 ]
 
-_ENTRY_GUARD = 2**62  # stay far from int64 overflow in products
-
 
 class OracleError(RuntimeError):
     """Base class for oracle failures."""
-
-
-class NonEquivariantError(OracleError):
-    """A matrix handed to decompose fails the permutation-equivariance spot check."""
-
-
-class NonZeroAtNonTransverseError(OracleError):
-    """An odd decomposition target has weight at a pair with a repeated edge."""
-
-
-class DecompositionError(OracleError):
-    """The matrix is not a combination of basis operators of the stated parity."""
 
 
 class OutsideBlockError(OracleError):
@@ -90,29 +60,6 @@ def word_index(word: Word, n: int) -> int:
     for box in word:
         idx = idx * n + (box - 1)
     return idx
-
-
-@dataclass
-class OperatorMatrix:
-    """An integer kernel matrix indexed by ball configurations."""
-
-    n: int
-    d: int
-    matrix: np.ndarray  # int64, shape (n^d, n^d)
-
-    def __post_init__(self) -> None:
-        size = self.n**self.d
-        if self.matrix.shape != (size, size):
-            raise ValueError(f"expected shape {(size, size)}, got {self.matrix.shape}")
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if (self.n, self.d) != (other.n, other.d):
-            raise ValueError("parameter mismatch")
-        a, b = self.matrix, other.matrix
-        bound = int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0)) * a.shape[0]
-        if bound >= _ENTRY_GUARD:
-            raise OverflowError("product entries may not fit in int64")
-        return OperatorMatrix(self.n, self.d, a @ b)
 
 
 # -- blocks -------------------------------------------------------------------
@@ -178,118 +125,6 @@ def _block(sym: BasisSymbol) -> np.ndarray:
             )
         out[r, c] = value
     return out
-
-
-def _add_block(out: np.ndarray, sym: BasisSymbol, c: int) -> None:
-    """Add c times the symbol's kernel matrix to the dense matrix ``out``."""
-    lower, upper = _margins(sym)
-    out[np.ix_(_positions(lower), _positions(upper))] += c * _block(sym)
-
-
-def operator_matrix(sym: BasisSymbol, cap: int | None = None) -> OperatorMatrix:
-    """The kernel matrix of a basis symbol (exact integer entries).
-
-    Entry (S, U) is nonzero exactly when the pair graph of (S, U) is the
-    symbol's graph; the value is 1 for even symbols and the ball-labelling
-    sign for odd ones.  The dense matrix is the symbol's block scattered
-    into n^d x n^d zeros.
-    """
-    n, d = sym.n, sym.d
-    check_power_budget(n, d, cap)
-    out = np.zeros((n**d, n**d), dtype=np.int64)
-    _add_block(out, sym, 1)
-    return OperatorMatrix(n, d, out)
-
-
-def permutation_matrix(w: Sequence[int], n: int) -> np.ndarray:
-    """0/1 matrix of the right permutation action on configurations.
-
-    Row f, column f.w carries a 1; conjugating a kernel matrix by this
-    permutation replaces the kernel K(S, U) by K(S.w, U.w).
-    """
-    size = n ** len(w)
-    out = np.zeros((size, size), dtype=np.int64)
-    out[np.arange(size), _conjugation_index(w, n)] = 1
-    return out
-
-
-def _conjugation_index(w: Sequence[int], n: int) -> np.ndarray:
-    """perm[i] is the index of f.w for the configuration f of index i."""
-    d = len(w)
-    perm = np.empty(n**d, dtype=np.int64)
-    for f in enum_B(n, d):
-        perm[word_index(f, n)] = word_index(act_word(f, w), n)
-    return perm
-
-
-def decompose(
-    op: OperatorMatrix,
-    parity: str,
-    field: FieldSpec = QQ,
-    spot_checks: int = 8,
-) -> GradedElement:
-    """Read an equivariant integer matrix back as a combination of symbols.
-
-    Coefficients are read at the representative pair of each graph of the
-    stated parity.  Equivariance is spot-checked on ``spot_checks``
-    random permutations from a fixed seed (NonEquivariantError on failure);
-    for odd parity the matrix must vanish at non-transverse pairs
-    (NonZeroAtNonTransverse).  The combination is then re-materialized from
-    the symbols' blocks and compared entrywise, so a successful return is a
-    proof of membership.
-    """
-    if parity not in ("even", "odd"):
-        raise ValueError("parity must be 'even' or 'odd'")
-    n, d, m = op.n, op.d, op.matrix
-    p = field.characteristic
-    rng = random.Random(0)
-    sign_needed = parity == "odd"
-
-    def differs(x: np.ndarray, y: np.ndarray) -> bool:
-        delta = x - y
-        if p:
-            delta = delta % p
-        return bool(np.any(delta))
-
-    for _ in range(spot_checks if d > 1 else 0):
-        w = list(range(1, d + 1))
-        rng.shuffle(w)
-        perm = _conjugation_index(w, n)
-        conj = m[np.ix_(perm, perm)]
-        expect = sign_of_permutation(w) * m if sign_needed else m
-        if differs(conj, expect):
-            raise NonEquivariantError(
-                f"kernel is not {parity}-equivariant under the ball permutation {tuple(w)}"
-            )
-    graphs = enum_N(n, d) if parity == "odd" else enum_M(n, d)
-    coeffs: Dict[BasisSymbol, int] = {}
-    for g in graphs:
-        s_word, u_word = representative_pair(g)
-        c = int(m[word_index(s_word, n), word_index(u_word, n)])
-        if c:
-            coeffs[BasisSymbol(parity, g)] = c
-    rebuilt = np.zeros_like(m)
-    for sym, c in coeffs.items():
-        _add_block(rebuilt, sym, c)
-    if differs(rebuilt, m):
-        residue = (m - rebuilt) % p if p else m - rebuilt
-        if parity == "odd":
-            rows, cols = np.nonzero(residue)
-            words = list(enum_B(n, d))
-            for r, c2 in zip(rows, cols):
-                try:
-                    pair_sign(words[r], words[c2])
-                except Exception:
-                    raise NonZeroAtNonTransverseError(
-                        f"odd kernel has value {int(residue[r, c2])} at the "
-                        f"non-transverse pair ({words[r]}, {words[c2]})"
-                    ) from None
-        raise DecompositionError(
-            "matrix is not an integer combination of basis operators "
-            f"of parity {parity}"
-        )
-    terms = {sym: field.from_int(c) for sym, c in coeffs.items()}
-    return GradedElement(n, d, field, terms)
 
 
 @dataclass

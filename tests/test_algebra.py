@@ -763,20 +763,21 @@ def test_load_table_rejects_non_integer_coefficient(tmp_path):
         load_table(_write_json(tmp_path / "t.json", {"n": 2, "d": 2, "entries": [entry]}))
 
 
-def _one_entry_table(n=1, d=1, coeff=1):
-    sym = {"parity": "even", "adj": [[1]]}
+def _one_entry_table(n=1, d=1, coeff=1, edges=1):
+    sym = {"parity": "even", "adj": [[edges]]}
     return {"n": n, "d": d, "entries": [{"left": sym, "right": sym, "terms": [[sym, coeff]]}]}
 
 
 @pytest.mark.parametrize(
     "data",
-    [_one_entry_table(n=True), _one_entry_table(d=True), _one_entry_table(coeff=True)],
-    ids=["n", "d", "coefficient"],
+    [_one_entry_table(n=True), _one_entry_table(d=True), _one_entry_table(coeff=True), _one_entry_table(edges=True)],
+    ids=["n", "d", "coefficient", "adj"],
 )
 def test_load_table_rejects_booleans(tmp_path, data):
-    """JSON true is not the integer 1: as n, as d or as a coefficient."""
+    """JSON true is not the integer 1: as n, as d, as a coefficient or as an
+    edge multiplicity in a symbol's ``adj``."""
     assert load_table(_write_json(tmp_path / "good.json", _one_entry_table()))[:2] == (1, 1)
-    with pytest.raises(ValueError, match="not a pair of parameters|not an integer"):
+    with pytest.raises(ValueError, match="not a pair of parameters|not an integer|mistyped field"):
         load_table(_write_json(tmp_path / "t.json", data))
 
 

@@ -401,12 +401,15 @@ def test_verify_budget(capsys):
 
 
 @pytest.mark.parametrize("n,d", [(0, 2), (-1, 2), (2, -1)])
-def test_verify_rejects_n_below_one_or_negative_d(capsys, n, d):
-    """n < 1 or d < 0 is invalid input: exit 2 with one error line and no
-    traceback, before any suite runs."""
-    code, out, err = run(capsys, ["verify", str(n), str(d)])
-    assert code == 2 and out == ""
-    assert err == f"error: verify needs n >= 1 and d >= 0, got n = {n}, d = {d}\n"
+def test_verify_rejects_n_below_one_or_negative_d(capsys, tmp_path, n, d):
+    """n < 1 or d < 0 is invalid input to enumerate, table and verify: exit 2
+    with one error line and no traceback, before any work, and no table file."""
+    table_path = tmp_path / "table.json"
+    for command, options in [("enumerate", []), ("table", ["--out", str(table_path)]), ("verify", [])]:
+        code, out, err = run(capsys, [command, str(n), str(d)] + options)
+        assert code == 2 and out == ""
+        assert err == f"error: {command} needs n >= 1 and d >= 0, got n = {n}, d = {d}\n"
+    assert not table_path.exists()
 
 
 @pytest.mark.parametrize("argv", [["sweep"], ["verify", "2", "2"]], ids=["sweep", "verify"])

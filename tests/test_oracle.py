@@ -1,5 +1,5 @@
-"""The matrix oracle: explicit operators on ball configurations, read-back of
-equivariant matrices, and the full table comparison."""
+"""The matrix oracle: operator blocks on ball configurations, checked against
+the pair-graph reference, and the full table comparison."""
 
 import random
 
@@ -15,7 +15,6 @@ from altschur import (
     enum_B,
     enum_M,
     enum_N,
-    gamma_perm,
     multiply,
     pair_graph,
     representative_pair,
@@ -24,32 +23,33 @@ from altschur import (
     zeta,
 )
 from altschur.algebra import GradedElement, _symbols, all_symbols, iota_sign
-from altschur.enumeration import sign_of_permutation, words_with_content
+from altschur.enumeration import act_word, sign_of_permutation, words_with_content
 from altschur import oracle
-from altschur.oracle import (
-    DecompositionError,
-    NonEquivariantError,
-    NonZeroAtNonTransverseError,
-    OperatorMatrix,
-    OutsideBlockError,
-    decompose,
-    operator_matrix,
-    permutation_matrix,
-    word_index,
-)
+from altschur.oracle import OutsideBlockError, word_index
 from altschur.linalg import ExactMatrix
 from bruteforce import dense_operators, dense_verify_table
 
 
+def _margins(sym):
+    return sym.graph.lower_degrees, sym.graph.upper_degrees
+
+
+def _dense(sym):
+    """The symbol's n^d x n^d kernel matrix: the oracle's block scattered into zeros."""
+    out = np.zeros((sym.n**sym.d,) * 2, dtype=np.int64)
+    lower, upper = _margins(sym)
+    out[np.ix_(oracle._positions(lower), oracle._positions(upper))] = oracle._block(sym)
+    return out
+
+
 def test_operator_matrix_trivial_cell():
-    m = operator_matrix(xi(BipartiteGraph.from_adj([[3]])))
-    assert m.matrix.tolist() == [[1]]
+    assert _dense(xi(BipartiteGraph.from_adj([[3]]))).tolist() == [[1]]
 
 
 def test_even_row_sums_count_realizations():
     words = list(enum_B(2, 2))
     for g in enum_M(2, 2):
-        m = operator_matrix(xi(g)).matrix
+        m = _dense(xi(g))
         for i, s_word in enumerate(words):
             expected = sum(1 for u in words if pair_graph(s_word, u, 2) == g)
             assert int(m[i].sum()) == expected
@@ -58,7 +58,7 @@ def test_even_row_sums_count_realizations():
 def test_odd_entries_signed():
     words = list(enum_B(2, 2))
     for g in enum_N(2, 2):
-        m = operator_matrix(zeta(g)).matrix
+        m = _dense(zeta(g))
         s_word, u_word = representative_pair(g)
         assert m[word_index(s_word, 2), word_index(u_word, 2)] == 1
         # every nonzero entry sits at a pair realizing g, with the ball sign
@@ -72,27 +72,23 @@ def test_odd_entries_signed():
                     assert m[i, j] == 0
 
 
-def test_operator_matrix_budget():
-    with pytest.raises(BudgetExceededError):
-        operator_matrix(xi(BipartiteGraph.from_adj([[30, 0], [0, 0]])))
-
-
 def test_equivariance():
     rng = random.Random(3)
-    m_even = operator_matrix(xi(enum_M(2, 3)[5])).matrix
-    m_odd = operator_matrix(zeta(enum_N(2, 3)[1])).matrix
+    m_even = _dense(xi(enum_M(2, 3)[5]))
+    m_odd = _dense(zeta(enum_N(2, 3)[1]))
     for _ in range(20):
         w = [1, 2, 3]
         rng.shuffle(w)
-        P = permutation_matrix(w, 2)
-        assert np.array_equal(P.T @ m_even @ P, m_even)
-        assert np.array_equal(P.T @ m_odd @ P, sign_of_permutation(w) * m_odd)
+        # entry (S, U) of the conjugated matrix is the kernel at (S.w, U.w)
+        perm = [word_index(act_word(f, w), 2) for f in enum_B(2, 3)]
+        assert np.array_equal(m_even[np.ix_(perm, perm)], m_even)
+        assert np.array_equal(m_odd[np.ix_(perm, perm)], sign_of_permutation(w) * m_odd)
 
 
 @pytest.mark.parametrize("n,d,expected", [(2, 2, 16), (2, 3, 24)])
 def test_operator_matrices_linearly_independent(n, d, expected):
     rows = [
-        [int(x) for x in operator_matrix(sym).matrix.flatten()]
+        [int(x) for x in _dense(sym).flatten()]
         for sym in all_symbols(n, d)
     ]
     assert len(rows) == expected
@@ -102,10 +98,10 @@ def test_operator_matrices_linearly_independent(n, d, expected):
 def test_transpose_compatibility():
     """The anti-involution corresponds to matrix transposition."""
     for sym in all_symbols(2, 2):
-        m = operator_matrix(sym).matrix
+        m = _dense(sym)
         image = anti_involution(GradedElement.from_symbol(sym, QQ))
         ((img_sym, coeff),) = image.terms.items()
-        expected = int(coeff) * operator_matrix(img_sym).matrix
+        expected = int(coeff) * _dense(img_sym)
         assert np.array_equal(m.T, expected)
         if sym.is_odd:
             assert int(coeff) == iota_sign(sym.graph)
@@ -113,66 +109,18 @@ def test_transpose_compatibility():
             assert coeff == QQ.one
 
 
-# -- decompose ------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("field", [QQ, GF(5)])
-def test_decompose_roundtrip(field):
-    for sym in all_symbols(2, 2):
-        parity = sym.parity
-        back = decompose(operator_matrix(sym), parity, field)
-        assert back == GradedElement.from_symbol(sym, field)
-
-
-def test_decompose_zero_matrix():
-    z = OperatorMatrix(2, 2, np.zeros((4, 4), dtype=np.int64))
-    assert decompose(z, "even").is_zero()
-    assert decompose(z, "odd").is_zero()
-
-
 def test_decompose_of_oracle_products():
+    """The product of two symbols' reference matrices is the combination of
+    reference matrices that ``multiply`` gives."""
+    mats = dense_operators(2, 3)
     syms = all_symbols(2, 3)
     rng = random.Random(9)
     for _ in range(25):
         a, b = rng.choice(syms), rng.choice(syms)
-        parity = "odd" if a.is_odd != b.is_odd else "even"
-        product_matrix = operator_matrix(a) @ operator_matrix(b)
-        got = decompose(product_matrix, parity)
-        expected = multiply(
-            GradedElement.from_symbol(a, QQ), GradedElement.from_symbol(b, QQ)
-        )
-        assert got == expected
-
-
-def test_decompose_rejects_non_equivariant():
-    m = OperatorMatrix(2, 2, np.diag(np.array([0, 1, 2, 3], dtype=np.int64)))
-    with pytest.raises(NonEquivariantError):
-        decompose(m, "even")
-
-
-def test_decompose_rejects_wrong_parity():
-    cross = operator_matrix(zeta(gamma_perm((2, 1))))
-    with pytest.raises(DecompositionError):
-        decompose(cross, "even", spot_checks=0)
-
-
-def test_decompose_rejects_non_transverse_support():
-    bad = np.zeros((4, 4), dtype=np.int64)
-    bad[0, 0] = 1  # the pair ((1,1),(1,1)) has a repeated edge
-    with pytest.raises(NonZeroAtNonTransverseError):
-        decompose(OperatorMatrix(2, 2, bad), "odd", spot_checks=0)
-
-
-def test_decompose_parity_argument():
-    with pytest.raises(ValueError):
-        decompose(operator_matrix(xi(gamma_perm((1, 2)))), "both")
-
-
-def test_operator_matmul_parameter_mismatch():
-    a = OperatorMatrix(2, 2, np.zeros((4, 4), dtype=np.int64))
-    b = OperatorMatrix(2, 3, np.zeros((8, 8), dtype=np.int64))
-    with pytest.raises(ValueError):
-        a @ b
+        terms = multiply(GradedElement.from_symbol(a, QQ), GradedElement.from_symbol(b, QQ)).terms
+        assert all(c == int(c) for c in terms.values())
+        expected = sum((int(c) * mats[s] for s, c in terms.items()), np.zeros_like(mats[a]))
+        assert np.array_equal(mats[a] @ mats[b], expected)
 
 
 # -- whole-table comparison -------------------------------------------------------
@@ -240,23 +188,10 @@ def test_block_oracle_equals_dense_reference_stretch(n, d):
 def test_operator_matrix_equals_pair_graph_reference(n, d):
     mats = dense_operators(n, d)
     for sym in all_symbols(n, d):
-        assert np.array_equal(operator_matrix(sym).matrix, mats[sym])
-
-
-def test_verify_table_builds_no_dense_matrix(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("verify_table built a dense matrix")
-
-    monkeypatch.setattr(oracle, "operator_matrix", refuse)
-    monkeypatch.setattr(OperatorMatrix, "__matmul__", refuse)
-    assert verify_table(2, 3).ok
+        assert np.array_equal(_dense(sym), mats[sym])
 
 
 # -- mutations: a wrong constant or a wrong operator is caught ---------------------------
-
-
-def _margins(sym):
-    return sym.graph.lower_degrees, sym.graph.upper_degrees
 
 
 def _pairs(n, d, matched, parities):
@@ -398,7 +333,7 @@ def test_entry_outside_block_is_reported(monkeypatch):
     assert message.startswith(f"{victim}: ")
     assert f"({word_index(s_word, 2)}, {word_index(u_word, 2)}), outside its block" in message
     with pytest.raises(OutsideBlockError):
-        operator_matrix(victim)
+        oracle._block(victim)
 
 
 # -- new cells ------------------------------------------------------------------------
