@@ -70,8 +70,6 @@ from .graphs import (
     gamma0_lambda,
     gamma_lambda,
     labelling_sign,
-    pair_sign,
-    representative_pair,
     d_of,
     u_of,
 )
@@ -259,15 +257,18 @@ class GradedElement:
 
 # -- the convolution kernel --------------------------------------------------
 
-# a partial table of convolve: its cell sums and the (middle box, slice) pairs
-_State = Tuple[Tuple[int, ...], Tuple[Tuple[int, Tuple[int, ...]], ...]]
+# a 2-way slice of convolve: its nonzero (flat cell, count) pairs, and the
+# parity of its pairs of balls in cells c < c' with column j_c > j_c'
+_Slice = Tuple[Tuple[Tuple[int, int], ...], int]
 
 
-def _tables(rows: Sequence[int], cols: Sequence[int]) -> List[Tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _tables(rows: Tuple[int, ...], cols: Tuple[int, ...]) -> Tuple[_Slice, ...]:
     """Every matrix of non-negative ints with row sums ``rows`` and column
-    sums ``cols`` (non-empty, equal totals), flattened row-major."""
+    sums ``cols`` (non-empty, equal totals), flattened row-major, as a
+    :data:`_Slice`.  Cached, since the products of one cell share margins."""
     n_rows, n_cols = len(rows), len(cols)
-    out: List[Tuple[int, ...]] = []
+    out: List[_Slice] = []
     cells = [0] * (n_rows * n_cols)
     left = list(cols)
     last = (n_rows - 1) * n_cols
@@ -275,7 +276,11 @@ def _tables(rows: Sequence[int], cols: Sequence[int]) -> List[Tuple[int, ...]]:
     def fill(k: int, row_left: int, room: int) -> None:
         # cell k = (i, j) takes x balls; the row's later cells have ``room``
         if k == last:
-            out.append(tuple(cells[:last]) + tuple(left))
+            nonzero = tuple((c, x) for c, x in enumerate(cells[:last] + left) if x)
+            crossed = sum(
+                x * y for at, (c, x) in enumerate(nonzero) for c2, y in nonzero[at + 1:] if c % n_cols > c2 % n_cols
+            )
+            out.append((nonzero, crossed & 1))
             return
         j = k % n_cols
         cap = left[j]
@@ -290,6 +295,20 @@ def _tables(rows: Sequence[int], cols: Sequence[int]) -> List[Tuple[int, ...]]:
         left[j] = cap
 
     fill(0, rows[0], sum(cols))
+    return tuple(out)
+
+
+def _flips(partial: Tuple[int, ...], width: int, odd1: bool, odd2: bool) -> List[int]:
+    """Per cell k of a partial sum: the parity of the old balls that a new
+    ball in cell k is inverted with (see :func:`convolve`)."""
+    out = [0] * len(partial)
+    later = row_later = 0  # balls in later cells; in later cells of this row
+    for k in range(len(partial) - 1, -1, -1):
+        if k % width == width - 1:
+            row_later = 0
+        out[k] = ((later if odd1 else 0) + (row_later if odd2 else 0)) & 1
+        later += partial[k]
+        row_later += partial[k]
     return out
 
 
@@ -328,8 +347,18 @@ def convolve(
       Partial sums are pruned at 1; each surviving table is one signed T.
 
     The tables are built one middle box at a time.  A partial sum P gains
-    a slice A with weight prod C(P_ij + A_ij, A_ij), and even products merge
-    equal partial sums; signed products keep the slices for the sign.
+    a slice A with weight prod C(P_ij + A_ij, A_ij), and equal partial sums
+    merge, with a signed count when a factor is odd, because the sign of
+    the representative T factors over the slices.  Order its balls by cell
+    (i, j), then by middle box m.  The sign of (S, T) (odd g1) is the
+    inversion parity of the sequence (m, j), that of (T, U) (odd g2) the
+    inversion parity of (i, m); each inversion is a pair of balls and
+    depends on their (i, j, m) only.  When slice m joins P, every old ball
+    has a smaller middle box, so a new ball of cell c is inverted, for
+    (m, j), with every old ball of a cell c' > c and, for (i, m), with
+    every old ball of its row at a larger j; two new balls of cells c < c'
+    are inverted, for (m, j), when j_c > j_c'.  No other pair changes, so
+    the sign of a step depends on (P, A) only.
     """
     if g1.n_up != g2.n_down:
         raise ValueError(
@@ -348,20 +377,21 @@ def convolve(
     # can carry them; the tables live on those cells
     up = [i for i, deg in enumerate(g2.upper_degrees) if deg]
     down = [j for j, deg in enumerate(g1.lower_degrees) if deg]
+    width = len(down)
     signed = odd1 or odd2
     prune = odd1 != odd2
     comb = math.comb
-    # (partial sum, (m, slice) so far) -> number of middle configurations;
-    # the slices are kept only when the sign needs them
-    states: Dict[_State, int] = {((0,) * (len(up) * len(down)), ()): 1}
+    # partial sum -> signed number of middle configurations
+    states: Dict[Tuple[int, ...], int] = {(0,) * (len(up) * width): 1}
     for m, row in enumerate(g1.adj):
         if not g1.upper_degrees[m]:
             continue
-        slices = _tables([g2.adj[i][m] for i in up], [row[j] for j in down])
-        moves = [(a, [(k, x) for k, x in enumerate(a) if x]) for a in slices]
-        nxt: Dict[_State, int] = {}
-        for (partial, path), count in states.items():
-            for a, nonzero in moves:
+        slices = _tables(tuple(g2.adj[i][m] for i in up), tuple(row[j] for j in down))
+        nxt: Dict[Tuple[int, ...], int] = {}
+        for partial, count in states.items():
+            flips = _flips(partial, width, odd1, odd2) if signed else None
+            for nonzero, crossed in slices:
+                negative = odd1 and crossed
                 weight = count
                 total = list(partial)
                 for k, x in nonzero:
@@ -370,28 +400,23 @@ def convolve(
                         if prune:
                             break
                         weight *= comb(p + x, x)
+                    if signed and flips[k]:
+                        negative = not negative
                     total[k] = p + x
                 else:
-                    state = (tuple(total), path + ((m, a),) if signed else ())
-                    nxt[state] = nxt.get(state, 0) + weight
+                    key = tuple(total)
+                    nxt[key] = nxt.get(key, 0) + (-weight if negative else weight)
         states = nxt
 
-    n_up, n_down, width = g2.n_up, g1.n_down, len(down)
+    n_up, n_down = g2.n_up, g1.n_down
     coeffs: Dict[BipartiteGraph, int] = {}
-    for (flat, path), count in states.items():
-        adj = [[0] * n_down for _ in range(n_up)]
-        for k, x in enumerate(flat):
-            adj[up[k // width]][down[k % width]] = x
-        target = BipartiteGraph(n_up, n_down, tuple(map(tuple, adj)))
-        if signed:
-            s_word, u_word = representative_pair(target)
-            t_word = tuple(m + 1 for k in range(len(flat)) for m, a in path for _ in range(a[k]))
-            if odd1:
-                count *= pair_sign(s_word, t_word)
-            if odd2:
-                count *= pair_sign(t_word, u_word)
-        coeffs[target] = coeffs.get(target, 0) + count
-    return {g: c for g, c in coeffs.items() if c}
+    for flat, count in states.items():
+        if count:
+            adj = [[0] * n_down for _ in range(n_up)]
+            for k, x in enumerate(flat):
+                adj[up[k // width]][down[k % width]] = x
+            coeffs[BipartiteGraph(n_up, n_down, tuple(map(tuple, adj)))] = count
+    return coeffs
 
 
 def structure_constants(sym1: BasisSymbol, sym2: BasisSymbol) -> Dict[BasisSymbol, int]:

@@ -234,6 +234,12 @@ def _run_pool(worker: Callable, payloads: Sequence[tuple], workers: int) -> List
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.n_max < 1 or args.d_max < 1:
+        # the grid starts at (1, 1); a smaller bound leaves it empty
+        raise _Failure(
+            EXIT_VALIDATION,
+            f"sweep needs --n-max >= 1 and --d-max >= 1, got --n-max {args.n_max}, --d-max {args.d_max}",
+        )
     field = _parse_field(args.field)
     cells = [(n, d) for n in range(1, args.n_max + 1) for d in range(1, args.d_max + 1)]
     payloads = [(n, d, field.label, args.max_basis) for n, d in cells]

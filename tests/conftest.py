@@ -21,9 +21,12 @@ def _clear(*caches):
 
 @pytest.fixture(autouse=True)
 def _release_stretch_cells(request):
-    """After a stretch test, drop every per-(n, d) lru_cache, so that one
-    process running the stretch suite holds the tables of one cell at a
-    time and not those of every cell it has passed."""
+    """After a stretch test, drop every per-(n, d) lru_cache and convolve's
+    slice tables, so that one process running the stretch suite holds the
+    tables of one cell at a time and not those of every cell it has passed."""
     yield
     if request.node.get_closest_marker("stretch"):
-        _clear(*_TABLE_CACHES, koszul._generators, enumeration.enum_M, enumeration.enum_N, enumeration.graph_index)
+        _clear(
+            *_TABLE_CACHES, koszul._generators, enumeration.enum_M, enumeration.enum_N, enumeration.graph_index,
+            algebra._tables,
+        )

@@ -2,6 +2,7 @@
 constant cases, identity, anti-involution, the factorization diagnostics,
 rectangular composition, and table persistence."""
 
+import collections
 import errno
 import gc
 import hashlib
@@ -566,6 +567,63 @@ def test_convolve_matches_word_walk_on_rectangular_pairs(left_shape, right_shape
 @pytest.mark.stretch
 def test_convolve_matches_word_walk_on_every_pair_3_4():
     _assert_matches_words(_margin_matched_pairs(3, 4))
+
+
+def test_word_walk_gate_catches_dropped_slice_crossings(monkeypatch):
+    """With every slice reporting no crossings, the left sign loses the
+    inversions between two balls of one middle box, and the word walk at
+    (3,3) disagrees exactly where the left factor is odd."""
+    tables = algebra._tables
+    monkeypatch.setattr(
+        algebra, "_tables", lambda rows, cols: tuple((nonzero, 0) for nonzero, _ in tables(rows, cols))
+    )
+    wrong = collections.Counter(
+        (odd1, odd2)
+        for g1, g2, odd1, odd2 in _margin_matched_pairs(3, 3)
+        if convolve(g1, g2, odd1, odd2) != convolve_by_words(g1, g2, odd1, odd2)
+    )
+    assert set(wrong) == {(True, False), (True, True)}, wrong
+
+
+# sha256 of repr(sorted((adj, coefficient), ...)) of the product, and its
+# number of targets; recorded from the convolve that kept each table's slices
+# for the sign, before signed products merged their partial sums
+_K4_SQUARED = {
+    False: (10147, "7eea25f1b50db4d335e2b07eb53b5c717386fbfe0e48708902441e544c0de656"),
+    True: (10147, "d3a165c1f50bf519f0f800ab53c5edf02b453102b5cb0667271ae578f8bb33c8"),
+}
+
+
+@pytest.mark.stretch
+@pytest.mark.parametrize("odd", [False, True], ids=["xi", "zeta"])
+def test_k4_squared_is_pinned(odd):
+    k4 = complete_bipartite(4)
+    product = convolve(k4, k4, odd, odd)
+    digest = hashlib.sha256(repr(sorted((g.adj, c) for g, c in product.items())).encode()).hexdigest()
+    assert (len(product), digest) == _K4_SQUARED[odd]
+
+
+@pytest.mark.stretch
+@pytest.mark.parametrize("n,d", [(3, 8), (4, 6), (4, 7)])
+def test_odd_products_follow_the_trace_form_at_products_cells(n, d):
+    """Seeded ζ_a ζ_b, convolved with both ball signs, against the trace form
+    read off ξ_{h*} ζ_a, convolved with the right sign only: the coefficient
+    of ξ_h is s_b · h! times that of ζ_{b*} in ξ_{h*} ζ_a."""
+    rng = random.Random(10 * n + d)
+    odds = enum_N(n, d)
+    by_lower = {}
+    for b in odds:
+        by_lower.setdefault(b.lower_degrees, []).append(b)
+    targets = 0
+    for a in rng.sample(odds, min(30, len(odds))):
+        rights = by_lower.get(a.upper_degrees, [])
+        for b in rng.sample(rights, min(2, len(rights))):
+            for h, c in convolve(a, b, True, True).items():
+                fact = lambda_factorial([x for row in h.adj for x in row])
+                left = convolve(h.star(), a, False, True)
+                assert c == algebra.iota_sign(b) * fact * left.get(b.star(), 0), (a, b, h)
+                targets += 1
+    assert targets
 
 
 def _column_multinomials(g):

@@ -412,6 +412,16 @@ def test_verify_rejects_n_below_one_or_negative_d(capsys, tmp_path, n, d):
     assert not table_path.exists()
 
 
+@pytest.mark.parametrize("n_max,d_max", [(0, 2), (-1, 3), (2, 0)])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_sweep_rejects_an_empty_grid(capsys, n_max, d_max, json_flag):
+    """Sweep cells start at (1, 1): a bound below 1 leaves no cell, and is
+    invalid input with exit 2 and one error line, not an empty report."""
+    code, out, err = run(capsys, ["sweep", "--n-max", str(n_max), "--d-max", str(d_max)] + json_flag)
+    assert code == 2 and out == ""
+    assert err == f"error: sweep needs --n-max >= 1 and --d-max >= 1, got --n-max {n_max}, --d-max {d_max}\n"
+
+
 @pytest.mark.parametrize("argv", [["sweep"], ["verify", "2", "2"]], ids=["sweep", "verify"])
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_workers_below_one_are_rejected(capsys, argv, workers):
