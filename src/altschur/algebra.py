@@ -817,6 +817,10 @@ def save_table(table: Dict[Pair, Terms], n: int, d: int, path: str) -> None:
         raise
 
 
+def _refuse_float(text: str) -> float:
+    raise ValueError(f"{text} is not an integer")
+
+
 def load_table(path: str) -> Tuple[int, int, Dict[Pair, Terms]]:
     """Read a table written by :func:`save_table`: its (n, d) and the pairs
     it lists with nonzero terms.
@@ -825,20 +829,26 @@ def load_table(path: str) -> Tuple[int, int, Dict[Pair, Terms]]:
     (n, d) with the one it wants at once.
 
     Raises ``ValueError`` when a required key is missing or mistyped, when
-    a coefficient is not an integer, or when the file names a symbol outside
-    the basis at its own (n, d).
+    the file holds a JSON true, false or float anywhere, when a coefficient
+    is not an integer, or when the file names a symbol outside the basis at
+    its own (n, d).
     """
-    # json.load and the records loop allocate hundreds of thousands of
+    # json.loads and the records loop allocate hundreds of thousands of
     # containers, none of them in a cycle: collecting while they run only
-    # costs time, and pausing json.load alone defers that cost to the loop
+    # costs time, and pausing json.loads alone defers that cost to the loop
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            text = fh.read()
+        # save_table writes no JSON true, false or float, and parsed they
+        # compare equal to ints (True == 1.0 == 1): the symbol memo below
+        # would take them for an int matrix it has seen
+        if "true" in text or "false" in text:
+            raise ValueError("a JSON true or false is not an integer")
+        data = json.loads(text, parse_float=_refuse_float)
         try:
             n, d, records = data["n"], data["d"], data["entries"]
-            # type() and not isinstance(): JSON true and false load as bools
             if not (type(n) is int and type(d) is int and n >= 1 and d >= 0):
                 raise ValueError(f"(n, d) = ({n!r}, {d!r}) is not a pair of parameters")
             seen: Dict[tuple, BasisSymbol] = {}  # (parity, adj) as read -> symbol

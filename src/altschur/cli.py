@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -29,7 +30,10 @@ from .enumeration import (
     BudgetExceededError,
     basis_size,
     check_basis_budget,
+    check_count_budget,
     check_power_budget,
+    count_M,
+    count_N,
     enum_Lambda,
     enum_M,
     enum_N,
@@ -93,10 +97,18 @@ def _note(text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+# the size of each family that enumerate lists, checked against the basis cap
+_FAMILY_SIZES: Dict[str, Callable[[int, int], int]] = {
+    "M": count_M,
+    "N": count_N,
+    "Lambda": lambda n, d: math.comb(n + d - 1, d),
+}
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n, d, kind = args.n, args.d, args.kind
     _check_cell("enumerate", n, d)
-    check_basis_budget(n, d, args.max_basis)
+    check_count_budget(f"|{kind}|", _FAMILY_SIZES[kind](n, d), n, d, args.max_basis)
     if kind in ("M", "N"):
         graphs = (enum_M if kind == "M" else enum_N)(n, d)
         items: List[object] = [[list(row) for row in g.adj] for g in graphs]

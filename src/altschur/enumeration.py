@@ -46,6 +46,7 @@ __all__ = [
     "basis_size",
     "check_power_budget",
     "check_basis_budget",
+    "check_count_budget",
     "lambda_factorial",
     "sign_of_permutation",
     "graph_index",
@@ -78,10 +79,15 @@ def check_power_budget(n: int, d: int, cap: int | None = None) -> None:
 
 def check_basis_budget(n: int, d: int, cap: int | None = None) -> None:
     """Raise :class:`BudgetExceededError` when |M(n,d)| + |N(n,d)| exceeds the cap."""
+    check_count_budget("|M| + |N|", basis_size(n, d), n, d, cap)
+
+
+def check_count_budget(what: str, size: int, n: int, d: int, cap: int | None = None) -> None:
+    """Raise :class:`BudgetExceededError` when ``size``, the count named
+    ``what`` at (n, d), exceeds the basis cap."""
     limit = _cap(BASIS_CAP_ENV, DEFAULT_BASIS_CAP, cap)
-    size = basis_size(n, d)
     if size > limit:
-        raise BudgetExceededError(f"|M| + |N| = {size} at (n,d)=({n},{d}) exceeds the cap {limit}")
+        raise BudgetExceededError(f"{what} = {size} at (n,d)=({n},{d}) exceeds the cap {limit}")
 
 
 def count_M(n: int, d: int) -> int:

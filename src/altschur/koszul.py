@@ -61,9 +61,15 @@ count it once for every block of its orbit.  psi's kernel vectors also
 need the other blocks of each orbit whose representative has a non-zero
 kernel; those are solved directly.
 
-phi and psi share one rank path, ``_certified_dim``: large quotients over Q
-get a mod-p certificate, accepted only when it pinches against an exact
-rational bound, and exact sparse elimination otherwise.  Every module axiom
+phi and psi share one rank path, ``_certified_dim``.  Over GF(p) it
+eliminates mod p.  Over Q it eliminates mod a large prime p first, on every
+cell.  Ranks of integer matrices only drop mod p, so on every block the
+image of the map and the relation quotient satisfy
+
+    image_p ≤ image_Q ≤ quotient_Q ≤ quotient_p,
+
+and when the outer two meet, all four are equal and the mod-p answer is the
+rational one.  Otherwise it eliminates over Q.  Every module axiom
 (the even action, the mixed parity products, the square of θ) goes through
 one product check, ``_check_products``.
 """
@@ -116,14 +122,11 @@ __all__ = [
     "find_module_isomorphism",
 ]
 
-# Modulus for rank certificates over Q.  The per-block echelons reduce with
-# Python ints, so any prime works; a large one makes a rank drop mod p (and
-# with it the exact fallback) unlikely.
+# The prime that phi and psi over Q eliminate modulo first, on every cell
+# (see _certified_dim).  The per-block echelons reduce with Python ints, so
+# any prime works; a large one makes a rank drop mod p (and with it the
+# elimination over Q) unlikely.
 _CERT_PRIME = 999983
-
-# Above this many ambient coordinates, rational analyses try the mod-p
-# certificate before exact elimination.
-_EXACT_CUTOFF = 600
 
 _SAMPLE_PAIRS = 25
 
@@ -494,41 +497,33 @@ def _certified_dim(
     blocks: _Blocks,
     rows: Callable[[], Iterable[Dict[int, int]]],
     field: FieldSpec,
-    image: Sequence[int],
-    image_over: Callable[[FieldSpec], Sequence[int]],
-) -> Tuple[int, str]:
-    """Dimension of the blocks' span modulo the relation ``rows()``, and the
-    method label of the rank path that found it.
+    image: Callable[[FieldSpec], Sequence[int]],
+) -> Tuple[int, int, str]:
+    """Dimension of the blocks' span modulo the relation ``rows()``, the
+    dimension of the image, and the method label of the rank path.
 
-    ``rows()`` holds the relations of the representative blocks.  ``image``
-    holds, per representative block, the dimension over ``field`` of the
-    image of a map that kills every relation, and ``image_over(p)`` the same
-    over the certificate prime field; a block's relation rank is at most its
-    size minus its image.  Each representative counts once per block of its
-    orbit.  Over GF(p), and over Q up to ``_EXACT_CUTOFF`` coordinates of
-    all blocks, the rank is taken over the field itself.  Otherwise it is
-    first taken modulo ``_CERT_PRIME``: the quotient dimension mod p bounds
-    the rational one from above and the rational image from below, so when
-    the two meet the answer is exact; else exact elimination decides.
+    ``rows()`` holds the integer relations of the representative blocks, and
+    ``image(f)``, per representative block, the dimension over ``f`` of the
+    image of an integer map that kills every relation; a block's relation
+    rank is at most its size minus its image.  Each representative counts
+    once per block of its orbit.  Over GF(p) one elimination mod p answers
+    ("modp").  Over Q the ranks are first taken mod ``_CERT_PRIME``.  A rank
+    mod p is at most the rank over Q, so on every block
+
+        image_p ≤ image_Q ≤ quotient_Q ≤ quotient_p,
+
+    and when the outer two meet all four are equal ("certificate"); else
+    elimination over Q decides ("exact-fallback").
     """
-    size = sum(blocks.sizes)
-
-    def dim_over(f: FieldSpec, image_f: Sequence[int]) -> int:
+    steps = [(field, "modp")] if field.kind == "GF" else [(GF(_CERT_PRIME), "certificate"), (field, "exact-fallback")]
+    for f, label in steps:
+        image_f = image(f)
         bounds = [s - im if w else 0 for s, im, w in zip(blocks.sizes, image_f, blocks.weights)]
         ranks = blocks.ranks(rows(), bounds, f)
-        return blocks.total([s - r for s, r in zip(blocks.sizes, ranks)])
-
-    if field.kind == "GF":
-        # both labels name the same block solver; the split at 2^21 keeps
-        # the labels of earlier reports
-        return dim_over(field, image), "modp" if field.p < 2**21 else "sparse"
-    if size <= _EXACT_CUTOFF:
-        return dim_over(field, image), "exact"
-    cert = GF(_CERT_PRIME)
-    dim = dim_over(cert, image_over(cert))
-    if dim == blocks.total(image):
-        return dim, "certificate"
-    return dim_over(field, image), "exact-fallback"
+        dim, image_dim = blocks.total([s - r for s, r in zip(blocks.sizes, ranks)]), blocks.total(image_f)
+        if dim == image_dim:
+            break
+    return dim, image_dim, label
 
 
 def _matched_pairs(first: Sequence[Margin], second: Sequence[Margin]) -> Tuple[List[Pair], Dict[Pair, int]]:
@@ -661,14 +656,14 @@ def phi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) ->
     tensor coordinate ζ_a ⊗ ζ_b lies in block (a.lower, b.upper), and so do
     its relations and the even symbols in the expansion of ζ_a ζ_b.  Only
     one block per S_n × ⟨ι⟩-orbit is solved (see the module docstring).  The
-    product map kills every relation; :func:`_certified_dim` picks the rank
-    path from that bound.
+    product map kills every relation, so its image bounds the relation rank
+    of each block, and :func:`_certified_dim` returns the quotient and the
+    image together.  An empty tensor square has no blocks and comes out as
+    0 and 0 on the same path.
     """
     check_basis_budget(n, d, cap)
     nM = len(enum_M(n, d))
     surviving, coord = _phi_surviving(n, d)
-    if not surviving:
-        return PhiReport(n, d, field, 0, 0, nM, False, True, False, "empty")
     lower, upper = _odd_margins(n, d)
     blocks = _Blocks(((lower[a], upper[b]) for a, b in surviving), _sn_iota_rep)
     rep_pairs = [pair for pair, b in zip(surviving, blocks.block_of) if blocks.weights[b]]
@@ -682,10 +677,8 @@ def phi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) ->
             ech.add_row({k: f.from_int(v) for k, v in row.items()})
         return blocks.count(even_keys[h] for h in ech.pivot_rows)
 
-    image_q = image(field)
-    phi_rank = blocks.total(image_q)
-    tensor_dim, method = _certified_dim(
-        blocks, lambda: _phi_relation_rows(n, d, coord, blocks.solved), field, image_q, image
+    tensor_dim, phi_rank, method = _certified_dim(
+        blocks, lambda: _phi_relation_rows(n, d, coord, blocks.solved), field, image
     )
     return PhiReport(
         n,
@@ -812,8 +805,10 @@ def psi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) ->
     (h.lower, h.upper) equal to that pair.  Only one block per S_n-orbit is
     solved, and the kernel also in the other blocks of every orbit where it
     is non-zero (see the module docstring).  The image of the map lies in
-    the commutant; :func:`_certified_dim` picks the rank path from that
-    bound.
+    the commutant, so it bounds the relation rank of each block in
+    :func:`_certified_dim`.  The kernel over ``field`` is solved once here;
+    over Q the rank path also solves it mod its prime on the representative
+    blocks.
     """
     check_basis_budget(n, d, cap)
     nM = len(enum_M(n, d))
@@ -835,12 +830,11 @@ def psi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) ->
     vectors = sorted((vec for basis in kernel.values() for vec in basis), key=max)
     kernel_dim = len(vectors)
     image_dim = nM - kernel_dim
-    commutant_dim, method = _certified_dim(
+    commutant_dim, _, method = _certified_dim(
         blocks,
         lambda: _commutant_rows(n, d, var, blocks.solved),
         field,
-        image(kernel),
-        lambda f: image(_psi_kernel(n, d, f, reps)),
+        lambda f: image(kernel if f == field else _psi_kernel(n, d, f, reps)),
     )
     return PsiReport(
         n,

@@ -826,14 +826,31 @@ def _one_entry_table(n=1, d=1, coeff=1, edges=1):
     return {"n": n, "d": d, "entries": [{"left": sym, "right": sym, "terms": [[sym, coeff]]}]}
 
 
+def _right_edges(edges):
+    """A one-entry table whose right symbol alone has ``edges`` in its
+    ``adj``: the left one and the term, read first, hold the int 1."""
+    data = _one_entry_table()
+    data["entries"][0]["right"] = {"parity": "even", "adj": [[edges]]}
+    return data
+
+
 @pytest.mark.parametrize(
     "data",
-    [_one_entry_table(n=True), _one_entry_table(d=True), _one_entry_table(coeff=True), _one_entry_table(edges=True)],
-    ids=["n", "d", "coefficient", "adj"],
+    [
+        _one_entry_table(n=True),
+        _one_entry_table(d=True),
+        _one_entry_table(coeff=True),
+        _one_entry_table(edges=True),
+        _right_edges(True),
+        _right_edges(1.0),
+    ],
+    ids=["n", "d", "coefficient", "adj", "adj-after-int", "adj-float-after-int"],
 )
 def test_load_table_rejects_booleans(tmp_path, data):
     """JSON true is not the integer 1: as n, as d, as a coefficient or as an
-    edge multiplicity in a symbol's ``adj``."""
+    edge multiplicity in a symbol's ``adj``.  Neither true nor 1.0 passes in
+    an ``adj`` read after an equal int matrix, whose key in the symbol memo
+    they equal."""
     assert load_table(_write_json(tmp_path / "good.json", _one_entry_table()))[:2] == (1, 1)
     with pytest.raises(ValueError, match="not a pair of parameters|not an integer|mistyped field"):
         load_table(_write_json(tmp_path / "t.json", data))
@@ -845,13 +862,13 @@ def test_load_table_restores_the_gc_state(tmp_path, monkeypatch, enabled):
     setting, after a good file, one that is not JSON and one with a bad
     record."""
     collector_on = []  # whether the collector was enabled during each parse
-    parse = json.load
+    parse = json.loads
 
-    def recording_parse(fh):
+    def recording_parse(text, **kwargs):
         collector_on.append(gc.isenabled())
-        return parse(fh)
+        return parse(text, **kwargs)
 
-    monkeypatch.setattr(json, "load", recording_parse)
+    monkeypatch.setattr(json, "loads", recording_parse)
     good = tmp_path / "good.json"
     save_table(build_table(2, 2), 2, 2, str(good))
     truncated = tmp_path / "truncated.json"

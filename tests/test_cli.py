@@ -83,6 +83,22 @@ def test_enumerate_budget(capsys):
     assert "refused" in err
 
 
+@pytest.mark.parametrize("kind,count", [("Lambda", 35), ("N", 2300)])
+def test_enumerate_budget_counts_the_listed_family(capsys, kind, count):
+    """The cap applies to the family listed, not to |M| + |N| (5225 at
+    (5, 3), above the default cap of 5000)."""
+    code, out, _ = run(capsys, ["enumerate", "5", "3", "--kind", kind, "--json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["count"] == len(data["items"]) == count
+
+
+def test_enumerate_refusal_names_the_family(capsys):
+    code, _, err = run(capsys, ["enumerate", "5", "3", "--kind", "N", "--max-basis", "2000"])
+    assert code == 3
+    assert "|N| = 2300 at (n,d)=(5,3) exceeds the cap 2000" in err
+
+
 # -- multiply ----------------------------------------------------------------
 
 

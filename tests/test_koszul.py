@@ -507,11 +507,15 @@ def test_phi_iso_2_2(field):
 
 
 def test_phi_no_odd_part():
+    """An empty tensor square takes the one rank path: no blocks, so the
+    quotient and the image are both 0 and the pinch closes."""
     report = phi_analysis(1, 2, QQ)
-    assert report.tensor_dim == 0
+    assert (report.tensor_dim, report.phi_rank) == (0, 0)
     assert not report.surjective
+    assert report.injective
     assert not report.iso
-    assert report.method == "empty"
+    assert report.method == "certificate"
+    assert phi_analysis(1, 2, GF(3)).method == "modp"
 
 
 def test_phi_single_odd_symbol():
@@ -668,27 +672,29 @@ def _global_rank(rows, field, bound=None):
     return ech.rank
 
 
-@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)])
-@pytest.mark.parametrize("n,d", BLOCK_CELLS)
-def test_blockwise_reports_match_one_global_echelon(n, d, field):
-    """The block solver against a reference that eliminates all rows of each
-    system in one echelon, stopping only at the global rank bound (the map
-    under study kills every relation, so the relation rank is at most the
-    ambient dimension minus the image dimension)."""
-    phi = phi_analysis(n, d, field)
+def _one_echelon(n, d, field):
+    """phi_rank, tensor_dim, psi's kernel vectors and commutant_dim from a
+    reference that eliminates all rows of each system in one echelon,
+    stopping only at the global rank bound (the map under study kills every
+    relation, so the relation rank is at most the ambient dimension minus the
+    image dimension)."""
     S = len(koszul._phi_surviving(n, d)[0])
     phi_rank = _global_rank(_product_rows(n, d), field)
-    assert phi.phi_rank == phi_rank
-    assert phi.tensor_dim == S - _global_rank(phi_relation_rows(n, d), field, S - phi_rank)
-
-    psi = psi_analysis(n, d, field)
+    tensor_dim = S - _global_rank(phi_relation_rows(n, d), field, S - phi_rank)
     nM = len(enum_M(n, d))
     kernel_rows = [{k: field.from_int(v) for k, v in row.items()} for row in psi_kernel_rows(n, d)]
     kernel = sparse_kernel(kernel_rows, nM, field)
-    assert psi.kernel_vectors == kernel
     V = len(koszul._commutant_vars(n, d)[0])
-    bound = V - (nM - len(kernel))
-    assert psi.commutant_dim == V - _global_rank(commutant_rows(n, d), field, bound)
+    commutant_dim = V - _global_rank(commutant_rows(n, d), field, V - (nM - len(kernel)))
+    return phi_rank, tensor_dim, kernel, commutant_dim
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)])
+@pytest.mark.parametrize("n,d", BLOCK_CELLS)
+def test_blockwise_reports_match_one_global_echelon(n, d, field):
+    """The block solver against one echelon per system (:func:`_one_echelon`)."""
+    phi, psi = phi_analysis(n, d, field), psi_analysis(n, d, field)
+    assert (phi.phi_rank, phi.tensor_dim, psi.kernel_vectors, psi.commutant_dim) == _one_echelon(n, d, field)
 
 
 def _block_solve(monkeypatch, analysis, n, d, field, every_block):
@@ -892,42 +898,84 @@ def test_psi_commutant_matches_intertwiner_space(n, d, field):
     assert psi_analysis(n, d, field).commutant_dim == len(commutant)
 
 
-FORCED_CELLS = [(2, 2), (2, 3), (3, 2)]
+FORCED_CELLS = [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]
+
+
+def _rank_fields(monkeypatch, n, d, drop):
+    """phi and psi over Q, and the fields of every echelon koszul builds for
+    them, in order.  With ``drop``, one relation rank comes out one short
+    modulo the certificate prime, which widens the mod-p quotient past the
+    image, so the pinch misses and the analyses must eliminate over Q."""
+    ranks, fields = koszul._Blocks.ranks, []
+
+    class Recording(SparseEchelon):
+        def __init__(self, field):
+            fields.append(field)
+            super().__init__(field)
+
+    def dropped(self, rows, bounds, field):
+        out = ranks(self, rows, bounds, field)
+        if drop and field == GF(koszul._CERT_PRIME):
+            out[out.index(max(out))] -= 1
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(koszul, "SparseEchelon", Recording)
+        m.setattr(koszul._Blocks, "ranks", dropped)
+        return phi_analysis(n, d, QQ), psi_analysis(n, d, QQ), fields
 
 
 @pytest.mark.parametrize("n,d", FORCED_CELLS)
 def test_certificate_branch_matches_exact(n, d, monkeypatch):
-    exact_phi, exact_psi = phi_analysis(n, d, QQ), psi_analysis(n, d, QQ)
-    assert (exact_phi.method, exact_psi.method) == ("exact", "exact")
-    monkeypatch.setattr(koszul, "_EXACT_CUTOFF", 0)
-    phi, psi = phi_analysis(n, d, QQ), psi_analysis(n, d, QQ)
+    """Over Q the pinch closes mod the certificate prime, and nothing is
+    eliminated over Q: not phi's image, not a relation block.  The forced
+    fallback is the exact reference."""
+    exact_phi, exact_psi, _ = _rank_fields(monkeypatch, n, d, drop=True)
+    assert (exact_phi.method, exact_psi.method) == ("exact-fallback", "exact-fallback")
+    phi, psi, fields = _rank_fields(monkeypatch, n, d, drop=False)
     assert (phi.method, psi.method) == ("certificate", "certificate")
-    assert {**phi.to_json_dict(), "method": "exact"} == exact_phi.to_json_dict()
-    assert {**psi.to_json_dict(), "method": "exact"} == exact_psi.to_json_dict()
+    assert set(fields) == {GF(koszul._CERT_PRIME)}
+    assert {**phi.to_json_dict(), "method": "exact-fallback"} == exact_phi.to_json_dict()
+    assert {**psi.to_json_dict(), "method": "exact-fallback"} == exact_psi.to_json_dict()
     assert psi.kernel_vectors == exact_psi.kernel_vectors
 
 
 @pytest.mark.parametrize("n,d", FORCED_CELLS)
 def test_exact_fallback_branch_matches_exact(n, d, monkeypatch):
-    """A relation rank that drops modulo the certificate prime widens the
-    mod-p quotient past the rational image, so the pinch misses and the
-    analyses must eliminate over Q instead."""
-    exact_phi, exact_psi = phi_analysis(n, d, QQ), psi_analysis(n, d, QQ)
-    ranks = koszul._Blocks.ranks
+    """When the pinch misses, the analyses eliminate over Q after the mod-p
+    pass, and agree with one echelon per system over Q."""
+    phi, psi, fields = _rank_fields(monkeypatch, n, d, drop=True)
+    assert (phi.method, psi.method) == ("exact-fallback", "exact-fallback")
+    assert QQ in fields and fields[0] == GF(koszul._CERT_PRIME)
+    assert (phi.phi_rank, phi.tensor_dim, psi.kernel_vectors, psi.commutant_dim) == _one_echelon(n, d, QQ)
 
-    def dropped(self, rows, bounds, field):
-        out = ranks(self, rows, bounds, field)
-        if field == GF(koszul._CERT_PRIME):
-            out[out.index(max(out))] -= 1
-        return out
 
-    monkeypatch.setattr(koszul, "_EXACT_CUTOFF", 0)
-    monkeypatch.setattr(koszul._Blocks, "ranks", dropped)
+@pytest.mark.parametrize("n,d", [(2, 3), (3, 2), (3, 3)])
+def test_pinch_reads_the_image_mod_p_only_when_it_closes(n, d, monkeypatch):
+    """With the image mod the certificate prime one short on one
+    representative block, the quotient mod p no longer meets it, so the
+    analyses must take the rational path and report the same numbers.  A
+    pinch against the rational image that read phi_rank mod p would come
+    out one orbit short here."""
+    reference = phi_analysis(n, d, QQ), psi_analysis(n, d, QQ)
+    certified_dim = koszul._certified_dim
+
+    def short(blocks, rows, field, image):
+        def image_short(f):
+            out = list(image(f))
+            if f == GF(koszul._CERT_PRIME):
+                out[next(b for b, (w, x) in enumerate(zip(blocks.weights, out)) if w and x)] -= 1
+            return out
+
+        return certified_dim(blocks, rows, field, image_short)
+
+    monkeypatch.setattr(koszul, "_certified_dim", short)
     phi, psi = phi_analysis(n, d, QQ), psi_analysis(n, d, QQ)
     assert (phi.method, psi.method) == ("exact-fallback", "exact-fallback")
-    assert {**phi.to_json_dict(), "method": "exact"} == exact_phi.to_json_dict()
-    assert {**psi.to_json_dict(), "method": "exact"} == exact_psi.to_json_dict()
-    assert psi.kernel_vectors == exact_psi.kernel_vectors
+    for report, ref in zip((phi, psi), reference):
+        assert ref.method == "certificate"
+        assert {**report.to_json_dict(), "method": "certificate"} == ref.to_json_dict()
+    assert psi.kernel_vectors == reference[1].kernel_vectors
 
 
 @pytest.mark.stretch
