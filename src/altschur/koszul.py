@@ -47,6 +47,16 @@ compositions (λ, μ).  Each relation row is reduced in the small
 :class:`~altschur.linalg.SparseEchelon` of its block, which stops taking rows
 once its rank reaches the bound set by the image of the map under study.
 
+D, η, the (M, θ) equivalence, the hom spaces and the Ringel dual run their
+relations through one :func:`~altschur.linalg.rref_sparse` over the whole
+ambient space.  On bases of weight vectors, which the stock modules and
+D(M) have, x 1_λ is x or 0 and so is 1_λ y, so ρ(1_λ) on x ⊗ y is zero or a
+one-entry row that kills x ⊗ y.  Those rows are most of each system (8,658
+of the 10,098 rows of D on the regular module at (3,2)), and the unit pass
+of ``rref_sparse`` drops them and their coordinates before the echelon,
+which then eliminates only the coordinates the idempotents leave.  That is
+why D, η and Hom are cheap.
+
 Renaming the boxes by σ ∈ S_n is an automorphism of the algebra: it sends
 ξ_g to ξ_{σg} and ζ_a to s_σ(a) ζ_{σa} (:mod:`altschur.algebra`).  So σ maps
 block (λ, μ) of phi's tensor quotient, of psi's commutant and of psi's

@@ -9,18 +9,23 @@ map (eta, hom spaces, isomorphism witnesses) and its rank.
 There is one elimination core, :class:`SparseEchelon`: dict-keyed rows,
 forward reduction only, the smallest key of a row as its pivot.  Everything
 else is built on it: the rank of an :class:`ExactMatrix`, the fully reduced
-form :func:`rref_sparse` (back-substitution over the echelon), the kernels
-of :func:`sparse_kernel` and the quotients of :class:`QuotientSpace`.  Hom
-spaces are kernels: :mod:`altschur.koszul` writes their defining relations
-as rows and reads coordinates in them off the canonical kernel basis.
+form :func:`rref_sparse` (a unit pass, then the echelon and
+back-substitution), the kernels of :func:`sparse_kernel` and the quotients
+of :class:`QuotientSpace`.  Hom spaces are kernels: :mod:`altschur.koszul`
+writes their defining relations as rows and reads coordinates in them off
+the canonical kernel basis.
 
 Everything here is deterministic: rows are reduced in their given order, so
 ranks, kernels and reduced forms are reproducible across runs and platforms.
-Scalars are raw values (``Fraction`` over Q, canonical ints over GF(p)).
-The large, redundant relation systems of phi and psi in
-:mod:`altschur.koszul` are split into their weight-space blocks by the
-caller and run one small echelon per block; the quotient behind D and the
-hom-space kernels still run one elimination over their whole ambient space.
+Scalars are raw values (``Fraction`` over Q, canonical ints over GF(p));
+:func:`rref_sparse` also takes GF(p) entries outside ``range(p)`` and
+reduces them first.  The large, redundant relation systems of phi and psi
+in :mod:`altschur.koszul` are split into their weight-space blocks by the
+caller and run one small echelon per block.  The quotient behind D and the
+hom-space kernels run one :func:`rref_sparse` over their whole ambient
+space, whose unit pass takes out the one-entry rows of the weight
+idempotents before the echelon, so the echelon sees only the coordinates
+those rows leave.
 """
 
 from __future__ import annotations
@@ -174,18 +179,74 @@ class SparseEchelon:
 
 def rref_sparse(rows: Iterable[SparseVec], field: FieldSpec) -> Dict[int, SparseVec]:
     """Fully reduced sparse echelon: pivot -> row, each row clear of all other
-    pivots, leading coefficient 1.  The span of the rows is preserved."""
+    pivots, leading coefficient 1.  The span of the rows is preserved.
+
+    A unit pass runs before the echelon.  The rows are read once: each entry
+    is reduced into the field, zeros and the coordinates already known dead
+    are dropped, and a row left with one entry {k: c} puts e_k in the span,
+    so it marks k dead and is not stored.  Only the rows left with two or
+    more entries are kept.  The same filter runs over them again until no
+    new one-entry row appears (the cascade), at the end and whenever they
+    have doubled since the last cascade, so that rows which a later unit row
+    shrinks away are not held to the end.  What is left goes through
+    :class:`SparseEchelon` and back-substitution, and each dead k adds the
+    row {k: 1}.  The span is the dead unit vectors plus the kept rows with
+    their dead coordinates dropped, so this is the reduced row echelon form
+    of the rows, which is unique: the pivots and rows do not depend on the
+    unit pass, only the key order inside the returned dicts, which is not
+    promised.
+    """
     f = field
-    ech = SparseEchelon(f)
+    p = f.p
+    dead: set = set()
+    kept: List[SparseVec] = []
+
+    def keep(row: SparseVec) -> None:
+        # a row left with one entry kills its coordinate; one with more is kept
+        if len(row) == 1:
+            dead.update(row)
+        elif row:
+            kept.append(row)
+
+    def cascade() -> None:
+        # drop what was killed after a row was kept, until a pass kills nothing
+        nonlocal kept
+        seen = -1
+        while seen != len(dead):
+            seen, old, kept = len(dead), kept, []
+            for row in old:
+                for k in dead.intersection(row):
+                    del row[k]
+                keep(row)
+
+    bound = 1
     for row in rows:
+        if len(row) == 1:  # most rows of D, η and Hom: ρ(1_λ) on a weight basis
+            ((k, v),) = row.items()
+            if v % p if p else v:
+                dead.add(k)
+            continue
+        if p:
+            keep({k: v % p for k, v in row.items() if v % p and k not in dead})
+        else:
+            keep({k: v for k, v in row.items() if v and k not in dead})
+        if len(kept) >= bound:  # at most twice the rows the last cascade left
+            cascade()
+            bound = 2 * len(kept) + 1
+    cascade()
+    ech = SparseEchelon(f)
+    for row in kept:
         ech.add_row(row)
-    pivots = sorted(ech.pivot_rows)
-    for p in reversed(pivots):
-        row = ech.pivot_rows[p]
+    del kept  # the echelon holds its own rows; free these before back-substitution
+    reduced = ech.pivot_rows
+    for lead in sorted(reduced, reverse=True):
+        row = reduced[lead]
         for q in list(row):
-            if q != p and q in ech.pivot_rows:
-                add_scaled(row, f.neg(row[q]), ech.pivot_rows[q], f)
-    return ech.pivot_rows
+            if q != lead and q in reduced:
+                add_scaled(row, f.neg(row[q]), reduced[q], f)
+    for k in dead:
+        reduced[k] = {k: f.one}
+    return reduced
 
 
 def sparse_kernel(rows: Iterable[SparseVec], ncols: int, field: FieldSpec) -> List[SparseVec]:
@@ -201,6 +262,14 @@ def sparse_kernel(rows: Iterable[SparseVec], ncols: int, field: FieldSpec) -> Li
     every other vector is 0.  The basis depends only on the kernel, not on
     the rows that cut it out, and the coordinates of a kernel element are
     its values at those largest keys.
+
+    The rows go through :func:`rref_sparse`, whose unit pass kills the
+    coordinate of every one-entry row before the echelon; such a coordinate
+    is a pivot whose reduced row is its unit vector, so it is 0 in every
+    vector.  The reduced
+    echelon form is unique, so the vectors are the same as those of a plain
+    echelon, entry for entry; the key order inside each vector is not
+    promised.
     """
     f = field
     reduced = rref_sparse(rows, f)
@@ -228,6 +297,13 @@ class QuotientSpace:
     relation system, in increasing order, so every basis vector lifts to a
     unit vector of the ambient space.  :meth:`project` rewrites an ambient
     sparse vector in quotient coordinates.
+
+    The relations are reduced by :func:`rref_sparse`, whose unit pass takes
+    each one-entry relation (a coordinate killed outright, as the weight
+    idempotents do) out before the echelon.  The reduced echelon form is
+    unique, so ``pivot_rows``, ``basis_coords`` and every projection are
+    those of a plain echelon; the key order inside ``pivot_rows`` and its
+    rows is not promised.
     """
 
     def __init__(self, field: FieldSpec, ambient_dim: int, relations: Iterable[SparseVec]):

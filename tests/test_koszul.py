@@ -1305,6 +1305,16 @@ def test_dual_and_eta_regular_3_3():
     assert eta.iso
 
 
+@pytest.mark.stretch
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=lambda f: f.label)
+def test_dual_and_eta_regular_3_4(field):
+    # d > n: eta on the regular module is injective on D² but not onto
+    M = regular_smodule(3, 4, field)
+    assert koszul_dual(M).dim == 126
+    eta = eta_map(M)
+    assert (eta.rank, eta.source_dim, eta.target_dim, eta.iso) == (270, 270, 495, False)
+
+
 # -- modules over the full algebra as pairs ----------------------------------------
 
 

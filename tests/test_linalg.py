@@ -347,3 +347,92 @@ def test_sparse_kernel_matches_dense_reference(field):
         for j, vec in enumerate(kernel):
             assert vec[max(vec)] == field.one
             assert all(max(vec) not in other for i, other in enumerate(kernel) if i != j)
+
+
+# -- the unit pass of rref_sparse ---------------------------------------------------
+
+
+def nonzero(rng, field):
+    if field.p:
+        return rng.randrange(1, field.p)
+    return Fraction(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 1, 2, 3]))
+
+
+def unit_systems(field, seed, count=40):
+    """Systems that give the unit pass work, as (rows, dense rows, ncols).
+
+    Multi-entry rows come first, then the one-entry rows that kill some of
+    their coordinates.  A chain {c0, c1}, {c1, c2}, ... turns into one-entry
+    rows one link at a time once c0 is killed, a cascade of two steps or
+    more; when the chain arrives in reverse order, each step needs another
+    pass.  Some unit rows come twice, before or after the rows they meet,
+    and all-zero rows and rows whose only entry is zero in the field are
+    strewn in.  Over GF(p) the given entries are shifted by multiples of p;
+    the dense rows hold the reduced values, for the reference.
+    """
+    rng = random.Random(seed)
+    p = field.p
+    for _ in range(count):
+        ncols = rng.randrange(5, 13)
+        chain = rng.sample(range(ncols), rng.randrange(3, 6))
+        links = [{a: nonzero(rng, field), b: nonzero(rng, field)} for a, b in zip(chain, chain[1:])]
+        if rng.random() < 0.5:
+            links.reverse()
+        multi = [
+            {k: nonzero(rng, field) for k in rng.sample(range(ncols), rng.randrange(2, 5))}
+            for _ in range(rng.randrange(0, 6))
+        ]
+        units = [{k: nonzero(rng, field)} for k in rng.sample(range(ncols), rng.randrange(0, 3))]
+        early = [dict(unit) for unit in units if rng.random() < 0.3]
+        rows = early + multi + links + [{chain[0]: nonzero(rng, field)}] + units + units[:1]
+        zero = [{}, {rng.randrange(ncols): 0}, {rng.randrange(ncols): 0, rng.randrange(ncols): 0}]
+        for row in zero:
+            rows.insert(rng.randrange(len(rows) + 1), row)
+        dense = [[row.get(j, field.zero) for j in range(ncols)] for row in rows]
+        if p:
+            rows = [{k: v + p * rng.randrange(-2, 3) for k, v in row.items()} for row in rows]
+        yield rows, dense, ncols
+
+
+def projection(vec, red, pivots, ncols, field):
+    """Quotient coordinates of a dense vector, reduced by the dense rref."""
+    residue = list(vec)
+    for r, col in enumerate(pivots):
+        coef = residue[col]
+        residue = [field.sub(x, field.mul(coef, y)) for x, y in zip(residue, red[r])]
+    free = [c for c in range(ncols) if c not in pivots]
+    return {k: residue[c] for k, c in enumerate(free) if residue[c]}
+
+
+@pytest.mark.parametrize("field", REF_FIELDS)
+def test_unit_pass_matches_dense_reference(field):
+    rng = random.Random(35)
+    for rows, dense, ncols in unit_systems(field, 34):
+        given = [dict(row) for row in rows]
+        red, pivots = dense_rref(dense, ncols, field)
+        expected = {col: to_sparse(red[r]) for r, col in enumerate(pivots)}
+        assert rref_sparse(iter(rows), field) == expected  # one pass over the rows
+        kernel = sparse_kernel(rows, ncols, field)
+        assert kernel == [to_sparse(v) for v in dense_kernel(dense, ncols, field)]
+        q = QuotientSpace(field, ncols, rows)
+        assert q.pivot_rows == expected
+        assert q.basis_coords == [c for c in range(ncols) if c not in pivots]
+        probes = [[field.one if j == c else field.zero for j in range(ncols)] for c in range(ncols)]
+        probes.append([field.from_int(rng.randrange(-3, 4)) for _ in range(ncols)])
+        for vec in probes:
+            assert q.project(to_sparse(vec)) == projection(vec, red, pivots, ncols, field)
+        assert rows == given  # the caller's rows are not touched
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_unreduced_entries_over_gf_p(p):
+    field = GF(p)
+    given = [{0: p, 1: 1, 2: -1}, {1: p + 1, 3: -1}, {2: p}, {3: 2 * p + 2, 4: -1 - p}]
+    reduced = [{k: v % p for k, v in row.items() if v % p} for row in given]
+    assert rref_sparse(given, field) == rref_sparse(reduced, field)
+    assert sparse_kernel(given, 5, field) == sparse_kernel(reduced, 5, field)
+    assert QuotientSpace(field, 5, given).pivot_rows == QuotientSpace(field, 5, reduced).pivot_rows
+    # {k: p} is the zero row: it kills nothing
+    assert rref_sparse([{2: p}], field) == {}
+    assert sparse_kernel([{2: p}], 3, field) == [{0: 1}, {1: 1}, {2: 1}]
+    assert QuotientSpace(field, 3, [{2: p}]).dim == 3
