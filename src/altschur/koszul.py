@@ -47,15 +47,23 @@ compositions (λ, μ).  Each relation row is reduced in the small
 :class:`~altschur.linalg.SparseEchelon` of its block, which stops taking rows
 once its rank reaches the bound set by the image of the map under study.
 
-D, η, the (M, θ) equivalence, the hom spaces and the Ringel dual run their
-relations through one :func:`~altschur.linalg.rref_sparse` over the whole
-ambient space.  On bases of weight vectors, which the stock modules and
-D(M) have, x 1_λ is x or 0 and so is 1_λ y, so ρ(1_λ) on x ⊗ y is zero or a
-one-entry row that kills x ⊗ y.  Those rows are most of each system (8,658
-of the 10,098 rows of D on the regular module at (3,2)), and the unit pass
-of ``rref_sparse`` drops them and their coordinates before the echelon,
-which then eliminates only the coordinates the idempotents leave.  That is
-why D, η and Hom are cheap.
+D, η, the (M, θ) equivalence, the hom spaces and the Ringel dual work on
+bases of weight vectors, which the stock modules and D(M) have (the weight
+spaces of Green, LNM 830): x 1_λ is x or 0 and so is 1_λ y, so ρ(1_λ) on
+x ⊗ y is zero or kills x ⊗ y, and it kills it exactly when the weights of x
+and y differ.  Since S = ⊕ e_λ S e_μ, ρ(g) of any other generator g on x ⊗ y is
+zero unless x has weight lower(g) or y has weight upper(g), and on the pairs
+that have only one of the two it lies in the span of the killed coordinates.
+So ``_Tensor`` numbers only the weight-matched pairs (x, y), in increasing
+order, and generates ρ(g) only for the generators other than the 1_λ, on the
+pairs with x of weight lower(g) and y of weight upper(g).  For D of the
+regular module at (3,2) that is 297 of the 1,620 coordinates and 720 rows,
+where the whole ambient space has 10,098 rows, 8,658 of them ρ(1_λ).  The
+numbering is monotone, so the one :func:`~altschur.linalg.rref_sparse` each
+system runs, and the quotient basis, projections and kernel vectors read off
+it, are those of the whole-ambient system with the killed coordinates left
+out.  The weights are read off the 1_λ of each module once, and a basis that
+is not one of weight vectors is refused (``_weights``).
 
 Renaming the boxes by σ ∈ S_n is an automorphism of the algebra: it sends
 ξ_g to ξ_{σg} and ζ_a to s_σ(a) ζ_{σa} (:mod:`altschur.algebra`).  So σ maps
@@ -213,11 +221,6 @@ def _generators(n: int, d: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _algebra_generators(n: int, d: int) -> List[int]:
-    """:func:`_generators` and the diagonal idempotents, in enum_M order."""
-    return sorted((*_generators(n, d), *_diag_indices(n, d)))
-
-
 def _check_columns(what: str, columns: Sequence[SparseVec], nrows: int, field: FieldSpec) -> None:
     """Every row key in range(nrows) and every entry a non-zero scalar of
     ``field``: a ``Fraction`` over Q, an int in 1..p-1 over GF(p)."""
@@ -319,6 +322,13 @@ class SModule:
     scalar of ``field``.  Multiplicativity against the structure constants
     is checked in full for small (n, d), on a seeded sample otherwise, or
     not at all with ``validate="none"``.
+
+    D, η, the (M, θ) equivalence, the hom spaces and the Ringel dual need a
+    basis of weight vectors: each basis vector v is fixed by one diagonal
+    idempotent 1_λ (its weight) and killed by the others, and each generator
+    ξ_g maps v into weight lower(g) if v has weight upper(g), else to 0.  The
+    stock modules and D(M) have such bases; those functions raise
+    ``ValueError``, naming the basis vector, on a module without one.
     """
 
     n: int
@@ -565,22 +575,87 @@ def _tensor_rows(
                 yield row
 
 
-def _generator_rows(
-    n: int, d: int, right: Dict[int, Dict[int, SparseVec]], left: Sequence[Columns], nx: int, ny: int, p: int
-) -> Iterator[SparseVec]:
-    """ρ(g) on x ⊗ y over the coordinates x * ny + y, for every generator g
-    of S(n, d), the diagonal idempotents included: ``right[g]`` maps x to the
-    column of x ξ_g and ``left[g]`` is the map of ξ_g on the y side."""
-    gens = _algebra_generators(n, d)
-    left_cols = {g: {y: col for y, col in enumerate(left[g]) if col} for g in gens}
+def _weights(M: SModule) -> List[Margin]:
+    """The weight of every basis vector of M: the λ with 1_λ v = v.
 
-    def pairs(g: int) -> Iterator[Pair]:
-        for x in range(nx):
-            # a row is empty unless x ξ_g or ξ_g y is non-zero
-            for y in range(ny) if right[g].get(x) else left_cols[g]:
-                yield x, y
+    Raises ``ValueError``, naming the basis vector, unless the basis is one of
+    weight vectors (see :class:`SModule`): every column of every 1_λ is {} or
+    {k: 1}, each basis vector is fixed by exactly one 1_λ, and each
+    generator ξ_g acts only on weight upper(g), with images in weight
+    lower(g)."""
+    n, d, f = M.n, M.d, M.field
+    Ms = enum_M(n, d)
+    weights: List[Optional[Margin]] = [None] * M.dim
+    for e in _diag_indices(n, d):
+        lam = Ms[e].upper_degrees
+        for k, col in enumerate(M.action[e]):
+            if not col:
+                continue
+            if col != {k: f.one}:
+                raise ValueError(f"basis vector {k} is not a weight vector: 1_{lam} maps it to {col}")
+            if weights[k] is not None:
+                raise ValueError(f"basis vector {k} is not a weight vector: 1_{weights[k]} and 1_{lam} fix it")
+            weights[k] = lam
+    if None in weights:
+        raise ValueError(f"basis vector {weights.index(None)} is not a weight vector: every 1_λ kills it")
+    for g in _generators(n, d):
+        lower, upper = Ms[g].lower_degrees, Ms[g].upper_degrees
+        for y, col in enumerate(M.action[g]):
+            if col and (weights[y] != upper or any(weights[r] != lower for r in col)):
+                raise ValueError(f"basis vector {y} is not a weight vector: generator {g} moves it out of weight")
+    return weights
 
-    return _tensor_rows(right, left_cols, gens, pairs, lambda x, y: x * ny + y, p)
+
+class _Tensor:
+    """The weight-matched coordinates of a tensor product X ⊗_S Y and the
+    relations ρ(g) on them.
+
+    x runs over a basis of X with right weights ``x_weights`` (x 1_λ = x for
+    λ = x_weights[x]) and y over one of Y with weights ``y_weights``;
+    ``right[g]`` maps x to the column of x ξ_g and ``left[g]`` is the map of
+    ξ_g on the Y side.  ρ(1_λ) kills x ⊗ y unless the weights of x and y
+    match, and ρ(g) of any other generator on the remaining pairs lies in
+    the span of the matched x ⊗ y.  ``pairs`` numbers the matched (x, y) in
+    increasing order and ``coord`` inverts it.  The numbering is monotone,
+    so a reduced echelon form, quotient basis or canonical kernel basis over
+    it is that of all the relations over every (x, y), with the unmatched
+    coordinates left out.
+    """
+
+    def __init__(
+        self, n: int, d: int, right: Dict[int, Dict[int, SparseVec]], left: Sequence[Columns],
+        x_weights: Sequence[Margin], y_weights: Sequence[Margin], p: int,
+    ):
+        self.n, self.d, self.right, self.p = n, d, right, p
+        self.left = {g: {y: col for y, col in enumerate(left[g]) if col} for g in _generators(n, d)}
+        self.x_weights, self.xs, self.ys = x_weights, _positions(x_weights), _positions(y_weights)
+        self.pairs, self.coord = _matched_pairs(x_weights, y_weights)
+
+    def rows(self) -> Iterator[SparseVec]:
+        """ρ(g) over the matched coordinates for every generator g other than
+        the 1_λ, on the pairs (x, y) with x of weight lower(g) and y of
+        weight upper(g), reduced mod p when p is non-zero; the other pairs
+        give rows that ρ(1_λ) already kills."""
+        Ms, right, left, xs, ys = enum_M(self.n, self.d), self.right, self.left, self.xs, self.ys
+
+        def pairs(g: int) -> Iterator[Pair]:
+            mu = ys.get(Ms[g].upper_degrees, ())
+            acted = [y for y in mu if y in left[g]]
+            for x in xs.get(Ms[g].lower_degrees, ()):
+                # a row is empty unless x ξ_g or ξ_g y is non-zero
+                for y in mu if right[g].get(x) else acted:
+                    yield x, y
+
+        coord = self.coord
+        return _tensor_rows(right, left, _generators(self.n, self.d), pairs, lambda x, y: coord[x, y], self.p)
+
+    def unmatched(self) -> Iterator[Pair]:
+        """The pairs (x, y) whose weights differ: ρ(1_λ) kills x ⊗ y."""
+        for x, lam in enumerate(self.x_weights):
+            for mu, ys in self.ys.items():
+                if mu != lam:
+                    for y in ys:
+                        yield x, y
 
 
 # ---------------------------------------------------------------------------
@@ -864,50 +939,62 @@ def psi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) ->
 # ---------------------------------------------------------------------------
 
 
-def _dual_relations(M: SModule) -> List[Dict[int, Scalar]]:
-    """ρ(g) on ζ_a ⊗ v for every generator g, the diagonal idempotents
-    included, over coordinates a*dim + i."""
-    f, right_dicts = M.field, _right_dicts(M.n, M.d)
-    right = {g: {a: _int_column(col, f) for a, col in right_dicts[g].items()} for g in _algebra_generators(M.n, M.d)}
-    return list(_generator_rows(M.n, M.d, right, M.action, len(enum_N(M.n, M.d)), M.dim, f.p))
+def _tensor_quotient(M: SModule) -> Tuple[_Tensor, QuotientSpace]:
+    """S⁻ ⊗_S M, where ζ_a ⊗ v_i is matched when upper(a) = wt(v_i), and the
+    quotient its relations cut out: the carrier of D(M)."""
+    n, d, f = M.n, M.d, M.field
+    right_dicts = _right_dicts(n, d)
+    right = {g: {a: _int_column(col, f) for a, col in right_dicts[g].items()} for g in _generators(n, d)}
+    tensor = _Tensor(n, d, right, M.action, _odd_margins(n, d)[1], _weights(M), f.p)
+    return tensor, QuotientSpace(f, len(tensor.pairs), tensor.rows())
 
 
-def _tensor_quotient(M: SModule) -> Tuple[List[Dict[int, Scalar]], QuotientSpace]:
-    """The relations of S⁻ ⊗_S M, and the quotient they cut out: the carrier of D(M)."""
-    relations = _dual_relations(M)
-    return relations, QuotientSpace(M.field, len(enum_N(M.n, M.d)) * M.dim, relations)
-
-
-def _kills(relations: Iterable[Dict[int, Scalar]], column: Callable[[int], SparseVec], field: FieldSpec) -> bool:
-    """Whether the linear map sending ambient coordinate k to the sparse
-    column ``column(k)`` vanishes on every relation."""
-    for rel in relations:
+def _kills(tensor: _Tensor, column: Callable[[int, int], SparseVec], field: FieldSpec) -> bool:
+    """Whether the linear map sending x ⊗ y to the sparse column
+    ``column(x, y)`` vanishes on every relation of ``tensor``: on each
+    unmatched x ⊗ y, which ρ(1_λ) kills, and on every row of
+    :meth:`_Tensor.rows`, generated again here.  Only the columns of the
+    matched coordinates are cached, as one recurs in many rows."""
+    if any(column(x, y) for x, y in tensor.unmatched()):
+        return False
+    pairs = tensor.pairs
+    matched = lru_cache(maxsize=None)(lambda k: column(*pairs[k]))
+    for rel in tensor.rows():
         acc: SparseVec = {}
-        for coord, v in rel.items():
-            add_scaled(acc, v, column(coord), field)
+        for k, v in rel.items():
+            add_scaled(acc, v, matched(k), field)
         if acc:
             return False
     return True
+
+
+def _dual(M: SModule, validate: str) -> Tuple[SModule, _Tensor]:
+    """D(M), as :func:`koszul_dual` returns it, and the tensor space it is a
+    quotient of."""
+    n, d, f = M.n, M.d, M.field
+    tensor, quotient = _tensor_quotient(M)
+    coord = tensor.coord
+    basis = [tensor.pairs[k] for k in quotient.basis_coords]
+
+    def column(g: int, a: int, i: int) -> SparseVec:
+        # ξ_g (ζ_a ⊗ v_i) = (ξ_g ζ_a) ⊗ v_i, and ξ_g ζ_a keeps the weight of ζ_a
+        return quotient.project({coord[c, i]: f.from_int(v) for c, v in _product(n, d, g, False, a, True).items()})
+
+    action = [[column(g, a, i) for a, i in basis] for g in range(len(enum_M(n, d)))]
+    return SModule(n, d, f, quotient.dim, action, quotient=quotient, validate=validate), tensor
 
 
 def koszul_dual(M: SModule, validate: str = "auto") -> SModule:
     """The module D(M): the odd component tensored with M over the even
     subalgebra, carried by the canonical quotient basis.
 
+    Only the pairs ζ_a ⊗ v_i with upper(a) = wt(v_i) survive the weight
+    idempotents, so M needs a basis of weight vectors (see :class:`SModule`).
     The returned module keeps the :class:`~altschur.linalg.QuotientSpace`
-    in its ``quotient`` field so callers can map ambient tensors ζ_a ⊗ v
-    into it.
+    in its ``quotient`` field; its coordinates are those pairs (a, i),
+    numbered in increasing order.
     """
-    n, d, f, dim = M.n, M.d, M.field, M.dim
-    _, quotient = _tensor_quotient(M)
-    coords = [divmod(coord, dim) for coord in quotient.basis_coords]
-
-    def column(g: int, a: int, i: int) -> SparseVec:
-        # ξ_g (ζ_a ⊗ v_i) = (ξ_g ζ_a) ⊗ v_i
-        return quotient.project({c * dim + i: f.from_int(v) for c, v in _product(n, d, g, False, a, True).items()})
-
-    action = [[column(g, a, i) for a, i in coords] for g in range(len(enum_M(n, d)))]
-    return SModule(n, d, f, quotient.dim, action, quotient=quotient, validate=validate)
+    return _dual(M, validate)[0]
 
 
 @dataclass
@@ -931,26 +1018,24 @@ def eta_map(M: SModule) -> EtaReport:
     """The natural map D²(M) → M induced by multiplying the two odd tensor
     factors: ζ_b ⊗ (ζ_a ⊗ v) goes to (ζ_b ζ_a)·v."""
     f, dim = M.field, M.dim
-    D1 = koszul_dual(M, validate="none")
-    inner = D1.quotient
-    assert inner is not None
-    rels2, outer = _tensor_quotient(D1)
+    D1, inner = _dual(M, validate="none")
+    assert D1.quotient is not None
+    lifts = [inner.pairs[k] for k in D1.quotient.basis_coords]  # (a, i) of each basis vector of D(M)
+    tensor, outer = _tensor_quotient(D1)
 
-    @lru_cache(maxsize=None)  # a coordinate recurs in many relations
-    def ambient_column(coord: int) -> SparseVec:
-        bi, k = divmod(coord, D1.dim)
-        ai, i = divmod(inner.basis_coords[k], dim)
+    def column(b: int, k: int) -> SparseVec:
+        a, i = lifts[k]
         col: SparseVec = {}
-        for h, c in _product(M.n, M.d, bi, True, ai, True).items():
+        for h, c in _product(M.n, M.d, b, True, a, True).items():
             add_scaled(col, f.from_int(c), M.action[h][i], f)
         return col
 
     # the map must kill the relations defining the outer quotient, otherwise
     # the basis columns below would depend on the chosen lifts
-    if not _kills(rels2, ambient_column, f):
+    if not _kills(tensor, column, f):
         raise RuntimeError("eta does not vanish on the tensor relations")
 
-    matrix = ExactMatrix.from_columns(f, [ambient_column(c) for c in outer.basis_coords], nrows=dim)
+    matrix = ExactMatrix.from_columns(f, [column(*tensor.pairs[c]) for c in outer.basis_coords], nrows=dim)
     rank = matrix.rank()
     return EtaReport(
         matrix,
@@ -973,17 +1058,15 @@ def ringel_dual(M: SModule, validate: str = "auto") -> SModule:
     """
     f = M.field
     n, d = M.n, M.d
-    nN = len(enum_N(n, d))
     basis = _hom_vectors(odd_smodule(n, d, f), M)
     keys = [max(h) for h in basis]
     action = []
     for rows_g in _right_rows(n, d):
         cols = []
         for h in basis:
-            image: SparseVec = {}
-            for coord, val in h.items():
-                r, k = divmod(coord, nN)
-                add_scaled(image, val, {r * nN + c2: f.from_int(v) for c2, v in rows_g.get(k, {}).items()}, f)
+            image: Dict[Pair, Scalar] = {}
+            for (r, k), val in h.items():
+                add_scaled(image, val, {(r, c): f.from_int(v) for c, v in rows_g.get(k, {}).items()}, f)
             col = {j: image[key] for j, key in enumerate(keys) if key in image}
             if combine(basis, col, f) != image:
                 raise RuntimeError("right action image is not rebuilt from the hom basis")
@@ -1006,18 +1089,20 @@ def pair_to_as_module(pair: ThetaPair, validate: str = "auto") -> ASModule:
     f, dim = M.field, M.dim
     n, d = M.n, M.d
     nN = len(enum_N(n, d))
-    D1 = koszul_dual(M, validate="none")
-    quotient = D1.quotient
+    D1, tensor = _dual(M, validate="none")
+    quotient, coord = D1.quotient, tensor.coord
     assert quotient is not None
     theta = pair.theta
     if len(theta) != D1.dim:
         raise ValueError(f"theta has shape {(dim, len(theta))}, expected {(dim, D1.dim)}")
-    for g in _algebra_generators(n, d):
+    for g in (*_generators(n, d), *_diag_indices(n, d)):
         if compose(theta, D1.action[g], f) != compose(M.action[g], theta, f):
             raise IncompatibleTheta("theta is not a module map")
-    odd_action = [
-        compose(theta, [quotient.project({ai * dim + i: f.one}) for i in range(dim)], f) for ai in range(nN)
+    # the class of ζ_a ⊗ v_i in D(M), 0 unless upper(a) = wt(v_i)
+    classes = [
+        [quotient.project({coord[a, i]: f.one}) if (a, i) in coord else _ZERO for i in range(dim)] for a in range(nN)
     ]
+    odd_action = [compose(theta, cols, f) for cols in classes]
     _check_products(
         n, d, f, ((bi, ai) for bi in range(nN) for ai in range(nN)), (M.action, odd_action), True, True,
         IncompatibleTheta, "theta squared misses the even product at odd pair ({}, {})",
@@ -1028,17 +1113,11 @@ def pair_to_as_module(pair: ThetaPair, validate: str = "auto") -> ASModule:
 def as_module_to_pair(module: ASModule) -> ThetaPair:
     """Read theta off an AS-module: the odd action, seen through the tensor
     quotient of the even part."""
-    f, dim = module.field, module.dim
-    base = module.even_part()
-    relations, quotient = _tensor_quotient(base)
-
-    def odd_column(coord: int) -> SparseVec:
-        ai, i = divmod(coord, dim)
-        return module.odd_action[ai][i]
-
-    if not _kills(relations, odd_column, f):
+    base, odd = module.even_part(), module.odd_action
+    tensor, quotient = _tensor_quotient(base)
+    if not _kills(tensor, lambda a, i: odd[a][i], module.field):
         raise IncompatibleTheta("odd action does not descend to the tensor quotient")
-    return ThetaPair(base=base, theta=[dict(odd_column(c)) for c in quotient.basis_coords])
+    return ThetaPair(base=base, theta=[dict(odd[a][i]) for a, i in (tensor.pairs[k] for k in quotient.basis_coords)])
 
 
 # ---------------------------------------------------------------------------
@@ -1091,25 +1170,28 @@ def zero_smodule(n: int, d: int, field: FieldSpec) -> SModule:
     return SModule(n, d, field, 0, [[] for _ in enum_M(n, d)], validate="none")
 
 
-def _hom_vectors(source: SModule, target: SModule) -> List[SparseVec]:
-    """Basis of Hom_S(source, target) over row-major coordinates r * source.dim + c.
+def _hom_vectors(source: SModule, target: SModule) -> List[Dict[Pair, Scalar]]:
+    """Basis of Hom_S(source, target), each a sparse matrix {(r, c): entry}.
 
     The maps V with A_g V = V B_g for every generator g of S(n, d), A_g the
     action on ``target`` and B_g that on ``source``: the canonical kernel
-    basis of the rows (A_g V − V B_g)[r, c], with A_g read by rows.
+    basis of the rows (A_g V − V B_g)[r, c], with A_g read by rows, over the
+    entries (r, c) with wt(r) = wt(c), the only ones a module map can fill.
+    The entries are numbered in increasing (r, c) order, so the largest key
+    of a vector is its free entry (:func:`~altschur.linalg.sparse_kernel`).
     """
     if (source.n, source.d, source.field) != (target.n, target.d, target.field):
         raise ValueError("hom spaces need matching parameters and field")
     n, d, f = source.n, source.d, source.field
-    right = {g: _transpose(enumerate(target.action[g])) for g in _algebra_generators(n, d)}
-    rows = _generator_rows(n, d, right, source.action, target.dim, source.dim, f.p)
-    return sparse_kernel(rows, target.dim * source.dim, f)
+    right = {g: _transpose(enumerate(target.action[g])) for g in _generators(n, d)}
+    tensor = _Tensor(n, d, right, source.action, _weights(target), _weights(source), f.p)
+    pairs = tensor.pairs
+    return [{pairs[k]: v for k, v in vec.items()} for vec in sparse_kernel(tensor.rows(), len(pairs), f)]
 
 
-def _hom_matrix(vec: SparseVec, source: SModule, target: SModule) -> ExactMatrix:
+def _hom_matrix(vec: Dict[Pair, Scalar], source: SModule, target: SModule) -> ExactMatrix:
     m = ExactMatrix.zeros(source.field, target.dim, source.dim)
-    for coord, val in vec.items():
-        r, c = divmod(coord, source.dim)
+    for (r, c), val in vec.items():
         m.rows[r][c] = val
     return m
 
@@ -1138,7 +1220,7 @@ def find_module_isomorphism(source: SModule, target: SModule) -> Optional[ExactM
             return h
     rng = random.Random(_ISO_SEED)
     for _ in range(_ISO_ATTEMPTS):
-        combo: SparseVec = {}
+        combo: Dict[Pair, Scalar] = {}
         for vec in vecs:
             add_scaled(combo, f.from_int(rng.randint(-3, 3)), vec, f)
         h = _hom_matrix(combo, source, target)

@@ -22,10 +22,12 @@ Scalars are raw values (``Fraction`` over Q, canonical ints over GF(p));
 reduces them first.  The large, redundant relation systems of phi and psi
 in :mod:`altschur.koszul` are split into their weight-space blocks by the
 caller and run one small echelon per block.  The quotient behind D and the
-hom-space kernels run one :func:`rref_sparse` over their whole ambient
-space, whose unit pass takes out the one-entry rows of the weight
-idempotents before the echelon, so the echelon sees only the coordinates
-those rows leave.
+hom-space kernels run one :func:`rref_sparse` over the weight-matched
+coordinates of their tensor space, numbered in increasing order, so the
+idempotents' relations never reach it.  Its unit pass takes out the rows
+that are left with one entry and the cascades they start (a third of the
+pivots of D on the regular module at (3,4)), so the echelon sees only the
+coordinates those rows leave.
 """
 
 from __future__ import annotations
@@ -181,11 +183,11 @@ def rref_sparse(rows: Iterable[SparseVec], field: FieldSpec) -> Dict[int, Sparse
     """Fully reduced sparse echelon: pivot -> row, each row clear of all other
     pivots, leading coefficient 1.  The span of the rows is preserved.
 
-    A unit pass runs before the echelon.  The rows are read once: each entry
-    is reduced into the field, zeros and the coordinates already known dead
-    are dropped, and a row left with one entry {k: c} puts e_k in the span,
-    so it marks k dead and is not stored.  Only the rows left with two or
-    more entries are kept.  The same filter runs over them again until no
+    A unit pass runs before the echelon.  The rows are read once, every row
+    through one filter: each entry is reduced into the field, zeros and the
+    coordinates already known dead are dropped, and a row left with one
+    entry {k: c} puts e_k in the span, so it marks k dead and is not
+    stored.  Only the rows left with two or more entries are kept.  The same filter runs over them again until no
     new one-entry row appears (the cascade), at the end and whenever they
     have doubled since the last cascade, so that rows which a later unit row
     shrinks away are not held to the end.  What is left goes through
@@ -221,11 +223,6 @@ def rref_sparse(rows: Iterable[SparseVec], field: FieldSpec) -> Dict[int, Sparse
 
     bound = 1
     for row in rows:
-        if len(row) == 1:  # most rows of D, η and Hom: ρ(1_λ) on a weight basis
-            ((k, v),) = row.items()
-            if v % p if p else v:
-                dead.add(k)
-            continue
         if p:
             keep({k: v % p for k, v in row.items() if v % p and k not in dead})
         else:
@@ -299,8 +296,8 @@ class QuotientSpace:
     sparse vector in quotient coordinates.
 
     The relations are reduced by :func:`rref_sparse`, whose unit pass takes
-    each one-entry relation (a coordinate killed outright, as the weight
-    idempotents do) out before the echelon.  The reduced echelon form is
+    each relation that kills a coordinate outright out before the
+    echelon.  The reduced echelon form is
     unique, so ``pivot_rows``, ``basis_coords`` and every projection are
     those of a plain echelon; the key order inside ``pivot_rows`` and its
     rows is not promised.

@@ -29,7 +29,7 @@ from altschur.algebra import (
 from altschur.enumeration import enum_B, enum_M, enum_N, graph_index, words_with_content
 from altschur.fields import FieldSpec, Scalar
 from altschur.graphs import Word, d_of, pair_sign, u_of
-from altschur.linalg import SparseVec, add_scaled, combine, sparse_kernel
+from altschur.linalg import QuotientSpace, SparseVec, add_scaled, combine, sparse_kernel
 from altschur.oracle import VerifyReport
 
 
@@ -480,3 +480,126 @@ def commutant_rows(n: int, d: int) -> Iterator[Dict[int, int]]:
     return koszul._tensor_rows(
         _right_dicts(n, d), koszul._right_rows(n, d), koszul._generators(n, d), pairs, lambda a, c: var[c, a]
     )
+
+
+# The relations of D, η and the hom spaces over the whole ambient space, as
+# altschur.koszul generated them before it kept to the weight-matched
+# coordinates: ρ(g) for every generator g, the diagonal idempotents
+# included, on every pair (x, y), over the coordinates x * ny + y.  The
+# matched-only functors are checked against these, which assume no weight
+# basis.
+def _every_generator(n: int, d: int) -> List[int]:
+    """The divided powers and the diagonal idempotents, in enum_M order."""
+    return sorted((*koszul._generators(n, d), *koszul._diag_indices(n, d)))
+
+
+def ambient_rows(
+    n: int, d: int, right: Dict[int, Dict[int, SparseVec]], left: Sequence[Sequence[SparseVec]], nx: int, ny: int,
+    field: FieldSpec,
+) -> Iterator[SparseVec]:
+    """ρ(g) = (x ξ_g) ⊗ y − x ⊗ (ξ_g y) over x * ny + y for every generator g
+    and every 1_λ: ``right[g]`` maps x to the column of x ξ_g, ``left[g]``
+    is the map of ξ_g on the y side.  A pair with x ξ_g = 0 and ξ_g y = 0
+    gives the zero row and is skipped."""
+    for g in _every_generator(n, d):
+        acted = [y for y in range(ny) if left[g][y]]
+        for x in range(nx):
+            xg = right[g].get(x, {})
+            for y in range(ny) if xg else acted:
+                row: SparseVec = {c * ny + y: v for c, v in xg.items()}
+                for c, v in left[g][y].items():
+                    k = x * ny + c
+                    row[k] = field.sub(row[k], v) if k in row else field.neg(v)
+                row = {k: v for k, v in row.items() if v}
+                if row:
+                    yield row
+
+
+def _dual_right(n: int, d: int, field: FieldSpec) -> Dict[int, Dict[int, SparseVec]]:
+    """ζ_a ↦ ζ_a ξ_g for every generator and 1_λ, coerced into ``field``."""
+    right = _right_dicts(n, d)
+    return {
+        g: {a: {c: field.from_int(v) for c, v in col.items() if field.from_int(v)} for a, col in right[g].items()}
+        for g in _every_generator(n, d)
+    }
+
+
+def ambient_dual(M: "koszul.SModule") -> Tuple[List[Tuple[int, int]], List[List[SparseVec]]]:
+    """D(M) from the whole-ambient relations: its basis as the pairs (a, i)
+    of its lifts ζ_a ⊗ v_i, and its action."""
+    n, d, f, dim = M.n, M.d, M.field, M.dim
+    nN = len(enum_N(n, d))
+    quotient = QuotientSpace(f, nN * dim, ambient_rows(n, d, _dual_right(n, d, f), M.action, nN, dim, f))
+    basis = [divmod(c, dim) for c in quotient.basis_coords]
+    action = [
+        [
+            quotient.project({c * dim + i: f.from_int(v) for c, v in algebra._product(n, d, g, False, a, True).items()})
+            for a, i in basis
+        ]
+        for g in range(len(enum_M(n, d)))
+    ]
+    return basis, action
+
+
+def ambient_eta(M: "koszul.SModule") -> List[SparseVec]:
+    """The columns of η: D²(M) → M from the whole-ambient relations, after
+    checking that η kills every one of D²'s."""
+    n, d, f, dim = M.n, M.d, M.field, M.dim
+    nN = len(enum_N(n, d))
+    basis1, action1 = ambient_dual(M)
+    D1 = koszul.SModule(n, d, f, len(basis1), action1, validate="none")
+    basis2, _ = ambient_dual(D1)
+
+    def column(b: int, k: int) -> SparseVec:
+        a, i = basis1[k]
+        col: SparseVec = {}
+        for h, c in algebra._product(n, d, b, True, a, True).items():
+            add_scaled(col, f.from_int(c), M.action[h][i], f)
+        return col
+
+    for row in ambient_rows(n, d, _dual_right(n, d, f), D1.action, nN, D1.dim, f):
+        acc: SparseVec = {}
+        for coord, v in row.items():
+            add_scaled(acc, v, column(*divmod(coord, D1.dim)), f)
+        assert not acc, "eta does not vanish on the ambient relations"
+    return [column(b, k) for b, k in basis2]
+
+
+def _rows_of(columns: Iterable[Tuple[int, Dict[int, Scalar]]]) -> Dict[int, Dict[int, Scalar]]:
+    """The rows {r: {c: entry}} of a map given by its (c, column c) pairs."""
+    rows: Dict[int, Dict[int, Scalar]] = {}
+    for c, col in columns:
+        for r, v in col.items():
+            rows.setdefault(r, {})[c] = v
+    return rows
+
+
+def ambient_hom_vectors(source: "koszul.SModule", target: "koszul.SModule") -> List[Dict[Tuple[int, int], Scalar]]:
+    """The canonical basis of Hom_S(source, target) from the whole-ambient
+    rows (A_g V − V B_g)[r, c], each as a sparse matrix {(r, c): entry}."""
+    n, d, f = source.n, source.d, source.field
+    right = {g: _rows_of(enumerate(target.action[g])) for g in _every_generator(n, d)}
+    rows = ambient_rows(n, d, right, source.action, target.dim, source.dim, f)
+    kernel = sparse_kernel(rows, target.dim * source.dim, f)
+    return [{divmod(k, source.dim): v for k, v in vec.items()} for vec in kernel]
+
+
+def ambient_ringel_action(M: "koszul.SModule") -> List[List[SparseVec]]:
+    """The action of Hom_S(S⁻, M) on the whole-ambient hom basis, ξ_g acting
+    by precomposition with right multiplication by ξ_g."""
+    n, d, f = M.n, M.d, M.field
+    basis = ambient_hom_vectors(koszul.odd_smodule(n, d, f), M)
+    keys = [max(h) for h in basis]
+    action = []
+    for per in _right_dicts(n, d):
+        # (h ∘ R_g)[r, a] = sum_k h[r, k] (coefficient of ζ_k in ζ_a ξ_g)
+        right_g = _rows_of(per.items())
+        cols = []
+        for h in basis:
+            image: Dict[Tuple[int, int], Scalar] = {}
+            for (r, k), val in h.items():
+                add_scaled(image, val, {(r, a): f.from_int(v) for a, v in right_g.get(k, {}).items()}, f)
+            cols.append({j: image[key] for j, key in enumerate(keys) if key in image})
+            assert combine(basis, cols[-1], f) == dict(sorted(image.items()))
+        action.append(cols)
+    return action

@@ -33,10 +33,20 @@ from altschur.koszul import (
     zero_smodule,
 )
 from altschur.algebra import build_table, structure_constants, xi, zeta
-from altschur.linalg import ExactMatrix, SparseEchelon, add_scaled, sparse_kernel
+from altschur.linalg import ExactMatrix, SparseEchelon, add_scaled, compose, sparse_kernel
 
 from conftest import _TABLE_CACHES, _clear
-from bruteforce import commutant_rows, dense_product_failure, intertwiner_space, phi_relation_rows, psi_kernel_rows
+from bruteforce import (
+    ambient_dual,
+    ambient_eta,
+    ambient_hom_vectors,
+    ambient_ringel_action,
+    commutant_rows,
+    dense_product_failure,
+    intertwiner_space,
+    phi_relation_rows,
+    psi_kernel_rows,
+)
 
 
 def scaled(columns, c, field):
@@ -1033,6 +1043,61 @@ def test_koszul_dual_of_regular():
     assert koszul_dual(D1).dim == 10
 
 
+def _conjugated(M, j, k):
+    """M on the basis with v_k replaced by v_k + v_j: the map P = 1 + E_jk
+    conjugates every action matrix, A ↦ P A P⁻¹."""
+    f = M.field
+    P, P_inv = unit_columns(M.dim, f), unit_columns(M.dim, f)
+    P[k], P_inv[k] = dict(sorted({j: f.one, k: f.one}.items())), dict(sorted({j: f.neg(f.one), k: f.one}.items()))
+    action = [compose(P, compose(A, P_inv, f), f) for A in M.action]
+    return SModule(M.n, M.d, f, M.dim, action)
+
+
+def test_functors_refuse_a_basis_that_mixes_two_weights():
+    """A unipotent change of basis that adds a vector of one weight to one of
+    another leaves a valid module, but not a basis of weight vectors: D, η,
+    the hom spaces and the Ringel dual refuse it and name the vector."""
+    M = regular_smodule(2, 2, QQ)
+    weights = koszul._weights(M)
+    j, k = 0, next(k for k, w in enumerate(weights) if w != weights[0])
+    mixed = _conjugated(M, j, k)
+    assert mixed.dim == M.dim  # validated in full at (2, 2)
+    for call in (koszul_dual, eta_map, ringel_dual, lambda X: module_homs(X, M), lambda X: module_homs(M, X)):
+        with pytest.raises(ValueError, match=f"basis vector {k} is not a weight vector"):
+            call(mixed)
+
+
+def _break_weights(case):
+    """The regular module at (2, 2) with its action broken so that the basis
+    is not one of weight vectors (unvalidated), and the basis vector the
+    refusal names."""
+    M = regular_smodule(2, 2, QQ)
+    weights, Ms = koszul._weights(M), enum_M(2, 2)
+    action = [list(A) for A in M.action]
+    g = koszul._generators(2, 2)[0]
+    lower, upper = Ms[g].lower_degrees, Ms[g].upper_degrees
+    if case == "killed":  # no 1_λ fixes v_0
+        y = 0
+        for e in koszul._diag_indices(2, 2):
+            action[e][y] = {}
+    elif case == "acts off weight":  # ξ_g v_y ≠ 0 with wt(y) ≠ upper(g)
+        y = next(y for y, w in enumerate(weights) if w != upper)
+        action[g][y] = {y: QQ.one}
+    else:  # ξ_g v_y has a component outside weight lower(g)
+        y = next(y for y, col in enumerate(action[g]) if col)
+        r = next(r for r, w in enumerate(weights) if w != lower)
+        action[g][y] = dict(sorted({**action[g][y], r: QQ.one}.items()))
+    return SModule(2, 2, QQ, M.dim, action, validate="none"), y
+
+
+@pytest.mark.parametrize("case", ["killed", "acts off weight", "image off weight"])
+def test_weight_reader_names_the_vector(case):
+    M, y = _break_weights(case)
+    for call in (koszul_dual, lambda X: module_homs(X, X)):
+        with pytest.raises(ValueError, match=f"basis vector {y} is not a weight vector"):
+            call(M)
+
+
 def test_koszul_dual_of_zero():
     assert koszul_dual(zero_smodule(2, 2, QQ)).dim == 0
 
@@ -1113,7 +1178,43 @@ def test_hom_vectors_match_the_iterated_reference(n, d, field):
     sources += [column_module(n, d, field, lam) for lam in enum_Lambda(n, d)]
     for source in sources:
         pairs = [(M.action[g], source.action[g]) for g in range(len(enum_M(n, d)))]
-        assert koszul._hom_vectors(source, M) == intertwiner_space(pairs, M.dim, source.dim, field)
+        homs = [{r * source.dim + c: v for (r, c), v in h.items()} for h in koszul._hom_vectors(source, M)]
+        assert homs == intertwiner_space(pairs, M.dim, source.dim, field)
+
+
+# -- the weight-matched coordinates against the whole ambient space ------------------
+
+
+AMBIENT_PARAMS = [(n, d, f) for n, d in [*HOM_CELLS, (1, 3), (3, 3), (2, 4)] for f in (QQ, GF(3), GF(5))] + [
+    pytest.param(3, 4, GF(5), marks=pytest.mark.stretch)
+]
+
+
+@pytest.mark.parametrize("n,d,field", AMBIENT_PARAMS, ids=str)
+def test_matched_coordinates_match_the_whole_ambient_reference(n, d, field):
+    """D, η, the hom spaces and the Ringel dual on the regular module, from
+    the relations on the weight-matched coordinates, equal those from ρ(g)
+    of every generator and 1_λ on every x ⊗ y of the ambient space: D's
+    basis as the pairs (a, i) of its lifts and its action, η's matrix, the
+    hom bases of Hom(M, M) and Hom(D(M), M), and the Ringel dual's action."""
+    M = regular_smodule(n, d, field)
+    D1, tensor = koszul._dual(M, "none")
+    assert ([tensor.pairs[k] for k in D1.quotient.basis_coords], D1.action) == ambient_dual(M)
+    assert eta_map(M).matrix == ExactMatrix.from_columns(field, ambient_eta(M), nrows=M.dim)
+    for source in (M, D1):
+        assert koszul._hom_vectors(source, M) == ambient_hom_vectors(source, M)
+    assert ringel_dual(M).action == ambient_ringel_action(M)
+
+
+@pytest.mark.stretch
+def test_dual_and_eta_4_3_match_the_whole_ambient_reference():
+    """The same gate at (4,3) over GF(5) for D, η and Hom(D(M), M); the Ringel
+    dual, at 40 s alone there, is left to the smaller cells."""
+    M = regular_smodule(4, 3, GF(5))
+    D1, tensor = koszul._dual(M, "none")
+    assert ([tensor.pairs[k] for k in D1.quotient.basis_coords], D1.action) == ambient_dual(M)
+    assert eta_map(M).matrix == ExactMatrix.from_columns(GF(5), ambient_eta(M), nrows=M.dim)
+    assert koszul._hom_vectors(D1, M) == ambient_hom_vectors(D1, M)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)])
@@ -1306,6 +1407,14 @@ def test_dual_and_eta_regular_3_3():
 
 
 @pytest.mark.stretch
+def test_dual_and_eta_regular_4_3():
+    M = regular_smodule(4, 3, GF(5))
+    assert koszul_dual(M).dim == 560
+    eta = eta_map(M)
+    assert (eta.rank, eta.source_dim, eta.target_dim, eta.iso) == (816, 816, 816, True)
+
+
+@pytest.mark.stretch
 @pytest.mark.parametrize("field", [GF(5), QQ], ids=lambda f: f.label)
 def test_dual_and_eta_regular_3_4(field):
     # d > n: eta on the regular module is injective on D² but not onto
@@ -1356,14 +1465,20 @@ def test_theta_shape_checked():
 
 
 def test_corrupted_odd_action_fails_descent():
+    """7 added to one entry of ζ_a v_i, once at an unmatched pair (upper(a) ≠
+    wt(v_i)), where ζ_a v_i must be 0, and once at a matched pair that is a
+    pivot of the tensor quotient, whose class the relations fix."""
     AS = regular_as_module(2, 2, QQ)
-    odd = list(AS.odd_action)
-    corrupt = [dict(col) for col in odd[0]]
-    corrupt[0] = dict(sorted({**corrupt[0], 0: QQ.from_int(7)}.items()))
-    odd[0] = corrupt
-    sneaky = ASModule(2, 2, QQ, 16, list(AS.action), odd, validate="none")
-    with pytest.raises(IncompatibleTheta, match="descend"):
-        as_module_to_pair(sneaky)
+    tensor, quotient = koszul._tensor_quotient(AS.even_part())
+    matched = next(pair for k, pair in enumerate(tensor.pairs) if k in quotient.pivot_rows)
+    for a, i in (next(tensor.unmatched()), matched):
+        odd = [list(cols) for cols in AS.odd_action]
+        col = dict(odd[a][i])
+        col[0] = col.get(0, QQ.zero) + QQ.from_int(7)
+        odd[a][i] = dict(sorted(col.items()))
+        sneaky = ASModule(2, 2, QQ, 16, list(AS.action), odd, validate="none")
+        with pytest.raises(IncompatibleTheta, match="descend"):
+            as_module_to_pair(sneaky)
 
 
 def test_as_module_rejects_corrupted_odd_block():
