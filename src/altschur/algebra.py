@@ -764,6 +764,8 @@ def _product(n: int, d: int, i: int, left_odd: bool, j: int, right_odd: bool) ->
 Pair = Tuple[BasisSymbol, BasisSymbol]
 Terms = Dict[BasisSymbol, int]
 
+_SAVE_BATCH = 1024  # entries per write in save_table
+
 
 def build_table(n: int, d: int, cap: int | None = None) -> Dict[Pair, Terms]:
     """Every nonzero product of two basis symbols at (n, d), as
@@ -792,25 +794,30 @@ def save_table(table: Dict[Pair, Terms], n: int, d: int, path: str) -> None:
     """Write ``table`` (as from :func:`build_table`) as canonical JSON.
 
     Entries are sorted by (left, right) and terms by symbol, both in
-    ``sort_key`` order.  The file is written under a temporary name in the
-    target directory and renamed into place, so ``path`` either holds a
-    complete table or does not exist.
+    ``sort_key`` order.  The text is streamed into a temporary file in the
+    target directory, a batch of entries per write, and the file is renamed
+    into place: ``path`` either holds a complete table or does not exist.
     """
     # each symbol is ranked and formatted once; the text is what json.dumps
     # writes with sort_keys=True and separators (",", ":")
     syms = sorted({s for pair, terms in table.items() for s in (*pair, *terms)}, key=BasisSymbol.sort_key)
     rank = {s: r for r, s in enumerate(syms)}
     frag = [json.dumps(s.to_json_dict(), separators=(",", ":"), sort_keys=True) for s in syms]
-    entries = []
-    for a, b in sorted(table, key=lambda pair: (rank[pair[0]], rank[pair[1]])):
+    order = sorted(table, key=lambda pair: rank[pair[0]] * len(syms) + rank[pair[1]])
+
+    def entry(a: BasisSymbol, b: BasisSymbol) -> str:
         terms = ",".join(f"[{frag[r]},{c}]" for r, c in sorted((rank[s], c) for s, c in table[a, b].items()))
-        entries.append(f'{{"left":{frag[rank[a]]},"right":{frag[rank[b]]},"terms":[{terms}]}}')
-    text = f'{{"d":{d},"entries":[{",".join(entries)}],"n":{n}}}'
+        return f'{{"left":{frag[rank[a]]},"right":{frag[rank[b]]},"terms":[{terms}]}}'
+
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:
-            fh.write(text)
+            fh.write(f'{{"d":{d},"entries":[')
+            for start in range(0, len(order), _SAVE_BATCH):
+                batch = ",".join(entry(a, b) for a, b in order[start : start + _SAVE_BATCH])
+                fh.write(f",{batch}" if start else batch)
+            fh.write(f'],"n":{n}}}')
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -826,12 +833,18 @@ def load_table(path: str) -> Tuple[int, int, Dict[Pair, Terms]]:
     it lists with nonzero terms.
 
     The basis is not enumerated here, so a caller can compare the file's
-    (n, d) with the one it wants at once.
+    (n, d) with the one it wants at once.  Symbols are interned while the
+    JSON is parsed: every record of one symbol becomes the same
+    :class:`BasisSymbol`, so the parsed tree and the table hold one object
+    per distinct symbol, not one per record.
 
     Raises ``ValueError`` when a required key is missing or mistyped, when
     the file holds a JSON true, false or float anywhere, when a coefficient
-    is not an integer, or when the file names a symbol outside the basis at
-    its own (n, d).
+    is not an integer, when the file names a symbol outside the basis at
+    its own (n, d), when it lists a (left, right) pair twice or a term twice
+    in one entry, when a pair's margins do not match (the left graph's upper
+    degrees against the right one's lower degrees), or when a term's parity
+    is not the product's (odd exactly when one factor is odd).
     """
     # json.loads and the records loop allocate hundreds of thousands of
     # containers, none of them in a cycle: collecting while they run only
@@ -846,37 +859,57 @@ def load_table(path: str) -> Tuple[int, int, Dict[Pair, Terms]]:
         # would take them for an int matrix it has seen
         if "true" in text or "false" in text:
             raise ValueError("a JSON true or false is not an integer")
-        data = json.loads(text, parse_float=_refuse_float)
+        symbols: Dict[tuple, BasisSymbol] = {}  # (parity, adj as tuples) -> symbol
+
+        def intern(obj: dict) -> object:
+            if "parity" not in obj and "adj" not in obj:
+                return obj
+            key = (obj["parity"], tuple(map(tuple, obj["adj"])))
+            sym = symbols.get(key)
+            if sym is None:
+                try:
+                    sym = symbols[key] = BasisSymbol.from_json_dict(obj)
+                except ValueError as exc:
+                    raise ValueError(f"symbol {obj} is not in the basis: {exc}") from None
+            return sym
+
         try:
+            data = json.loads(text, parse_float=_refuse_float, object_hook=intern)
+            del text
             n, d, records = data["n"], data["d"], data["entries"]
             if not (type(n) is int and type(d) is int and n >= 1 and d >= 0):
                 raise ValueError(f"(n, d) = ({n!r}, {d!r}) is not a pair of parameters")
-            seen: Dict[tuple, BasisSymbol] = {}  # (parity, adj) as read -> symbol
-
-            def resolve(rec: dict) -> BasisSymbol:
-                key = (rec["parity"], tuple(map(tuple, rec["adj"])))
-                sym = seen.get(key)
-                if sym is None:
-                    parity, adj = key
-                    try:
-                        sym = BasisSymbol(parity, BipartiteGraph.from_adj(adj))
-                    except ValueError:
-                        sym = None
-                    if sym is None or sym.n != n or sym.d != d:
-                        raise ValueError(f"symbol {rec} is not in the basis at (n,d)=({n},{d})")
-                    seen[key] = sym
-                return sym
-
+            # n follows the entries in the file: membership is checked once
+            # per distinct symbol, after the parse
+            for sym in symbols.values():
+                if sym.n != n or sym.d != d:
+                    raise ValueError(f"symbol {sym.to_json_dict()} is not in the basis at (n,d)=({n},{d})")
             table: Dict[Pair, Terms] = {}
+            empty = []  # the pairs listed with no terms, which the table omits
             for rec in records:
+                a, b, listed = rec["left"], rec["right"], rec["terms"]
+                if type(a) is not BasisSymbol or type(b) is not BasisSymbol:
+                    raise TypeError(f"entry {rec} does not name two symbols")
+                if a.graph.upper_degrees != b.graph.lower_degrees:
+                    raise ValueError(f"pair ({a}, {b}) has unmatched margins, so its product is zero")
+                parity = "even" if a.parity == b.parity else "odd"
                 terms = {}
-                for s, c in rec["terms"]:
+                for s, c in listed:
                     if type(c) is not int:
                         raise ValueError(f"coefficient {c!r} is not an integer")
-                    terms[resolve(s)] = c
-                pair = (resolve(rec["left"]), resolve(rec["right"]))
-                if terms:
-                    table[pair] = terms
+                    if type(s) is not BasisSymbol:
+                        raise TypeError(f"term {s!r} is not a symbol")
+                    if s.parity != parity:
+                        raise ValueError(f"term {s} of ({a}, {b}) is not {parity}")
+                    terms[s] = c
+                if len(terms) != len(listed):
+                    raise ValueError(f"pair ({a}, {b}) lists a term twice")
+                if table.setdefault((a, b), terms) is not terms:
+                    raise ValueError(f"pair ({a}, {b}) is listed twice")
+                if not terms:
+                    empty.append((a, b))
+            for pair in empty:
+                del table[pair]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"missing or mistyped field: {exc!r}") from exc
     finally:

@@ -15,6 +15,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -798,6 +799,12 @@ def test_load_table_rejects_invalid_odd_symbol(tmp_path):
         load_table(_write_json(tmp_path / "t.json", {"n": 2, "d": 2, "entries": [entry]}))
 
 
+def _one_symbol_table(record):
+    """A (1,1) table whose one entry has ``record`` as its left symbol."""
+    sym = {"parity": "even", "adj": [[1]]}
+    return {"n": 1, "d": 1, "entries": [{"left": record, "right": sym, "terms": [[sym, 1]]}]}
+
+
 @pytest.mark.parametrize(
     "data",
     [
@@ -807,6 +814,9 @@ def test_load_table_rejects_invalid_odd_symbol(tmp_path):
         {"n": 2, "d": 2, "entries": [{"left": {"adj": [[2, 0], [0, 0]]}, "right": {}, "terms": []}]},
         {"n": "2", "d": 2, "entries": []},
         [],
+        _one_symbol_table({"parity": "even", "adj": 5}),
+        _one_symbol_table({"parity": ["even"], "adj": [[1]]}),
+        _one_symbol_table({"parity": "even", "adj": [[1, "1"]]}),
     ],
 )
 def test_load_table_rejects_missing_or_mistyped_keys(tmp_path, data):
@@ -819,6 +829,92 @@ def test_load_table_rejects_non_integer_coefficient(tmp_path):
     entry = {"left": sym, "right": sym, "terms": [[sym, "1"]]}
     with pytest.raises(ValueError, match="not an integer"):
         load_table(_write_json(tmp_path / "t.json", {"n": 2, "d": 2, "entries": [entry]}))
+
+
+def _saved_entries(tmp_path, n, d):
+    path = tmp_path / "table.json"
+    save_table(build_table(n, d), n, d, str(path))
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _list_a_pair_twice(data):
+    data["entries"].append(data["entries"][0])
+
+
+def _list_a_term_twice(data):
+    terms = data["entries"][0]["terms"]
+    terms.append(terms[0])
+
+
+def _list_a_term_of_the_wrong_parity(data):
+    # the first entry is ξ·ξ, so every term of it is even
+    assert data["entries"][0]["left"]["parity"] == data["entries"][0]["right"]["parity"] == "even"
+    data["entries"][0]["terms"][0][0] = {"parity": "odd", "adj": [[1, 0], [0, 1]]}
+
+
+def _list_a_pair_with_unmatched_margins(data):
+    # upper degrees (2, 0) on the left, lower degrees (0, 2) on the right
+    left, right = {"parity": "even", "adj": [[2, 0], [0, 0]]}, {"parity": "even", "adj": [[0, 0], [0, 2]]}
+    data["entries"].append({"left": left, "right": right, "terms": [[left, 1]]})
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (_list_a_pair_twice, "listed twice"),
+        (_list_a_term_twice, "lists a term twice"),
+        (_list_a_term_of_the_wrong_parity, "is not even"),
+        (_list_a_pair_with_unmatched_margins, "unmatched margins"),
+    ],
+    ids=["pair-twice", "term-twice", "term-parity", "margins"],
+)
+def test_load_table_rejects_inconsistent_entries(tmp_path, corrupt, message):
+    """A file whose every symbol is in the basis can still not be a product
+    table: it lists a pair or a term twice, a product with a term of the
+    wrong parity, or a pair whose product is zero by its margins."""
+    data = _saved_entries(tmp_path, 2, 2)
+    corrupt(data)
+    with pytest.raises(ValueError, match=message):
+        load_table(_write_json(tmp_path / "t.json", data))
+
+
+def test_load_table_rejects_a_pair_listed_first_with_no_terms(tmp_path):
+    """A pair listed with no terms is absent from the table read, and
+    listing it again with terms is listing it twice."""
+    data = _saved_entries(tmp_path, 2, 2)
+    data["entries"].insert(0, dict(data["entries"][0], terms=[]))
+    with pytest.raises(ValueError, match="listed twice"):
+        load_table(_write_json(tmp_path / "t.json", data))
+    del data["entries"][1]
+    assert len(load_table(_write_json(tmp_path / "t.json", data))[2]) == len(build_table(2, 2)) - 1
+
+
+def test_load_table_memory_is_proportional_to_its_distinct_symbols(tmp_path):
+    """The parse interns symbol records: reading a (2,5) table peaks below
+    8 times the file's bytes (16.7 times when every record was its own
+    dict), and equal symbols across entries are one object."""
+    path = tmp_path / "table.json"
+    save_table(build_table(2, 5), 2, 5, str(path))
+    tracemalloc.start()
+    try:
+        table = load_table(str(path))[2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * path.stat().st_size
+    first = {}  # symbol -> the first object read equal to it
+    for pair, terms in table.items():
+        for sym in (*pair, *terms):
+            assert first.setdefault(sym, sym) is sym
+    assert len(first) < sum(2 + len(terms) for terms in table.values())
+
+
+@pytest.mark.stretch
+def test_table_roundtrip_at_4_3(tmp_path):
+    table = build_table(4, 3)
+    path = tmp_path / "table.json"
+    save_table(table, 4, 3, str(path))
+    assert load_table(str(path)) == (4, 3, table)
 
 
 def _one_entry_table(n=1, d=1, coeff=1, edges=1):

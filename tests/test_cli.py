@@ -252,6 +252,17 @@ def test_table_rejects_stale_cache_entry(capsys, tmp_path):
     assert f"error: cache file {path} is malformed: " in err
 
 
+def test_table_rejects_cache_with_a_mistyped_symbol(capsys, tmp_path):
+    path = tmp_path / "table_n1_d1.json"
+    sym = {"parity": "even", "adj": [[1]]}
+    entry = {"left": {"parity": "even", "adj": 5}, "right": sym, "terms": [[sym, 1]]}
+    path.write_text(json.dumps({"n": 1, "d": 1, "entries": [entry]}), encoding="utf-8")
+    code, out, err = run(capsys, ["table", "1", "1", "--out", str(path)])
+    assert code == 4
+    assert out == ""
+    assert f"error: cache file {path} is malformed: " in err
+
+
 def test_table_rejects_cache_without_entries(capsys, tmp_path):
     path = tmp_path / "table_n2_d2.json"
     path.write_text(json.dumps({"n": 2, "d": 2}), encoding="utf-8")
