@@ -127,7 +127,10 @@ class FieldSpec:
             raise TypeError(f"a scalar must be written as a string, got {text!r}")
         text = text.strip()
         if self.kind == "Q":
-            return Fraction(text)
+            try:
+                return Fraction(text)
+            except ZeroDivisionError:
+                raise ValueError(f"scalar {text!r} has a zero denominator") from None
         if "mod" in text:
             value, modulus = text.split("mod")
             if int(modulus) != self.p:

@@ -16,10 +16,11 @@ exact arithmetic:
 Products are read from the integer tables of :mod:`altschur.algebra`, which
 stores S⁻ once, as the table of its left action, and reads every other
 product with an odd factor off it.  Single products go through the
-index-keyed accessor ``_product``; the relation loops read the tables whole.
-phi, psi's commutant, D, the hom spaces and the Ringel dual impose the same
-relations ρ(g) = (x ξ_g) ⊗ y − x ⊗ (ξ_g y) through one loop that each feeds
-only its tables, pairs and coordinates.  A hom space Hom_S(B, A) is the
+index-keyed accessor ``_product``; the relation loops read the tables at
+the generators only.  The blocks of phi and of psi's commutant, D, the hom
+spaces and the Ringel dual are each a tensor product ``_Tensor``, whose one
+loop imposes the relations ρ(g) = (x ξ_g) ⊗ y − x ⊗ (ξ_g y) from the tables
+and indices each passes it.  A hom space Hom_S(B, A) is the
 kernel of the rows A_g V − V B_g, with A_g read by rows as x ↦ x ξ_g and B_g
 by columns, and the Ringel dual is Hom_S(S⁻, M) with S⁻ acting on the
 right by precomposition.  ρ(g) is imposed only for the generators of
@@ -43,9 +44,15 @@ values appear only as reports (eta, hom spaces, isomorphism witnesses).
 
 The diagonal idempotents e_λ = ξ(γ0_λ) sum to the identity, so the systems
 behind phi and psi split into weight-space blocks keyed by a pair of
-compositions (λ, μ).  Each relation row is reduced in the small
-:class:`~altschur.linalg.SparseEchelon` of its block, which stops taking rows
-once its rank reaches the bound set by the image of the map under study.
+compositions (λ, μ), and each block is a tensor product of its own.  Block
+(λ, μ) of phi is (1_λ S⁻) ⊗_S (S⁻ 1_μ): the ζ_a with lower(a) = λ tensored
+with the ζ_b with upper(b) = μ.  Block (λ, μ) of psi's commutant, the
+entries θ[c, a] with lower(c) = λ and lower(a) = μ, is the same kind of
+system, with the ζ_a with lower(a) = μ under the right action on one side
+and the ζ_c with lower(c) = λ under its transpose on the other.  Each block
+is built as one ``_Tensor`` from the odd indices of its two sides and solved
+by one :class:`~altschur.linalg.SparseEchelon`, which stops taking rows once
+its rank reaches the bound set by the image of the map under study.
 
 D, η, the (M, θ) equivalence, the hom spaces and the Ringel dual work on
 bases of weight vectors, which the stock modules and D(M) have (the weight
@@ -75,9 +82,13 @@ block (λ, μ) onto (μ, λ).  psi uses S_n alone: ι turns the commutant of the
 right action into that of the left one, a different system.  Two keys lie
 in one S_n-orbit exactly when they have the same multiset of columns
 (λ_i, μ_i).  So phi and psi solve one representative block per orbit and
-count it once for every block of its orbit.  psi's kernel vectors also
-need the other blocks of each orbit whose representative has a non-zero
-kernel; those are solved directly.
+count it once for every block of its orbit.  The keys and the orbit sizes
+are read off the distinct margins (lower, upper) of the odd symbols, and
+only the representatives' tensors are built, so no coordinate of another
+block is ever numbered: at (3,4) phi numbers 366 and psi 504 of the 2,484
+coordinates of each system.  psi's kernel vectors also need the other
+blocks of each orbit whose representative has a non-zero kernel; those are
+solved directly.
 
 phi and psi share one rank path, ``_certified_dim``.  Over GF(p) it
 eliminates mod p.  Over Q it eliminates mod a large prime p first, on every
@@ -179,12 +190,6 @@ def _transpose(columns: Iterable[Tuple[int, Dict[int, Scalar]]]) -> Dict[int, Di
         for r, v in col.items():
             rows.setdefault(r, {})[a] = v
     return rows
-
-
-@lru_cache(maxsize=None)
-def _right_rows(n: int, d: int) -> Tuple[Dict[int, Dict[int, int]], ...]:
-    """Row-major transpose of :func:`_right_dicts`: per g, {c: {a: coeff}}."""
-    return tuple(_transpose(per.items()) for per in _right_dicts(n, d))
 
 
 def _int_column(col: Dict[int, int], field: FieldSpec, offset: int = 0) -> SparseVec:
@@ -438,141 +443,23 @@ def _sn_iota_rep(key: BlockKey) -> BlockKey:
     return min(_sn_rep(key), _sn_rep(key[::-1]))
 
 
-class _Blocks:
-    """Ambient coordinates grouped into weight-space blocks, one of them
-    solved per orbit of the block keys.
-
-    Blocks are numbered in order of first appearance.  Each coordinate gets a
-    local index inside its block that preserves coordinate order, so a
-    block's echelon works on small consecutive keys.  ``rep`` names the
-    representative key of each key's orbit; the group behind it must map
-    blocks onto blocks of the same size, relation rank and image (see the
-    module docstring), so the blocks are closed under it.  ``weights[b]`` is
-    the size of b's orbit when b is its orbit's representative and 0
-    otherwise, and ``solved`` maps each λ to the μ of the representative
-    blocks (λ, μ).  Only representative blocks are solved.
-    """
-
-    def __init__(self, keys: Iterable[BlockKey], rep: Callable[[BlockKey], BlockKey]):
-        self.ids: Dict[BlockKey, int] = {}
-        self.block_of: List[int] = []
-        self.local_of: List[int] = []
-        self.sizes: List[int] = []
-        for key in keys:
-            b = self.ids.setdefault(key, len(self.sizes))
-            if b == len(self.sizes):
-                self.sizes.append(0)
-            self.block_of.append(b)
-            self.local_of.append(self.sizes[b])
-            self.sizes[b] += 1
-        reps = {key: rep(key) for key in self.ids}
-        orbit_size = Counter(reps.values())
-        self.weights: List[int] = [orbit_size[key] if reps[key] == key else 0 for key in self.ids]
-        self.solved: Dict[Margin, List[Margin]] = {}
-        for (lam, mu), w in zip(self.ids, self.weights):
-            if w:
-                self.solved.setdefault(lam, []).append(mu)
-
-    def count(self, keys: Iterable[BlockKey]) -> List[int]:
-        """How many of ``keys`` fall into each block (others are ignored)."""
-        counts = [0] * len(self.sizes)
-        for key in keys:
-            b = self.ids.get(key)
-            if b is not None:
-                counts[b] += 1
-        return counts
-
-    def total(self, per_block: Sequence[int]) -> int:
-        """The sum over all blocks of a quantity given on the representative
-        blocks, which their orbits share."""
-        return sum(w * x for w, x in zip(self.weights, per_block))
-
-    def ranks(self, rows: Iterable[Dict[int, int]], bounds: Sequence[int], field: FieldSpec) -> List[int]:
-        """Per-block rank over ``field`` of integer rows that never cross blocks.
-
-        A row goes to the block of its first coordinate.  ``bounds[b]`` must
-        bound the rank of block b from above: the block takes no more rows
-        once it is reached, and reading stops once every block has.
-        """
-        block_of, local_of, from_int = self.block_of, self.local_of, field.from_int
-        echelons = [SparseEchelon(field) for _ in bounds]
-        ranks = [0] * len(bounds)
-        unfinished = sum(1 for bound in bounds if bound > 0)
-        if not unfinished:
-            return ranks
-        for row in rows:
-            b = block_of[next(iter(row))]
-            if ranks[b] >= bounds[b]:
-                continue
-            if echelons[b].add_row({local_of[k]: from_int(v) for k, v in row.items()}):
-                ranks[b] += 1
-                if ranks[b] == bounds[b]:
-                    unfinished -= 1
-                    if not unfinished:
-                        break
-        return ranks
+def _block_keys(left: Iterable[BlockKey], right: Iterable[BlockKey]) -> Iterator[BlockKey]:
+    """The pairs (λ, μ) with (λ, ν) in ``left`` and (ν, μ) in ``right`` for
+    some ν; a pair met through several ν is yielded once per ν."""
+    by_first: Dict[Margin, List[Margin]] = {}
+    for nu, mu in dict.fromkeys(right):
+        by_first.setdefault(nu, []).append(mu)
+    for lam, nu in dict.fromkeys(left):
+        for mu in by_first.get(nu, ()):
+            yield lam, mu
 
 
-def _certified_dim(
-    blocks: _Blocks,
-    rows: Callable[[], Iterable[Dict[int, int]]],
-    field: FieldSpec,
-    image: Callable[[FieldSpec], Sequence[int]],
-) -> Tuple[int, int, str]:
-    """Dimension of the blocks' span modulo the relation ``rows()``, the
-    dimension of the image, and the method label of the rank path.
-
-    ``rows()`` holds the integer relations of the representative blocks, and
-    ``image(f)``, per representative block, the dimension over ``f`` of the
-    image of an integer map that kills every relation; a block's relation
-    rank is at most its size minus its image.  Each representative counts
-    once per block of its orbit.  Over GF(p) one elimination mod p answers
-    ("modp").  Over Q the ranks are first taken mod ``_CERT_PRIME``.  A rank
-    mod p is at most the rank over Q, so on every block
-
-        image_p ≤ image_Q ≤ quotient_Q ≤ quotient_p,
-
-    and when the outer two meet all four are equal ("certificate"); else
-    elimination over Q decides ("exact-fallback").
-    """
-    steps = [(field, "modp")] if field.kind == "GF" else [(GF(_CERT_PRIME), "certificate"), (field, "exact-fallback")]
-    for f, label in steps:
-        image_f = image(f)
-        bounds = [s - im if w else 0 for s, im, w in zip(blocks.sizes, image_f, blocks.weights)]
-        ranks = blocks.ranks(rows(), bounds, f)
-        dim, image_dim = blocks.total([s - r for s, r in zip(blocks.sizes, ranks)]), blocks.total(image_f)
-        if dim == image_dim:
-            break
-    return dim, image_dim, label
-
-
-def _matched_pairs(first: Sequence[Margin], second: Sequence[Margin]) -> Tuple[List[Pair], Dict[Pair, int]]:
-    """Index pairs (i, j) with first[i] == second[j], i-major, and their positions."""
-    by_margin = _positions(second)
-    pairs = [(i, j) for i, mu in enumerate(first) for j in by_margin.get(mu, ())]
-    return pairs, {pair: k for k, pair in enumerate(pairs)}
-
-
-def _tensor_rows(
-    right: PerSymbol, left: PerSymbol, gens: Iterable[int],
-    pairs: Callable[[int], Iterable[Pair]], coord: Callable[[int, int], int], p: int = 0,
-) -> Iterator[SparseVec]:
-    """The relations ρ(g) = (x ξ_g) ⊗ y − x ⊗ (ξ_g y) of a tensor product over S:
-    ``right[g]`` maps x to the column of x ξ_g, ``left[g]`` maps y to that of
-    ξ_g y (a missing key is a zero column).  Yields, for each g of ``gens`` in
-    turn, the non-empty rows for the pairs (x, y) of ``pairs(g)`` over the
-    coordinates ``coord(x, y)`` of x ⊗ y, reduced mod ``p`` when it is non-zero."""
-    for g in gens:
-        right_g, left_g = right[g], left[g]
-        for x, y in pairs(g):
-            # coord is injective, so each of the two terms hits a key once
-            row = {coord(c, y): v for c, v in right_g.get(x, _ZERO).items()}
-            for c, v in left_g.get(y, _ZERO).items():
-                k = coord(x, c)
-                row[k] = row[k] - v if k in row else -v
-            row = {k: v % p for k, v in row.items() if v % p} if p else {k: v for k, v in row.items() if v}
-            if row:
-                yield row
+def _orbit_weights(keys: Iterable[BlockKey], rep: Callable[[BlockKey], BlockKey]) -> Dict[BlockKey, int]:
+    """The representative of every orbit of the distinct block ``keys``, with
+    the size of its orbit.  The group behind ``rep`` must map the keys onto
+    keys, and blocks onto blocks of the same size, relation rank and image
+    (see the module docstring)."""
+    return dict(Counter(rep(key) for key in dict.fromkeys(keys)))
 
 
 def _weights(M: SModule) -> List[Margin]:
@@ -606,56 +493,135 @@ def _weights(M: SModule) -> List[Margin]:
     return weights
 
 
+def _generator_columns(n: int, d: int, action: Sequence[Columns]) -> Dict[int, Dict[int, SparseVec]]:
+    """The non-zero columns {y: column of ξ_g y} of each generator's map."""
+    return {g: {y: col for y, col in enumerate(action[g]) if col} for g in _generators(n, d)}
+
+
+def _by_weight(indices: Iterable[int], weights: Sequence[Margin]) -> Dict[Margin, List[int]]:
+    """``indices`` grouped by their weight, in the given order within each group."""
+    out: Dict[Margin, List[int]] = {}
+    for i in indices:
+        out.setdefault(weights[i], []).append(i)
+    return out
+
+
 class _Tensor:
     """The weight-matched coordinates of a tensor product X ⊗_S Y and the
     relations ρ(g) on them.
 
-    x runs over a basis of X with right weights ``x_weights`` (x 1_λ = x for
-    λ = x_weights[x]) and y over one of Y with weights ``y_weights``;
-    ``right[g]`` maps x to the column of x ξ_g and ``left[g]`` is the map of
-    ξ_g on the Y side.  ρ(1_λ) kills x ⊗ y unless the weights of x and y
-    match, and ρ(g) of any other generator on the remaining pairs lies in
-    the span of the matched x ⊗ y.  ``pairs`` numbers the matched (x, y) in
-    increasing order and ``coord`` inverts it.  The numbering is monotone,
-    so a reduced echelon form, quotient basis or canonical kernel basis over
-    it is that of all the relations over every (x, y), with the unmatched
-    coordinates left out.
+    x runs over the increasing indices ``xs`` of a basis of X, with right
+    weights ``x_weights`` (x 1_λ = x for λ = x_weights[x]), and y over the
+    increasing indices ``ys`` of one of Y, with weights ``y_weights``.  X is
+    closed under the right action and Y under the left one: ``right[g]``
+    maps x to the column {x′: coefficient} of x ξ_g, ``left[g]`` maps y to
+    the non-zero column of ξ_g y, a missing key is a zero column, and only
+    the tables of the generators are read.  ρ(1_λ) kills x ⊗ y unless the
+    weights of x and y match, and ρ(g) of any other generator on the
+    remaining pairs lies in the span of the matched x ⊗ y.  ``pairs``
+    numbers the matched (x, y) in increasing order and ``coord`` inverts
+    it.  The numbering is monotone, so a reduced echelon form, quotient
+    basis or canonical kernel basis over it is that of all the relations
+    over every (x, y), with the unmatched coordinates left out.
     """
 
     def __init__(
-        self, n: int, d: int, right: Dict[int, Dict[int, SparseVec]], left: Sequence[Columns],
-        x_weights: Sequence[Margin], y_weights: Sequence[Margin], p: int,
+        self, n: int, d: int, xs: Sequence[int], x_weights: Sequence[Margin], right: PerSymbol,
+        ys: Sequence[int], y_weights: Sequence[Margin], left: PerSymbol, p: int = 0,
     ):
-        self.n, self.d, self.right, self.p = n, d, right, p
-        self.left = {g: {y: col for y, col in enumerate(left[g]) if col} for g in _generators(n, d)}
-        self.x_weights, self.xs, self.ys = x_weights, _positions(x_weights), _positions(y_weights)
-        self.pairs, self.coord = _matched_pairs(x_weights, y_weights)
+        self.n, self.d, self.right, self.left, self.p = n, d, right, left, p
+        self.xs, self.ys = _by_weight(xs, x_weights), _by_weight(ys, y_weights)
+        self.pairs = [(x, y) for x in xs for y in self.ys.get(x_weights[x], ())]
+        self.coord = {pair: k for k, pair in enumerate(self.pairs)}
 
     def rows(self) -> Iterator[SparseVec]:
-        """ρ(g) over the matched coordinates for every generator g other than
-        the 1_λ, on the pairs (x, y) with x of weight lower(g) and y of
-        weight upper(g), reduced mod p when p is non-zero; the other pairs
-        give rows that ρ(1_λ) already kills."""
-        Ms, right, left, xs, ys = enum_M(self.n, self.d), self.right, self.left, self.xs, self.ys
-
-        def pairs(g: int) -> Iterator[Pair]:
-            mu = ys.get(Ms[g].upper_degrees, ())
-            acted = [y for y in mu if y in left[g]]
-            for x in xs.get(Ms[g].lower_degrees, ()):
+        """ρ(g) = (x ξ_g) ⊗ y − x ⊗ (ξ_g y) over the matched coordinates for
+        every generator g other than the 1_λ, on the pairs (x, y) with x of
+        weight lower(g) and y of weight upper(g), reduced mod p when p is
+        non-zero; the other pairs give rows that ρ(1_λ) already kills."""
+        Ms, coord, p = enum_M(self.n, self.d), self.coord, self.p
+        for g in _generators(self.n, self.d):
+            xs, ys = self.xs.get(Ms[g].lower_degrees), self.ys.get(Ms[g].upper_degrees)
+            if not (xs and ys):
+                continue
+            right_g, left_g = self.right[g], self.left[g]
+            moved = [x for x in xs if right_g.get(x)]
+            # y by y: at (4,4) the blocks of phi and of psi take about 17%
+            # fewer reduction steps in this order than x by x
+            for y in ys:
+                yg = left_g.get(y, _ZERO)
                 # a row is empty unless x ξ_g or ξ_g y is non-zero
-                for y in mu if right[g].get(x) else acted:
-                    yield x, y
-
-        coord = self.coord
-        return _tensor_rows(right, left, _generators(self.n, self.d), pairs, lambda x, y: coord[x, y], self.p)
+                for x in xs if yg else moved:
+                    # coord is injective, so each of the two terms hits a key once
+                    row = {coord[c, y]: v for c, v in right_g.get(x, _ZERO).items()}
+                    for c, v in yg.items():
+                        k = coord[x, c]
+                        row[k] = row[k] - v if k in row else -v
+                    row = {k: v % p for k, v in row.items() if v % p} if p else {k: v for k, v in row.items() if v}
+                    if row:
+                        yield row
 
     def unmatched(self) -> Iterator[Pair]:
         """The pairs (x, y) whose weights differ: ρ(1_λ) kills x ⊗ y."""
-        for x, lam in enumerate(self.x_weights):
+        for lam, xs in self.xs.items():
             for mu, ys in self.ys.items():
                 if mu != lam:
-                    for y in ys:
-                        yield x, y
+                    for x in xs:
+                        for y in ys:
+                            yield x, y
+
+
+def _relation_ranks(
+    tensors: Dict[BlockKey, _Tensor], bounds: Dict[BlockKey, int], field: FieldSpec
+) -> Dict[BlockKey, int]:
+    """The rank over ``field`` of the integer relations of each block's
+    tensor.  ``bounds[key]`` must bound it from above: the block's echelon
+    takes no more rows once it is reached."""
+    ranks = {}
+    for key, tensor in tensors.items():
+        ech = SparseEchelon(field)
+        if bounds[key] > 0:
+            for row in tensor.rows():
+                if ech.add_row({k: field.from_int(v) for k, v in row.items()}) and ech.rank == bounds[key]:
+                    break
+        ranks[key] = ech.rank
+    return ranks
+
+
+def _certified_dim(
+    tensors: Dict[BlockKey, _Tensor],
+    weights: Dict[BlockKey, int],
+    field: FieldSpec,
+    image: Callable[[FieldSpec], Dict[BlockKey, int]],
+) -> Tuple[int, int, str]:
+    """Dimension of the blocks' tensor quotients, the dimension of the image,
+    and the method label of the rank path.
+
+    ``tensors`` holds one tensor per representative block and ``weights``
+    the size of each one's orbit: a representative counts once for every
+    block of its orbit.  ``image(f)``
+    gives, per representative block, the dimension over ``f`` of the image
+    of an integer map that kills every relation, so a block's relation rank
+    is at most its size minus its image: each block runs one echelon that
+    stops there.  Over GF(p) one elimination mod p answers ("modp").  Over
+    Q the ranks are first taken mod ``_CERT_PRIME``.  A rank mod p is at
+    most the rank over Q, so on every block
+
+        image_p ≤ image_Q ≤ quotient_Q ≤ quotient_p,
+
+    and when the outer two meet all four are equal ("certificate"); else
+    elimination over Q decides ("exact-fallback").
+    """
+    steps = [(field, "modp")] if field.kind == "GF" else [(GF(_CERT_PRIME), "certificate"), (field, "exact-fallback")]
+    sizes = {key: len(tensor.pairs) for key, tensor in tensors.items()}
+    for f, label in steps:
+        image_f = image(f)
+        ranks = _relation_ranks(tensors, {key: size - image_f[key] for key, size in sizes.items()}, f)
+        dim = sum(weights[key] * (size - ranks[key]) for key, size in sizes.items())
+        image_dim = sum(weights[key] * image_f[key] for key in sizes)
+        if dim == image_dim:
+            break
+    return dim, image_dim, label
 
 
 # ---------------------------------------------------------------------------
@@ -688,48 +654,20 @@ class PhiReport:
         }
 
 
-def _phi_surviving(n: int, d: int) -> Tuple[List[Pair], Dict[Pair, int]]:
-    """Tensor coordinates (a, b) not killed by the diagonal relations.
-
-    The relation for a diagonal even symbol reads off the two margin
-    projectors, so the coordinate ζ_a ⊗ ζ_b survives exactly when the upper
-    degree sequence of a matches the lower one of b.
-    """
+def _phi_blocks(n: int, d: int) -> Tuple[Dict[BlockKey, _Tensor], Dict[BlockKey, int]]:
+    """phi's representative blocks, one per S_n × ⟨ι⟩-orbit, and the size of
+    each one's orbit.  Block (λ, μ) is the tensor product
+    (1_λ S⁻) ⊗_S (S⁻ 1_μ): the ζ_a with lower(a) = λ, of right weight
+    upper(a), tensored with the ζ_b with upper(b) = μ, of weight lower(b).
+    The keys are read off the distinct margins (lower, upper) of the odd
+    symbols, so no coordinate of another block is numbered."""
     lower, upper = _odd_margins(n, d)
-    return _matched_pairs(upper, lower)
-
-
-def _grouped(first: Sequence[Margin], second: Sequence[Margin]) -> Dict[Margin, Dict[Margin, List[int]]]:
-    """Indices i grouped by first[i], then by second[i], increasing within each group."""
-    out: Dict[Margin, Dict[Margin, List[int]]] = {}
-    for i, (x, y) in enumerate(zip(first, second)):
-        out.setdefault(x, {}).setdefault(y, []).append(i)
-    return out
-
-
-def _phi_relation_rows(
-    n: int, d: int, coord: Dict[Pair, int], solved: Dict[Margin, List[Margin]]
-) -> Iterator[Dict[int, int]]:
-    """ρ(g) on ζ_a ⊗ ζ_b for every off-diagonal generator g, over the
-    surviving coordinates ``coord`` (integer rows); the diagonal ones are
-    accounted for by the projection.  Only the pairs (a, b) of the solved
-    blocks (a.lower, b.upper) are read: ``solved`` maps λ to their μ."""
-    Ms = enum_M(n, d)
-    lower, upper = _odd_margins(n, d)
-    by_upper = _positions(upper)
-    by_lower = _grouped(lower, upper)
-
-    def pairs(gi: int) -> Iterable[Pair]:
-        g = Ms[gi]
-        right = by_lower.get(g.upper_degrees, {})
-        return [
-            (a, b)
-            for a in by_upper.get(g.lower_degrees, ())
-            for mu in solved.get(lower[a], ())
-            for b in right.get(mu, ())
-        ]
-
-    return _tensor_rows(_right_dicts(n, d), _left_dicts(n, d), _generators(n, d), pairs, lambda a, b: coord[a, b])
+    by_lower, by_upper = _positions(lower), _positions(upper)
+    margins = list(zip(lower, upper))
+    weights = _orbit_weights(_block_keys(margins, margins), _sn_iota_rep)
+    right, left = _right_dicts(n, d), _left_dicts(n, d)
+    tensors = {(lam, mu): _Tensor(n, d, by_lower[lam], upper, right, by_upper[mu], lower, left) for lam, mu in weights}
+    return tensors, weights
 
 
 def phi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) -> PhiReport:
@@ -740,7 +678,8 @@ def phi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) ->
     image in the even subalgebra.  Both split over the weight blocks: the
     tensor coordinate ζ_a ⊗ ζ_b lies in block (a.lower, b.upper), and so do
     its relations and the even symbols in the expansion of ζ_a ζ_b.  Only
-    one block per S_n × ⟨ι⟩-orbit is solved (see the module docstring).  The
+    one block per S_n × ⟨ι⟩-orbit is built and solved, as a tensor product
+    of its own (:func:`_phi_blocks`; see the module docstring).  The
     product map kills every relation, so its image bounds the relation rank
     of each block, and :func:`_certified_dim` returns the quotient and the
     image together.  An empty tensor square has no blocks and comes out as
@@ -748,23 +687,19 @@ def phi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) ->
     """
     check_basis_budget(n, d, cap)
     nM = len(enum_M(n, d))
-    surviving, coord = _phi_surviving(n, d)
-    lower, upper = _odd_margins(n, d)
-    blocks = _Blocks(((lower[a], upper[b]) for a, b in surviving), _sn_iota_rep)
-    rep_pairs = [pair for pair, b in zip(surviving, blocks.block_of) if blocks.weights[b]]
-    even_keys = _even_keys(n, d)
+    tensors, weights = _phi_blocks(n, d)
 
-    def image(f: FieldSpec) -> List[int]:
-        # per-block rank of the product map: its pivots are even symbols
-        ech = SparseEchelon(f)
-        for a, b in rep_pairs:
-            row = _product(n, d, a, True, b, True)
-            ech.add_row({k: f.from_int(v) for k, v in row.items()})
-        return blocks.count(even_keys[h] for h in ech.pivot_rows)
+    def image(f: FieldSpec) -> Dict[BlockKey, int]:
+        # the rank of the product map ζ_a ⊗ ζ_b ↦ ζ_a ζ_b on each block
+        out = {}
+        for key, tensor in tensors.items():
+            ech = SparseEchelon(f)
+            for a, b in tensor.pairs:
+                ech.add_row({k: f.from_int(v) for k, v in _product(n, d, a, True, b, True).items()})
+            out[key] = ech.rank
+        return out
 
-    tensor_dim, phi_rank, method = _certified_dim(
-        blocks, lambda: _phi_relation_rows(n, d, coord, blocks.solved), field, image
-    )
+    tensor_dim, phi_rank, method = _certified_dim(tensors, weights, field, image)
     return PhiReport(
         n,
         d,
@@ -839,41 +774,26 @@ def _psi_kernel(n: int, d: int, field: FieldSpec, keys: Iterable[BlockKey]) -> D
     return out
 
 
-def _commutant_vars(n: int, d: int) -> Tuple[List[Pair], Dict[Pair, int]]:
-    """Matrix positions (c, a) allowed by the diagonal constraints.
-
-    Commuting with the margin projectors forces block-diagonal form: the
-    entry θ[c, a] is free exactly when c and a have the same upper degree
-    sequence, and zero otherwise.
-    """
-    upper = _odd_margins(n, d)[1]
-    return _matched_pairs(upper, upper)
-
-
-def _commutant_rows(
-    n: int, d: int, var: Dict[Pair, int], solved: Dict[Margin, List[Margin]]
-) -> Iterator[Dict[int, int]]:
-    """Constraint rows of θ·R_g = R_g·θ over the block variables ``var``, for
-    every off-diagonal generator g: ρ(g) with θ[c, a] as the tensor
-    coordinate (a, c), R_g acting on a from the right and its transpose on
-    c.  Only the entries (c, a) of the solved blocks (c.lower, a.lower) are
-    read: ``solved`` maps λ to their μ."""
-    Ms = enum_M(n, d)
+def _psi_blocks(n: int, d: int) -> Tuple[Dict[BlockKey, _Tensor], Dict[BlockKey, int]]:
+    """The representative blocks of psi's commutant, one per S_n-orbit, and
+    the size of each one's orbit.  The entries of θ R_g − R_g θ are the
+    relations ρ(g) with θ[c, a] as the tensor coordinate (a, c), R_g acting
+    on a from the right and its transpose on c.  So block
+    (λ, μ), the entries θ[c, a] with lower(c) = λ and lower(a) = μ, is a
+    tensor product: the ζ_a with lower(a) = μ under the right action,
+    tensored with the ζ_c with lower(c) = λ under the transposed one, both
+    of weight upper.  The right action is transposed at the generators only,
+    once for all blocks."""
     lower, upper = _odd_margins(n, d)
-    by_upper = _positions(upper)
-    by_lower = _grouped(upper, lower)
-
-    def pairs(gi: int) -> Iterable[Pair]:
-        g = Ms[gi]
-        right = by_lower.get(g.lower_degrees, {})
-        return [
-            (a, c)
-            for c in by_upper.get(g.upper_degrees, ())
-            for mu in solved.get(lower[c], ())
-            for a in right.get(mu, ())
-        ]
-
-    return _tensor_rows(_right_dicts(n, d), _right_rows(n, d), _generators(n, d), pairs, lambda a, c: var[c, a])
+    by_lower = _positions(lower)
+    margins = list(zip(lower, upper))
+    weights = _orbit_weights(_block_keys(margins, [key[::-1] for key in margins]), _sn_rep)
+    right = _right_dicts(n, d)
+    transposed = {g: _transpose(right[g].items()) for g in _generators(n, d)}
+    tensors = {
+        (lam, mu): _Tensor(n, d, by_lower[mu], upper, right, by_lower[lam], upper, transposed) for lam, mu in weights
+    }
+    return tensors, weights
 
 
 def psi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) -> PsiReport:
@@ -888,7 +808,7 @@ def psi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) ->
     variable θ[c, a] lies in block (c.lower, a.lower), and so do its
     constraint rows and the images of the even symbols h with
     (h.lower, h.upper) equal to that pair.  Only one block per S_n-orbit is
-    solved, and the kernel also in the other blocks of every orbit where it
+    built and solved (:func:`_psi_blocks`), and the kernel also in the other blocks of every orbit where it
     is non-zero (see the module docstring).  The image of the map lies in
     the commutant, so it bounds the relation rank of each block in
     :func:`_certified_dim`.  The kernel over ``field`` is solved once here;
@@ -897,16 +817,14 @@ def psi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) ->
     """
     check_basis_budget(n, d, cap)
     nM = len(enum_M(n, d))
-    vars_, var = _commutant_vars(n, d)
-    lower = _odd_margins(n, d)[0]
-    blocks = _Blocks(((lower[c], lower[a]) for c, a in vars_), _sn_rep)
+    tensors, weights = _psi_blocks(n, d)
     even_keys = _even_keys(n, d)
-    even_count = blocks.count(even_keys)
+    even_count = Counter(even_keys)
     keys = list(dict.fromkeys(even_keys))
     reps = [key for key in keys if _sn_rep(key) == key]
 
-    def image(kernel_f: Dict[BlockKey, List[SparseVec]]) -> List[int]:
-        return [total - len(kernel_f.get(key, ())) for total, key in zip(even_count, blocks.ids)]
+    def image(kernel_f: Dict[BlockKey, List[SparseVec]]) -> Dict[BlockKey, int]:
+        return {key: even_count[key] - len(kernel_f.get(key, ())) for key in tensors}
 
     kernel = _psi_kernel(n, d, field, reps)
     others = [key for key in keys if key not in kernel and kernel[_sn_rep(key)]]
@@ -916,10 +834,7 @@ def psi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) ->
     kernel_dim = len(vectors)
     image_dim = nM - kernel_dim
     commutant_dim, _, method = _certified_dim(
-        blocks,
-        lambda: _commutant_rows(n, d, var, blocks.solved),
-        field,
-        lambda f: image(kernel if f == field else _psi_kernel(n, d, f, reps)),
+        tensors, weights, field, lambda f: image(kernel if f == field else _psi_kernel(n, d, f, reps))
     )
     return PsiReport(
         n,
@@ -943,9 +858,10 @@ def _tensor_quotient(M: SModule) -> Tuple[_Tensor, QuotientSpace]:
     """S⁻ ⊗_S M, where ζ_a ⊗ v_i is matched when upper(a) = wt(v_i), and the
     quotient its relations cut out: the carrier of D(M)."""
     n, d, f = M.n, M.d, M.field
-    right_dicts = _right_dicts(n, d)
+    right_dicts, upper = _right_dicts(n, d), _odd_margins(n, d)[1]
     right = {g: {a: _int_column(col, f) for a, col in right_dicts[g].items()} for g in _generators(n, d)}
-    tensor = _Tensor(n, d, right, M.action, _odd_margins(n, d)[1], _weights(M), f.p)
+    left = _generator_columns(n, d, M.action)
+    tensor = _Tensor(n, d, range(len(upper)), upper, right, range(M.dim), _weights(M), left, f.p)
     return tensor, QuotientSpace(f, len(tensor.pairs), tensor.rows())
 
 
@@ -1061,8 +977,8 @@ def ringel_dual(M: SModule, validate: str = "auto") -> SModule:
     basis = _hom_vectors(odd_smodule(n, d, f), M)
     keys = [max(h) for h in basis]
     action = []
-    for rows_g in _right_rows(n, d):
-        cols = []
+    for per in _right_dicts(n, d):
+        rows_g, cols = _transpose(per.items()), []
         for h in basis:
             image: Dict[Pair, Scalar] = {}
             for (r, k), val in h.items():
@@ -1184,7 +1100,8 @@ def _hom_vectors(source: SModule, target: SModule) -> List[Dict[Pair, Scalar]]:
         raise ValueError("hom spaces need matching parameters and field")
     n, d, f = source.n, source.d, source.field
     right = {g: _transpose(enumerate(target.action[g])) for g in _generators(n, d)}
-    tensor = _Tensor(n, d, right, source.action, _weights(target), _weights(source), f.p)
+    left = _generator_columns(n, d, source.action)
+    tensor = _Tensor(n, d, range(target.dim), _weights(target), right, range(source.dim), _weights(source), left, f.p)
     pairs = tensor.pairs
     return [{pairs[k]: v for k, v in vec.items()} for vec in sparse_kernel(tensor.rows(), len(pairs), f)]
 

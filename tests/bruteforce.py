@@ -19,7 +19,6 @@ from altschur.algebra import (
     GradedElement,
     _left_dicts,
     _odd_margins,
-    _positions,
     _right_dicts,
     _symbols,
     all_symbols,
@@ -434,24 +433,56 @@ def table_json(table: Dict[Tuple[BasisSymbol, BasisSymbol], Dict[BasisSymbol, in
     return json.dumps({"n": n, "d": d, "entries": entries}, separators=(",", ":"), sort_keys=True)
 
 
-# The relation streams of phi and psi over every weight block, as the
-# analyses read them before they solved one block per orbit.  The block
+# The relation systems of phi and psi over every weight block, on every
+# coordinate that the diagonal relations leave, numbered here and generated
+# by a ρ(g) loop of this module's own from the integer tables.  The block
 # solver is checked against one echelon of all of these rows.
+def phi_coordinates(n: int, d: int) -> List[Tuple[int, int]]:
+    """The tensor coordinates ζ_a ⊗ ζ_b that the diagonal relations leave,
+    those with upper(a) = lower(b), in increasing (a, b) order."""
+    lower, upper = _odd_margins(n, d)
+    return [(a, b) for a in range(len(upper)) for b in range(len(lower)) if upper[a] == lower[b]]
+
+
+def commutant_coordinates(n: int, d: int) -> List[Tuple[int, int]]:
+    """The entries θ[c, a] that commuting with the diagonal idempotents
+    leaves free, those with upper(c) = upper(a), as the tensor coordinates
+    (a, c), in increasing order."""
+    upper = _odd_margins(n, d)[1]
+    return [(a, c) for a in range(len(upper)) for c in range(len(upper)) if upper[a] == upper[c]]
+
+
+def _relation_rows(
+    n: int, d: int, right: Dict[int, Dict[int, Dict[int, int]]], left: Dict[int, Dict[int, Dict[int, int]]],
+    coordinates: List[Tuple[int, int]],
+) -> Iterator[Dict[int, int]]:
+    """ρ(g) = (x ξ_g) ⊗ y − x ⊗ (ξ_g y) for every off-diagonal generator g
+    and every pair (x, y) of odd indices with x ξ_g or ξ_g y non-zero, as
+    integer rows over the numbering of ``coordinates``: ``right[g]`` maps x
+    to the column of x ξ_g and ``left[g]`` maps y to that of ξ_g y.  The
+    coordinates outside the list are killed by the diagonal relations and
+    dropped, and a row left empty is skipped."""
+    index = {pair: k for k, pair in enumerate(coordinates)}
+    every = range(len(enum_N(n, d)))
+    for g in koszul._generators(n, d):
+        acting = right[g]
+        pairs = [(x, y) for x in acting for y in every] + [(x, y) for y in left[g] for x in every if x not in acting]
+        for x, y in pairs:
+            row: Dict[int, int] = {}
+            for c, v in acting.get(x, {}).items():
+                if (c, y) in index:
+                    row[index[c, y]] = row.get(index[c, y], 0) + v
+            for c, v in left[g].get(y, {}).items():
+                if (x, c) in index:
+                    row[index[x, c]] = row.get(index[x, c], 0) - v
+            row = {k: v for k, v in row.items() if v}
+            if row:
+                yield row
+
+
 def phi_relation_rows(n: int, d: int) -> Iterator[Dict[int, int]]:
-    """ρ(g) on ζ_a ⊗ ζ_b for every off-diagonal generator g, projected to the
-    surviving coordinates (integer rows); the diagonal ones are accounted
-    for by the projection."""
-    Ms = enum_M(n, d)
-    _, coord = koszul._phi_surviving(n, d)
-    by_lower, by_upper = map(_positions, _odd_margins(n, d))
-
-    def pairs(gi: int) -> Iterable[Tuple[int, int]]:
-        g = Ms[gi]
-        return [(a, b) for a in by_upper.get(g.lower_degrees, ()) for b in by_lower.get(g.upper_degrees, ())]
-
-    return koszul._tensor_rows(
-        _right_dicts(n, d), _left_dicts(n, d), koszul._generators(n, d), pairs, lambda a, b: coord[a, b]
-    )
+    """phi's relations: ρ(g) on ζ_a ⊗ ζ_b over :func:`phi_coordinates`."""
+    return _relation_rows(n, d, _right_dicts(n, d), _left_dicts(n, d), phi_coordinates(n, d))
 
 
 def psi_kernel_rows(n: int, d: int) -> List[Dict[int, int]]:
@@ -466,20 +497,17 @@ def psi_kernel_rows(n: int, d: int) -> List[Dict[int, int]]:
 
 
 def commutant_rows(n: int, d: int) -> Iterator[Dict[int, int]]:
-    """Constraint rows of θ·R_g = R_g·θ over the block variables, for every
-    off-diagonal generator g: ρ(g) with θ[c, a] as the tensor coordinate
-    (a, c), R_g acting on a from the right and its transpose on c."""
-    Ms = enum_M(n, d)
-    _, var = koszul._commutant_vars(n, d)
-    by_upper = _positions(_odd_margins(n, d)[1])
-
-    def pairs(gi: int) -> Iterable[Tuple[int, int]]:
-        g = Ms[gi]
-        return [(a, c) for c in by_upper.get(g.upper_degrees, ()) for a in by_upper.get(g.lower_degrees, ())]
-
-    return koszul._tensor_rows(
-        _right_dicts(n, d), koszul._right_rows(n, d), koszul._generators(n, d), pairs, lambda a, c: var[c, a]
-    )
+    """Constraint rows of θ·R_g = R_g·θ over :func:`commutant_coordinates`:
+    ρ(g) with θ[c, a] as the tensor coordinate (a, c), R_g acting on a from
+    the right and its transpose on c."""
+    right = _right_dicts(n, d)
+    transposed: Dict[int, Dict[int, Dict[int, int]]] = {}
+    for g in koszul._generators(n, d):
+        rows = transposed[g] = {}
+        for a, col in right[g].items():
+            for c, v in col.items():
+                rows.setdefault(c, {})[a] = v
+    return _relation_rows(n, d, right, transposed, commutant_coordinates(n, d))
 
 
 # The relations of D, η and the hom spaces over the whole ambient space, as

@@ -10,7 +10,7 @@ from altschur import algebra, enumeration, koszul
 # read that was built with a different rule
 _TABLE_CACHES = (
     algebra._symbols, algebra._odd_margins, algebra._relabellings, algebra._left_dicts, algebra._even_dicts,
-    algebra._iota_indices, algebra._right_dicts, algebra._odd_dicts, koszul._right_rows,
+    algebra._iota_indices, algebra._right_dicts, algebra._odd_dicts,
 )
 
 

@@ -175,6 +175,20 @@ def test_multiply_malformed_element(capsys, tmp_path, worked_example):
         assert "malformed element" in err
 
 
+def test_multiply_refuses_a_zero_denominator(capsys, tmp_path, worked_example):
+    """An element file with the coefficient "1/0" is malformed (exit 4), not
+    a traceback."""
+    px, py = worked_example
+    with open(px, encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["terms"][0]["coeff"] = "1/0"
+    mal = tmp_path / "mal.json"
+    mal.write_text(json.dumps(data))
+    code, _, err = run(capsys, ["multiply", str(mal), py])
+    assert code == 4
+    assert "malformed element" in err and "'1/0'" in err
+
+
 def test_multiply_power_budget(capsys, worked_example):
     px, py = worked_example
     code, _, err = run(capsys, ["multiply", px, py, "--max-power", "10"])

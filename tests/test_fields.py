@@ -68,6 +68,15 @@ def test_scalar_format_parse_roundtrip_rationals():
     assert QQ.format_scalar(Fraction(22, 4)) == "11/2"
 
 
+def test_parse_scalar_refuses_a_zero_denominator():
+    """A rational with denominator 0 is a malformed scalar, named in the
+    error, not a division by zero."""
+    for text in ["1/0", " -3/0 "]:
+        with pytest.raises(ValueError, match="zero denominator") as info:
+            QQ.parse_scalar(text)
+        assert repr(text.strip()) in str(info.value)
+
+
 def test_scalar_format_parse_roundtrip_prime_field():
     f = GF(5)
     assert f.format_scalar(3) == "3 mod 5"

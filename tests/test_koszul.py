@@ -41,9 +41,11 @@ from bruteforce import (
     ambient_eta,
     ambient_hom_vectors,
     ambient_ringel_action,
+    commutant_coordinates,
     commutant_rows,
     dense_product_failure,
     intertwiner_space,
+    phi_coordinates,
     phi_relation_rows,
     psi_kernel_rows,
 )
@@ -616,48 +618,56 @@ def _even_key(g):
 def _product_rows(n, d):
     """The expansion of ζ_a ζ_b over the even basis, for every surviving
     tensor coordinate (a, b) of phi."""
-    return [algebra._product(n, d, a, True, b, True) for a, b in koszul._phi_surviving(n, d)[0]]
-
-
-def _solved_keys(blocks):
-    return {key for key, w in zip(blocks.ids, blocks.weights) if w}
+    return [algebra._product(n, d, a, True, b, True) for a, b in phi_coordinates(n, d)]
 
 
 def _row_multiset(rows):
     return Counter(tuple(sorted(row.items())) for row in rows)
 
 
+def _check_blocks(blocks, coordinates, key, reference, rep):
+    """The solver's blocks against the reference: one tensor per orbit of
+    the keys of ``coordinates``, at its representative, weighted by the
+    orbit's size and numbering exactly the coordinates of its block, and
+    its rows, written over the reference numbering, are the reference rows
+    of the representative blocks, in some order."""
+    tensors, weights = blocks
+    assert weights == Counter(rep(k) for k in set(key))
+    assert set(tensors) == set(weights)
+    index = {pair: k for k, pair in enumerate(coordinates)}
+    for block, tensor in tensors.items():
+        assert tensor.pairs == [pair for pair, k in zip(coordinates, key) if k == block]
+    solved = [{index[t.pairs[k]]: v for k, v in row.items()} for t in tensors.values() for row in t.rows()]
+    kept = [row for row in reference if key[next(iter(row))] in tensors]
+    assert _row_multiset(solved) == _row_multiset(kept)
+
+
 @pytest.mark.parametrize("n,d", BLOCK_CELLS)
 def test_phi_rows_stay_in_one_block(n, d):
     """Every relation row of phi lies in one block (a.lower, b.upper), and the
     product row of a tensor coordinate only reaches even symbols whose
-    margins are that coordinate's block.  The solver's rows are the
-    reference rows of the representative blocks, in some order."""
+    margins are that coordinate's block.  The solver's block tensors are
+    those of the representative blocks (:func:`_check_blocks`)."""
     Ms, Ns = enum_M(n, d), enum_N(n, d)
-    surviving, coord = koszul._phi_surviving(n, d)
-    key = [(Ns[a].lower_degrees, Ns[b].upper_degrees) for a, b in surviving]
+    coordinates = phi_coordinates(n, d)
+    key = [(Ns[a].lower_degrees, Ns[b].upper_degrees) for a, b in coordinates]
     reference = list(phi_relation_rows(n, d))
     for row in reference:
         assert len({key[k] for k in row}) == 1
     for k, row in enumerate(_product_rows(n, d)):
         assert {_even_key(Ms[h]) for h in row} <= {key[k]}
-    if surviving:
-        blocks = koszul._Blocks(key, koszul._sn_iota_rep)
-        solved = list(koszul._phi_relation_rows(n, d, coord, blocks.solved))
-        solved_keys = _solved_keys(blocks)
-        kept = [row for row in reference if key[next(iter(row))] in solved_keys]
-        assert _row_multiset(solved) == _row_multiset(kept)
+    _check_blocks(koszul._phi_blocks(n, d), coordinates, key, reference, koszul._sn_iota_rep)
 
 
 @pytest.mark.parametrize("n,d", BLOCK_CELLS)
 def test_psi_rows_stay_in_one_block(n, d):
     """Every commutant row of psi lies in one block (c.lower, a.lower), and
     the kernel row of the entry (c, a) only involves even symbols whose
-    margins are that block.  The solver's rows are the reference rows of
-    the representative blocks, in some order."""
+    margins are that block.  The solver's block tensors are those of the
+    representative blocks (:func:`_check_blocks`)."""
     Ms, Ns = enum_M(n, d), enum_N(n, d)
-    vars_, var = koszul._commutant_vars(n, d)
-    key = [(Ns[c].lower_degrees, Ns[a].lower_degrees) for c, a in vars_]
+    coordinates = commutant_coordinates(n, d)
+    key = [(Ns[c].lower_degrees, Ns[a].lower_degrees) for a, c in coordinates]
     reference = list(commutant_rows(n, d))
     for row in reference:
         assert len({key[k] for k in row}) == 1
@@ -665,12 +675,55 @@ def test_psi_rows_stay_in_one_block(n, d):
         for a, col in per.items():
             for c in col:
                 assert _even_key(Ms[gi]) == (Ns[c].lower_degrees, Ns[a].lower_degrees)
-    if vars_:
-        blocks = koszul._Blocks(key, koszul._sn_rep)
-        solved = list(koszul._commutant_rows(n, d, var, blocks.solved))
-        solved_keys = _solved_keys(blocks)
-        kept = [row for row in reference if key[next(iter(row))] in solved_keys]
-        assert _row_multiset(solved) == _row_multiset(kept)
+    _check_blocks(koszul._psi_blocks(n, d), coordinates, key, reference, koszul._sn_rep)
+
+
+def _representative_coordinates(n, d, phi):
+    """The coordinates of phi's representative blocks, or of psi's, counted
+    from the odd symbols' margins alone.  With P(λ, ν) the number of odd
+    symbols of margins (lower, upper) = (λ, ν), block (λ, μ) has
+    Σ_ν P(λ, ν) P(ν, μ) coordinates in phi and Σ_ν P(λ, ν) P(μ, ν) in psi."""
+    margins = Counter(zip(*algebra._odd_margins(n, d)))
+    size = Counter()
+    for (lam, nu), x in margins.items():
+        for (first, second), y in margins.items():
+            if phi and first == nu:
+                size[lam, second] += x * y
+            elif not phi and second == nu:
+                size[lam, first] += x * y
+    rep = koszul._sn_iota_rep if phi else koszul._sn_rep
+    return sum(size[key] for key in {rep(key) for key in size})
+
+
+def test_block_tensors_number_the_representative_coordinates_only(monkeypatch):
+    """At (3,4) phi and psi number the coordinates of their representative
+    blocks and no others: 366 and 504, where the whole cell has 2,484 for
+    each.  psi transposes the right action at the generators only."""
+    init, numbered = koszul._Tensor.__init__, []
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        numbered.append(len(self.pairs))
+
+    transpose, transposed = koszul._transpose, []
+
+    def transposing(columns):
+        columns = dict(columns)
+        transposed.append(columns)
+        return transpose(columns.items())
+
+    monkeypatch.setattr(koszul._Tensor, "__init__", recording)
+    monkeypatch.setattr(koszul, "_transpose", transposing)
+    counts = []
+    for analysis in (phi_analysis, psi_analysis):
+        numbered.clear()
+        analysis(3, 4, GF(3))
+        counts.append(sum(numbered))
+    expected = [_representative_coordinates(3, 4, True), _representative_coordinates(3, 4, False)]
+    assert counts == expected == [366, 504]
+    assert len(phi_coordinates(3, 4)) == len(commutant_coordinates(3, 4)) == 2484
+    right = algebra._right_dicts(3, 4)
+    assert transposed == [right[g] for g in koszul._generators(3, 4)]
 
 
 def _global_rank(rows, field, bound=None):
@@ -688,13 +741,13 @@ def _one_echelon(n, d, field):
     stopping only at the global rank bound (the map under study kills every
     relation, so the relation rank is at most the ambient dimension minus the
     image dimension)."""
-    S = len(koszul._phi_surviving(n, d)[0])
+    S = len(phi_coordinates(n, d))
     phi_rank = _global_rank(_product_rows(n, d), field)
     tensor_dim = S - _global_rank(phi_relation_rows(n, d), field, S - phi_rank)
     nM = len(enum_M(n, d))
     kernel_rows = [{k: field.from_int(v) for k, v in row.items()} for row in psi_kernel_rows(n, d)]
     kernel = sparse_kernel(kernel_rows, nM, field)
-    V = len(koszul._commutant_vars(n, d)[0])
+    V = len(commutant_coordinates(n, d))
     commutant_dim = V - _global_rank(commutant_rows(n, d), field, V - (nM - len(kernel)))
     return phi_rank, tensor_dim, kernel, commutant_dim
 
@@ -711,15 +764,15 @@ def _block_solve(monkeypatch, analysis, n, d, field, every_block):
     """The report of ``analysis``, psi's kernel vectors, and the relation
     rank of every solved block by key, once per rank pass: from one block
     per orbit, or from every block with ``every_block``."""
-    ranks, recorded = koszul._Blocks.ranks, []
+    ranks, recorded = koszul._relation_ranks, []
 
-    def recording(self, rows, bounds, f):
-        out = ranks(self, rows, bounds, f)
-        recorded.append({key: r for key, r, w in zip(self.ids, out, self.weights) if w})
+    def recording(tensors, bounds, f):
+        out = ranks(tensors, bounds, f)
+        recorded.append(dict(out))
         return out
 
     with monkeypatch.context() as m:
-        m.setattr(koszul._Blocks, "ranks", recording)
+        m.setattr(koszul, "_relation_ranks", recording)
         if every_block:
             m.setattr(koszul, "_sn_rep", lambda key: key)
             m.setattr(koszul, "_sn_iota_rep", lambda key: key)
@@ -759,13 +812,8 @@ def test_representative_blocks_match_every_block(monkeypatch, n, d, field):
 def test_orbit_gate_catches_unweighted_representatives(monkeypatch):
     """With every representative counted once, ignoring its orbit's size,
     the gate fails."""
-    init = koszul._Blocks.__init__
-
-    def unweighted(self, keys, rep):
-        init(self, keys, rep)
-        self.weights = [min(w, 1) for w in self.weights]
-
-    monkeypatch.setattr(koszul._Blocks, "__init__", unweighted)
+    orbit_weights = koszul._orbit_weights
+    monkeypatch.setattr(koszul, "_orbit_weights", lambda keys, rep: dict.fromkeys(orbit_weights(keys, rep), 1))
     assert all(_orbit_gate_failures(monkeypatch, n, d, field) for n, d in [(2, 3), (3, 3)] for field in (QQ, GF(3)))
 
 
@@ -833,15 +881,15 @@ def _every_off_diagonal(n, d):
 def _analyses(monkeypatch, n, d, field, all_rows):
     """The per-block relation ranks that phi and psi reach, and their reports,
     from the generator rows or from all rows."""
-    ranks, recorded = koszul._Blocks.ranks, []
+    ranks, recorded = koszul._relation_ranks, []
 
-    def recording(self, rows, bounds, f):
-        out = ranks(self, rows, bounds, f)
-        recorded.append(list(out))
+    def recording(tensors, bounds, f):
+        out = ranks(tensors, bounds, f)
+        recorded.append(dict(out))
         return out
 
     with monkeypatch.context() as m:
-        m.setattr(koszul._Blocks, "ranks", recording)
+        m.setattr(koszul, "_relation_ranks", recording)
         if all_rows:
             m.setattr(koszul, "_generators", _every_off_diagonal)
         phi, psi = phi_analysis(n, d, field, cap=6000), psi_analysis(n, d, field, cap=6000)
@@ -861,26 +909,39 @@ def test_generator_rows_reach_the_all_rows_ranks(monkeypatch, n, d, field):
     assert _analyses(monkeypatch, n, d, field, False) == _analyses(monkeypatch, n, d, field, True)
 
 
+class _Reads:
+    """A table indexed by even symbol that records the symbols it is read at."""
+
+    def __init__(self, table, seen):
+        self.table, self.seen = table, seen
+
+    def __getitem__(self, g):
+        self.seen.add(g)
+        return self.table[g]
+
+
 def test_relations_are_imposed_for_generators_only(monkeypatch):
     """Every ρ(g) that phi, psi, D, η and the (M, θ) round trip impose is
-    for a generator or a diagonal idempotent."""
-    tensor_rows, seen = koszul._tensor_rows, set()
+    for a generator or a diagonal idempotent: the tensors read their tables
+    of x ξ_g and ξ_g y only there, and phi and psi each read some."""
+    init, seen = koszul._Tensor.__init__, set()
 
-    def recording(right, left, gens, pairs, coord, p=0):
-        gens = list(gens)
-        seen.update(gens)
-        return tensor_rows(right, left, gens, pairs, coord, p)
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.right, self.left = _Reads(self.right, seen), _Reads(self.left, seen)
 
-    monkeypatch.setattr(koszul, "_tensor_rows", recording)
+    monkeypatch.setattr(koszul._Tensor, "__init__", recording)
     for n, d in [(2, 3), (3, 2)]:
-        seen.clear()
-        phi_analysis(n, d, QQ)
-        psi_analysis(n, d, QQ)
-        M = regular_smodule(n, d, GF(5))
-        eta_map(M)
-        pair_to_as_module(as_module_to_pair(regular_as_module(n, d, GF(5))))
         allowed = {*koszul._generators(n, d), *koszul._diag_indices(n, d)}
-        assert seen and seen <= allowed
+        for run in (
+            lambda: phi_analysis(n, d, QQ),
+            lambda: psi_analysis(n, d, QQ),
+            lambda: eta_map(regular_smodule(n, d, GF(5))),
+            lambda: pair_to_as_module(as_module_to_pair(regular_as_module(n, d, GF(5)))),
+        ):
+            seen.clear()
+            run()
+            assert seen and seen <= allowed
 
 
 CROSS_CELLS = [(1, 1), (2, 2), (2, 3), (3, 2), (2, 4)]
@@ -916,22 +977,22 @@ def _rank_fields(monkeypatch, n, d, drop):
     them, in order.  With ``drop``, one relation rank comes out one short
     modulo the certificate prime, which widens the mod-p quotient past the
     image, so the pinch misses and the analyses must eliminate over Q."""
-    ranks, fields = koszul._Blocks.ranks, []
+    ranks, fields = koszul._relation_ranks, []
 
     class Recording(SparseEchelon):
         def __init__(self, field):
             fields.append(field)
             super().__init__(field)
 
-    def dropped(self, rows, bounds, field):
-        out = ranks(self, rows, bounds, field)
+    def dropped(tensors, bounds, field):
+        out = ranks(tensors, bounds, field)
         if drop and field == GF(koszul._CERT_PRIME):
-            out[out.index(max(out))] -= 1
+            out[max(out, key=out.get)] -= 1
         return out
 
     with monkeypatch.context() as m:
         m.setattr(koszul, "SparseEchelon", Recording)
-        m.setattr(koszul._Blocks, "ranks", dropped)
+        m.setattr(koszul, "_relation_ranks", dropped)
         return phi_analysis(n, d, QQ), psi_analysis(n, d, QQ), fields
 
 
@@ -970,14 +1031,14 @@ def test_pinch_reads_the_image_mod_p_only_when_it_closes(n, d, monkeypatch):
     reference = phi_analysis(n, d, QQ), psi_analysis(n, d, QQ)
     certified_dim = koszul._certified_dim
 
-    def short(blocks, rows, field, image):
+    def short(tensors, weights, field, image):
         def image_short(f):
-            out = list(image(f))
+            out = dict(image(f))
             if f == GF(koszul._CERT_PRIME):
-                out[next(b for b, (w, x) in enumerate(zip(blocks.weights, out)) if w and x)] -= 1
+                out[next(key for key, x in out.items() if x)] -= 1
             return out
 
-        return certified_dim(blocks, rows, field, image_short)
+        return certified_dim(tensors, weights, field, image_short)
 
     monkeypatch.setattr(koszul, "_certified_dim", short)
     phi, psi = phi_analysis(n, d, QQ), psi_analysis(n, d, QQ)
