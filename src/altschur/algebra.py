@@ -236,8 +236,11 @@ class GradedElement:
     @classmethod
     def from_json_dict(cls, data: dict) -> "GradedElement":
         f = FieldSpec.from_label(data["field"])
-        if type(data["n"]) is not int or type(data["d"]) is not int or type(data["terms"]) is not list:
+        n, d = data["n"], data["d"]
+        if type(n) is not int or type(d) is not int or type(data["terms"]) is not list:
             raise TypeError("n and d must be ints and terms a list")
+        if n < 1 or d < 0:
+            raise ValueError(f"(n, d) = ({n!r}, {d!r}) is not a pair of parameters")
         terms: Dict[BasisSymbol, Scalar] = {}
         for rec in data["terms"]:
             sym = BasisSymbol.from_json_dict(rec)
@@ -245,7 +248,7 @@ class GradedElement:
             if sym in terms:
                 raise ValueError(f"duplicate term for {sym}")
             terms[sym] = coeff
-        return cls(data["n"], data["d"], f, terms)
+        return cls(n, d, f, terms)
 
     def __str__(self) -> str:
         if not self.terms:

@@ -52,7 +52,21 @@ system, with the ζ_a with lower(a) = μ under the right action on one side
 and the ζ_c with lower(c) = λ under its transpose on the other.  Each block
 is built as one ``_Tensor`` from the odd indices of its two sides and solved
 by one :class:`~altschur.linalg.SparseEchelon`, which stops taking rows once
-its rank reaches the bound set by the image of the map under study.
+its rank reaches the bound set by the image of the map under study.  The
+relation rows hold the tables' integers as they are: the echelon reduces
+each row into its field.
+
+phi's image is read off the left action as well.  By the trace form
+(:mod:`altschur.algebra`) the coefficient of ξ_h in ζ_a ζ_b is s_b · h!
+times that of ζ_{b*} in ξ_{h*} ζ_a.  h ↦ h* maps the even symbols of block
+(λ, μ) onto those of block (μ, λ) with h! = (h*)!, and neither the signs
+s_b nor the renaming b ↔ b* changes a rank.  So the image on block (λ, μ)
+is the rank over the field of the left-action columns
+{(a, c): coefficient of ζ_c in ξ_g ζ_a} of the ξ_g in block (μ, λ) with
+g! ≠ 0 in the field: the matrix that psi's kernel reads, on those g.  The
+ζ·ζ table is never built for phi.  ι maps block (λ, μ) onto (μ, λ) with the
+same image, so the columns of block (λ, μ) give the same ranks; the
+direction the trace form gives is kept, but no rank checks it.
 
 D, η, the (M, θ) equivalence, the hom spaces and the Ringel dual work on
 bases of weight vectors, which the stock modules and D(M) have (the weight
@@ -124,7 +138,7 @@ from .linalg import (
     sparse_kernel,
 )
 from .graphs import gamma0_lambda
-from .enumeration import check_basis_budget, enum_Lambda, enum_M, enum_N, graph_index
+from .enumeration import check_basis_budget, enum_Lambda, enum_M, enum_N, graph_index, lambda_factorial
 from .algebra import GradedElement, Margin, _left_dicts, _odd_margins, _positions, _product, _right_dicts, xi
 
 __all__ = [
@@ -516,20 +530,22 @@ class _Tensor:
     closed under the right action and Y under the left one: ``right[g]``
     maps x to the column {x′: coefficient} of x ξ_g, ``left[g]`` maps y to
     the non-zero column of ξ_g y, a missing key is a zero column, and only
-    the tables of the generators are read.  ρ(1_λ) kills x ⊗ y unless the
-    weights of x and y match, and ρ(g) of any other generator on the
-    remaining pairs lies in the span of the matched x ⊗ y.  ``pairs``
-    numbers the matched (x, y) in increasing order and ``coord`` inverts
-    it.  The numbering is monotone, so a reduced echelon form, quotient
+    the tables of the generators are read.  The coefficients may be integers
+    or field scalars; the rows are not reduced into a field, as every
+    consumer (the echelon, ``add_scaled``) does that itself.  ρ(1_λ) kills
+    x ⊗ y unless the weights of x and y match, and ρ(g) of any other
+    generator on the remaining pairs lies in the span of the matched x ⊗ y.
+    ``pairs`` numbers the matched (x, y) in increasing order and ``coord``
+    inverts it.  The numbering is monotone, so a reduced echelon form, quotient
     basis or canonical kernel basis over it is that of all the relations
     over every (x, y), with the unmatched coordinates left out.
     """
 
     def __init__(
         self, n: int, d: int, xs: Sequence[int], x_weights: Sequence[Margin], right: PerSymbol,
-        ys: Sequence[int], y_weights: Sequence[Margin], left: PerSymbol, p: int = 0,
+        ys: Sequence[int], y_weights: Sequence[Margin], left: PerSymbol,
     ):
-        self.n, self.d, self.right, self.left, self.p = n, d, right, left, p
+        self.n, self.d, self.right, self.left = n, d, right, left
         self.xs, self.ys = _by_weight(xs, x_weights), _by_weight(ys, y_weights)
         self.pairs = [(x, y) for x in xs for y in self.ys.get(x_weights[x], ())]
         self.coord = {pair: k for k, pair in enumerate(self.pairs)}
@@ -537,9 +553,10 @@ class _Tensor:
     def rows(self) -> Iterator[SparseVec]:
         """ρ(g) = (x ξ_g) ⊗ y − x ⊗ (ξ_g y) over the matched coordinates for
         every generator g other than the 1_λ, on the pairs (x, y) with x of
-        weight lower(g) and y of weight upper(g), reduced mod p when p is
-        non-zero; the other pairs give rows that ρ(1_λ) already kills."""
-        Ms, coord, p = enum_M(self.n, self.d), self.coord, self.p
+        weight lower(g) and y of weight upper(g); the other pairs give rows
+        that ρ(1_λ) already kills.  The entries are the tables' own, not
+        reduced into a field, and only the zeros are dropped."""
+        Ms, coord = enum_M(self.n, self.d), self.coord
         for g in _generators(self.n, self.d):
             xs, ys = self.xs.get(Ms[g].lower_degrees), self.ys.get(Ms[g].upper_degrees)
             if not (xs and ys):
@@ -557,7 +574,7 @@ class _Tensor:
                     for c, v in yg.items():
                         k = coord[x, c]
                         row[k] = row[k] - v if k in row else -v
-                    row = {k: v % p for k, v in row.items() if v % p} if p else {k: v for k, v in row.items() if v}
+                    row = {k: v for k, v in row.items() if v}
                     if row:
                         yield row
 
@@ -582,7 +599,7 @@ def _relation_ranks(
         ech = SparseEchelon(field)
         if bounds[key] > 0:
             for row in tensor.rows():
-                if ech.add_row({k: field.from_int(v) for k, v in row.items()}) and ech.rank == bounds[key]:
+                if ech.add_row(row) and ech.rank == bounds[key]:
                     break
         ranks[key] = ech.rank
     return ranks
@@ -682,21 +699,24 @@ def phi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) ->
     of its own (:func:`_phi_blocks`; see the module docstring).  The
     product map kills every relation, so its image bounds the relation rank
     of each block, and :func:`_certified_dim` returns the quotient and the
-    image together.  An empty tensor square has no blocks and comes out as
-    0 and 0 on the same path.
+    image together.  The image of block (λ, μ) is read by the trace form off
+    the left action of the ξ_g in block (μ, λ) with g! ≠ 0 in the field
+    (:func:`_left_kernel`), not off the ζ·ζ table.  An empty tensor square
+    has no blocks and comes out as 0 and 0 on the same path.
     """
     check_basis_budget(n, d, cap)
-    nM = len(enum_M(n, d))
+    Ms = enum_M(n, d)
+    nM = len(Ms)
     tensors, weights = _phi_blocks(n, d)
+    members = _positions(_even_keys(n, d))
+    factorials = [lambda_factorial([x for row in g.adj for x in row]) for g in Ms]
 
     def image(f: FieldSpec) -> Dict[BlockKey, int]:
-        # the rank of the product map ζ_a ⊗ ζ_b ↦ ζ_a ζ_b on each block
+        # block (λ, μ): the left action of the ξ_g in block (μ, λ) with g! ≠ 0
         out = {}
-        for key, tensor in tensors.items():
-            ech = SparseEchelon(f)
-            for a, b in tensor.pairs:
-                ech.add_row({k: f.from_int(v) for k, v in _product(n, d, a, True, b, True).items()})
-            out[key] = ech.rank
+        for lam, mu in tensors:
+            gs = [g for g in members.get((mu, lam), ()) if f.from_int(factorials[g])]
+            out[lam, mu] = len(gs) - len(_left_kernel(n, d, f, gs))
         return out
 
     tensor_dim, phi_rank, method = _certified_dim(tensors, weights, field, image)
@@ -749,29 +769,31 @@ class PsiReport:
         }
 
 
+def _left_kernel(n: int, d: int, field: FieldSpec, hs: Sequence[int]) -> List[SparseVec]:
+    """The kernel of left multiplication S → End(S⁻) on the span of the ξ_h,
+    h in ``hs``, as its canonical basis (:func:`sparse_kernel`) over the even
+    indices: the matrix of each ξ_h is read off :func:`_left_dicts`, one
+    integer row per matrix entry (c, a)."""
+    left = _left_dicts(n, d)
+    rows: Dict[Pair, Dict[int, int]] = {}
+    for k, h in enumerate(hs):
+        for a, col in left[h].items():
+            for c, v in col.items():
+                rows.setdefault((c, a), {})[k] = v
+    basis = sparse_kernel([rows[entry] for entry in sorted(rows)], len(hs), field)
+    return [{hs[k]: x for k, x in vec.items()} for vec in basis]
+
+
 def _psi_kernel(n: int, d: int, field: FieldSpec, keys: Iterable[BlockKey]) -> Dict[BlockKey, List[SparseVec]]:
     """The kernel of left multiplication S → End(S⁻) on each weight block of
-    ``keys``, as its canonical basis (:func:`sparse_kernel`) over the even
-    indices.
+    ``keys``, as its canonical basis over the even indices.
 
     The entry (c, a) of the matrix of ξ_h is non-zero only when h's block
     (h.lower, h.upper) is (c.lower, a.lower), so the kernel is the direct sum
     of the blocks' kernels, and the union of their canonical bases is the
     canonical basis of the whole kernel."""
     members = _positions(_even_keys(n, d))
-    left = _left_dicts(n, d)
-    out: Dict[BlockKey, List[SparseVec]] = {}
-    for key in keys:
-        hs = members[key]
-        # one row per matrix entry (c, a); columns are local even indices
-        rows: Dict[Pair, SparseVec] = {}
-        for k, h in enumerate(hs):
-            for a, col in left[h].items():
-                for c, v in col.items():
-                    rows.setdefault((c, a), {})[k] = field.from_int(v)
-        basis = sparse_kernel([rows[entry] for entry in sorted(rows)], len(hs), field)
-        out[key] = [{hs[k]: x for k, x in vec.items()} for vec in basis]
-    return out
+    return {key: _left_kernel(n, d, field, members[key]) for key in keys}
 
 
 def _psi_blocks(n: int, d: int) -> Tuple[Dict[BlockKey, _Tensor], Dict[BlockKey, int]]:
@@ -857,12 +879,11 @@ def psi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) ->
 def _tensor_quotient(M: SModule) -> Tuple[_Tensor, QuotientSpace]:
     """S⁻ ⊗_S M, where ζ_a ⊗ v_i is matched when upper(a) = wt(v_i), and the
     quotient its relations cut out: the carrier of D(M)."""
-    n, d, f = M.n, M.d, M.field
-    right_dicts, upper = _right_dicts(n, d), _odd_margins(n, d)[1]
-    right = {g: {a: _int_column(col, f) for a, col in right_dicts[g].items()} for g in _generators(n, d)}
+    n, d = M.n, M.d
+    upper = _odd_margins(n, d)[1]
     left = _generator_columns(n, d, M.action)
-    tensor = _Tensor(n, d, range(len(upper)), upper, right, range(M.dim), _weights(M), left, f.p)
-    return tensor, QuotientSpace(f, len(tensor.pairs), tensor.rows())
+    tensor = _Tensor(n, d, range(len(upper)), upper, _right_dicts(n, d), range(M.dim), _weights(M), left)
+    return tensor, QuotientSpace(M.field, len(tensor.pairs), tensor.rows())
 
 
 def _kills(tensor: _Tensor, column: Callable[[int, int], SparseVec], field: FieldSpec) -> bool:
@@ -1077,8 +1098,11 @@ def column_module(
     n: int, d: int, field: FieldSpec, lam: Sequence[int], validate: str = "auto"
 ) -> SModule:
     """The left ideal generated by the diagonal idempotent of composition
-    ``lam``: spanned by the even symbols with upper degree sequence lam."""
+    ``lam``: spanned by the even symbols with upper degree sequence lam.
+    Raises ``ValueError`` unless lam is a composition of d into n parts."""
     lam = tuple(lam)
+    if lam not in enum_Lambda(n, d):
+        raise ValueError(f"lam = {lam} is not a composition of {d} into {n} parts")
     return _left_ideal(n, d, field, [j for j, g in enumerate(enum_M(n, d)) if g.upper_degrees == lam], validate)
 
 
@@ -1101,7 +1125,7 @@ def _hom_vectors(source: SModule, target: SModule) -> List[Dict[Pair, Scalar]]:
     n, d, f = source.n, source.d, source.field
     right = {g: _transpose(enumerate(target.action[g])) for g in _generators(n, d)}
     left = _generator_columns(n, d, source.action)
-    tensor = _Tensor(n, d, range(target.dim), _weights(target), right, range(source.dim), _weights(source), left, f.p)
+    tensor = _Tensor(n, d, range(target.dim), _weights(target), right, range(source.dim), _weights(source), left)
     pairs = tensor.pairs
     return [{pairs[k]: v for k, v in vec.items()} for vec in sparse_kernel(tensor.rows(), len(pairs), f)]
 

@@ -9,25 +9,23 @@ map (eta, hom spaces, isomorphism witnesses) and its rank.
 There is one elimination core, :class:`SparseEchelon`: dict-keyed rows,
 forward reduction only, the smallest key of a row as its pivot.  Everything
 else is built on it: the rank of an :class:`ExactMatrix`, the fully reduced
-form :func:`rref_sparse` (a unit pass, then the echelon and
-back-substitution), the kernels of :func:`sparse_kernel` and the quotients
-of :class:`QuotientSpace`.  Hom spaces are kernels: :mod:`altschur.koszul`
-writes their defining relations as rows and reads coordinates in them off
-the canonical kernel basis.
+form :func:`rref_sparse` (the echelon, then back-substitution), the kernels
+of :func:`sparse_kernel` and the quotients of :class:`QuotientSpace`.  Hom
+spaces are kernels: :mod:`altschur.koszul` writes their defining relations
+as rows and reads coordinates in them off the canonical kernel basis.
 
 Everything here is deterministic: rows are reduced in their given order, so
 ranks, kernels and reduced forms are reproducible across runs and platforms.
-Scalars are raw values (``Fraction`` over Q, canonical ints over GF(p));
-:func:`rref_sparse` also takes GF(p) entries outside ``range(p)`` and
-reduces them first.  The large, redundant relation systems of phi and psi
-in :mod:`altschur.koszul` are split into their weight-space blocks by the
+Scalars are raw values (``Fraction`` over Q, canonical ints over GF(p)).
+The rows fed to the echelon may also hold plain integers: over GF(p) each
+incoming row is reduced mod p and its zeros dropped, and over Q the pivots
+are normalised into ``Fraction``, so callers pass integer rows as they are.
+The large, redundant relation systems of phi and psi in
+:mod:`altschur.koszul` are split into their weight-space blocks by the
 caller and run one small echelon per block.  The quotient behind D and the
 hom-space kernels run one :func:`rref_sparse` over the weight-matched
 coordinates of their tensor space, numbered in increasing order, so the
-idempotents' relations never reach it.  Its unit pass takes out the rows
-that are left with one entry and the cascades they start (a third of the
-pivots of D on the regular module at (3,4)), so the echelon sees only the
-coordinates those rows leave.
+idempotents' relations never reach it.
 """
 
 from __future__ import annotations
@@ -96,7 +94,7 @@ class ExactMatrix:
         """Rank by forward elimination of the non-zero entries of each row."""
         ech = SparseEchelon(self.field)
         for row in self.rows:
-            ech.add_row({j: x for j, x in enumerate(row) if x})
+            ech.add_row(dict(enumerate(row)))
         return ech.rank
 
 
@@ -146,11 +144,14 @@ class SparseEchelon:
         return len(self.pivot_rows)
 
     def reduce(self, row: SparseVec) -> SparseVec:
-        """Return the residue of ``row`` after elimination (not stored)."""
+        """Return the residue of ``row`` after elimination (not stored).
+
+        ``row`` may hold integers: over GF(p) its entries are reduced mod p
+        first, and over Q an int is as good as a ``Fraction``."""
         # field arithmetic inlined: this loop carries every large elimination
         p, zero = self.field.p, self.field.zero
         pivot_rows = self.pivot_rows
-        row = {k: v for k, v in row.items() if v}
+        row = {k: v % p for k, v in row.items() if v % p} if p else {k: v for k, v in row.items() if v}
         while row:
             lead = min(row)
             prow = pivot_rows.get(lead)
@@ -183,66 +184,22 @@ def rref_sparse(rows: Iterable[SparseVec], field: FieldSpec) -> Dict[int, Sparse
     """Fully reduced sparse echelon: pivot -> row, each row clear of all other
     pivots, leading coefficient 1.  The span of the rows is preserved.
 
-    A unit pass runs before the echelon.  The rows are read once, every row
-    through one filter: each entry is reduced into the field, zeros and the
-    coordinates already known dead are dropped, and a row left with one
-    entry {k: c} puts e_k in the span, so it marks k dead and is not
-    stored.  Only the rows left with two or more entries are kept.  The same filter runs over them again until no
-    new one-entry row appears (the cascade), at the end and whenever they
-    have doubled since the last cascade, so that rows which a later unit row
-    shrinks away are not held to the end.  What is left goes through
-    :class:`SparseEchelon` and back-substitution, and each dead k adds the
-    row {k: 1}.  The span is the dead unit vectors plus the kept rows with
-    their dead coordinates dropped, so this is the reduced row echelon form
-    of the rows, which is unique: the pivots and rows do not depend on the
-    unit pass, only the key order inside the returned dicts, which is not
-    promised.
+    The rows are read once, in their given order, by one
+    :class:`SparseEchelon` (so they may hold integers), and then each pivot
+    row is cleared of the other pivots, from the largest pivot down.  This
+    is the reduced row echelon form of the rows, which is unique; the key
+    order inside the returned dicts is not promised.
     """
     f = field
-    p = f.p
-    dead: set = set()
-    kept: List[SparseVec] = []
-
-    def keep(row: SparseVec) -> None:
-        # a row left with one entry kills its coordinate; one with more is kept
-        if len(row) == 1:
-            dead.update(row)
-        elif row:
-            kept.append(row)
-
-    def cascade() -> None:
-        # drop what was killed after a row was kept, until a pass kills nothing
-        nonlocal kept
-        seen = -1
-        while seen != len(dead):
-            seen, old, kept = len(dead), kept, []
-            for row in old:
-                for k in dead.intersection(row):
-                    del row[k]
-                keep(row)
-
-    bound = 1
-    for row in rows:
-        if p:
-            keep({k: v % p for k, v in row.items() if v % p and k not in dead})
-        else:
-            keep({k: v for k, v in row.items() if v and k not in dead})
-        if len(kept) >= bound:  # at most twice the rows the last cascade left
-            cascade()
-            bound = 2 * len(kept) + 1
-    cascade()
     ech = SparseEchelon(f)
-    for row in kept:
+    for row in rows:
         ech.add_row(row)
-    del kept  # the echelon holds its own rows; free these before back-substitution
     reduced = ech.pivot_rows
     for lead in sorted(reduced, reverse=True):
         row = reduced[lead]
         for q in list(row):
             if q != lead and q in reduced:
                 add_scaled(row, f.neg(row[q]), reduced[q], f)
-    for k in dead:
-        reduced[k] = {k: f.one}
     return reduced
 
 
@@ -260,13 +217,8 @@ def sparse_kernel(rows: Iterable[SparseVec], ncols: int, field: FieldSpec) -> Li
     the rows that cut it out, and the coordinates of a kernel element are
     its values at those largest keys.
 
-    The rows go through :func:`rref_sparse`, whose unit pass kills the
-    coordinate of every one-entry row before the echelon; such a coordinate
-    is a pivot whose reduced row is its unit vector, so it is 0 in every
-    vector.  The reduced
-    echelon form is unique, so the vectors are the same as those of a plain
-    echelon, entry for entry; the key order inside each vector is not
-    promised.
+    The rows go through :func:`rref_sparse`, so they may hold integers; the
+    key order inside each vector is not promised.
     """
     f = field
     reduced = rref_sparse(rows, f)
@@ -295,12 +247,11 @@ class QuotientSpace:
     unit vector of the ambient space.  :meth:`project` rewrites an ambient
     sparse vector in quotient coordinates.
 
-    The relations are reduced by :func:`rref_sparse`, whose unit pass takes
-    each relation that kills a coordinate outright out before the
-    echelon.  The reduced echelon form is
-    unique, so ``pivot_rows``, ``basis_coords`` and every projection are
-    those of a plain echelon; the key order inside ``pivot_rows`` and its
-    rows is not promised.
+    The relations are reduced by :func:`rref_sparse`, so they may hold
+    integers.  The reduced echelon form is unique, so ``pivot_rows``,
+    ``basis_coords`` and every projection depend only on the span of the
+    relations; the key order inside ``pivot_rows`` and its rows is not
+    promised.
     """
 
     def __init__(self, field: FieldSpec, ambient_dim: int, relations: Iterable[SparseVec]):

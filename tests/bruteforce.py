@@ -19,6 +19,7 @@ from altschur.algebra import (
     GradedElement,
     _left_dicts,
     _odd_margins,
+    _product,
     _right_dicts,
     _symbols,
     all_symbols,
@@ -28,7 +29,7 @@ from altschur.algebra import (
 from altschur.enumeration import enum_B, enum_M, enum_N, graph_index, words_with_content
 from altschur.fields import FieldSpec, Scalar
 from altschur.graphs import Word, d_of, pair_sign, u_of
-from altschur.linalg import QuotientSpace, SparseVec, add_scaled, combine, sparse_kernel
+from altschur.linalg import QuotientSpace, SparseEchelon, SparseVec, add_scaled, combine, sparse_kernel
 from altschur.oracle import VerifyReport
 
 
@@ -483,6 +484,16 @@ def _relation_rows(
 def phi_relation_rows(n: int, d: int) -> Iterator[Dict[int, int]]:
     """phi's relations: ρ(g) on ζ_a ⊗ ζ_b over :func:`phi_coordinates`."""
     return _relation_rows(n, d, _right_dicts(n, d), _left_dicts(n, d), phi_coordinates(n, d))
+
+
+def zeta_zeta_image(n: int, d: int, pairs: Iterable[Tuple[int, int]], field: FieldSpec) -> int:
+    """The rank over ``field`` of phi's product map ζ_a ⊗ ζ_b ↦ ζ_a ζ_b on
+    the tensor coordinates ``pairs``, one row per pair: the expansion of
+    ζ_a ζ_b over the even basis, read off the ζ·ζ table."""
+    ech = SparseEchelon(field)
+    for a, b in pairs:
+        ech.add_row({h: field.from_int(v) for h, v in _product(n, d, a, True, b, True).items()})
+    return ech.rank
 
 
 def psi_kernel_rows(n: int, d: int) -> List[Dict[int, int]]:

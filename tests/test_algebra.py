@@ -12,6 +12,7 @@ import math
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import time
@@ -172,6 +173,14 @@ def test_element_json_duplicate_terms_rejected():
     data = e.to_json_dict()
     data["terms"] = data["terms"] * 2
     with pytest.raises(ValueError):
+        GradedElement.from_json_dict(data)
+
+
+@pytest.mark.parametrize("n,d", [(0, -1), (-2, 2), (2, -1)])
+def test_element_json_refuses_bad_parameters(n, d):
+    """n < 1 or d < 0 is no parameter pair: refused as load_table refuses it."""
+    data = {"n": n, "d": d, "field": "Q", "terms": []}
+    with pytest.raises(ValueError, match=re.escape(f"(n, d) = ({n}, {d}) is not a pair of parameters")):
         GradedElement.from_json_dict(data)
 
 

@@ -189,6 +189,19 @@ def test_multiply_refuses_a_zero_denominator(capsys, tmp_path, worked_example):
     assert "malformed element" in err and "'1/0'" in err
 
 
+@pytest.mark.parametrize("n,d", [(0, -1), (-2, 2)])
+def test_multiply_refuses_bad_parameters(capsys, tmp_path, worked_example, n, d):
+    """An element file with n < 1 or d < 0 is malformed (exit 4): no
+    traceback from the power budget, and no element echoed back."""
+    _, py = worked_example
+    mal = tmp_path / "mal.json"
+    mal.write_text(json.dumps({"n": n, "d": d, "field": "Q", "terms": []}))
+    for argv in (["multiply", str(mal), py], ["multiply", str(mal), str(mal)]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (4, "")
+        assert "malformed element" in err and "is not a pair of parameters" in err
+
+
 def test_multiply_power_budget(capsys, worked_example):
     px, py = worked_example
     code, _, err = run(capsys, ["multiply", px, py, "--max-power", "10"])

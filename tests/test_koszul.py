@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import sys
 from collections import Counter
 
@@ -48,6 +49,7 @@ from bruteforce import (
     phi_coordinates,
     phi_relation_rows,
     psi_kernel_rows,
+    zeta_zeta_image,
 )
 
 
@@ -726,6 +728,37 @@ def test_block_tensors_number_the_representative_coordinates_only(monkeypatch):
     assert transposed == [right[g] for g in koszul._generators(3, 4)]
 
 
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5), GF(7)])
+@pytest.mark.parametrize("n,d", BLOCK_CELLS)
+def test_phi_image_is_the_rank_of_the_zeta_zeta_rows(n, d, field, monkeypatch):
+    """phi's image, read off the left action by the trace form, is on every
+    representative block the rank of the ζ·ζ product rows of the block's
+    coordinates (:func:`bruteforce.zeta_zeta_image`), over every field the
+    rank path asks it for and over the field of the analysis."""
+    certified_dim, captured, asked = koszul._certified_dim, [], []
+
+    def capturing(tensors, weights, f, image):
+        captured.append((tensors, image))
+        return certified_dim(tensors, weights, f, lambda g: asked.append(g) or image(g))
+
+    monkeypatch.setattr(koszul, "_certified_dim", capturing)
+    phi_analysis(n, d, field)
+    [(tensors, image)] = captured
+    assert asked
+    for f in {*asked, field}:
+        assert image(f) == {key: zeta_zeta_image(n, d, t.pairs, f) for key, t in tensors.items()}
+
+
+def test_phi_and_psi_leave_the_odd_table_unbuilt():
+    """phi reads its image off the left action, so neither phi nor psi
+    builds the ζ·ζ table."""
+    _clear(*_TABLE_CACHES)
+    for field in (QQ, GF(3)):
+        phi_analysis(3, 3, field)
+        psi_analysis(3, 3, field)
+    assert algebra._odd_dicts.cache_info().currsize == 0
+
+
 def _global_rank(rows, field, bound=None):
     ech = SparseEchelon(field)
     for row in rows:
@@ -1182,6 +1215,14 @@ def test_eta_regular_2_2():
 def test_eta_column_modules(lam):
     report = eta_map(column_module(2, 2, QQ, lam))
     assert report.iso
+
+
+@pytest.mark.parametrize("lam", [(1, 1), (2, 2, 0), (1, 1, 1, 0), (-1, 2, 2)])
+def test_column_module_refuses_a_non_composition(lam):
+    """lam must be a composition of d into n parts; another gives no
+    module, and the error names it."""
+    with pytest.raises(ValueError, match=re.escape(str(lam))):
+        column_module(3, 3, QQ, lam)
 
 
 def test_eta_fails_when_phi_does():

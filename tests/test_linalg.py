@@ -349,7 +349,7 @@ def test_sparse_kernel_matches_dense_reference(field):
             assert all(max(vec) not in other for i, other in enumerate(kernel) if i != j)
 
 
-# -- the unit pass of rref_sparse ---------------------------------------------------
+# -- one-entry rows and chains in rref_sparse ---------------------------------------
 
 
 def nonzero(rng, field):
@@ -359,15 +359,14 @@ def nonzero(rng, field):
 
 
 def unit_systems(field, seed, count=40):
-    """Systems that give the unit pass work, as (rows, dense rows, ncols).
+    """Systems rich in one-entry rows and chains, as (rows, dense rows, ncols).
 
     Multi-entry rows come first, then the one-entry rows that kill some of
-    their coordinates.  A chain {c0, c1}, {c1, c2}, ... turns into one-entry
-    rows one link at a time once c0 is killed, a cascade of two steps or
-    more; when the chain arrives in reverse order, each step needs another
-    pass.  Some unit rows come twice, before or after the rows they meet,
-    and all-zero rows and rows whose only entry is zero in the field are
-    strewn in.  Over GF(p) the given entries are shifted by multiples of p;
+    their coordinates.  A chain {c0, c1}, {c1, c2}, ... reduces to one-entry
+    rows one link at a time once c0 is killed, in either direction, as the
+    chain may arrive reversed.  Some unit rows come twice, before or after
+    the rows they meet, and all-zero rows and rows whose only entry is zero
+    in the field are strewn in.  Over GF(p) the given entries are shifted by multiples of p;
     the dense rows hold the reduced values, for the reference.
     """
     rng = random.Random(seed)
@@ -436,3 +435,41 @@ def test_unreduced_entries_over_gf_p(p):
     assert rref_sparse([{2: p}], field) == {}
     assert sparse_kernel([{2: p}], 3, field) == [{0: 1}, {1: 1}, {2: 1}]
     assert QuotientSpace(field, 3, [{2: p}]).dim == 3
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_echelon_reduces_integer_rows_mod_p(p):
+    """Integer rows with entries outside range(p), multiples of p among
+    them, give the rank and pivot rows of the same rows reduced into GF(p)."""
+    field, rng = GF(p), random.Random(p)
+    for _ in range(30):
+        ncols = rng.randrange(1, 8)
+        rows = [
+            {k: rng.randrange(-3 * p, 3 * p + 1) for k in rng.sample(range(ncols), rng.randrange(0, ncols + 1))}
+            for _ in range(rng.randrange(0, 8))
+        ]
+        rows.append({rng.randrange(ncols): p * rng.randrange(-2, 3)})  # zero in GF(p)
+        reduced = [{k: v % p for k, v in row.items() if v % p} for row in rows]
+        given, field_ech = SparseEchelon(field), SparseEchelon(field)
+        for row, red in zip(rows, reduced):
+            assert given.add_row(row) == field_ech.add_row(red)
+        assert given.pivot_rows == field_ech.pivot_rows
+        assert all(0 < v < p for row in given.pivot_rows.values() for v in row.values())
+
+
+def test_echelon_takes_int_rows_over_q():
+    """Over Q, int rows give the rank and pivot rows of the same rows as
+    ``Fraction`` values, and the stored pivot rows hold ``Fraction`` only."""
+    rng = random.Random(36)
+    for _ in range(30):
+        ncols = rng.randrange(1, 8)
+        rows = [
+            {k: rng.randrange(-4, 5) for k in rng.sample(range(ncols), rng.randrange(0, ncols + 1))}
+            for _ in range(rng.randrange(0, 8))
+        ]
+        ints, fractions = SparseEchelon(QQ), SparseEchelon(QQ)
+        for row in rows:
+            assert ints.add_row(row) == fractions.add_row({k: Fraction(v) for k, v in row.items()})
+        assert ints.pivot_rows == fractions.pivot_rows
+        assert all(type(v) is Fraction for row in ints.pivot_rows.values() for v in row.values())
+        assert rref_sparse(rows, QQ) == rref_sparse([{k: Fraction(v) for k, v in row.items()} for row in rows], QQ)
