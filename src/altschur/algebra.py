@@ -25,9 +25,9 @@ All structure constants are integers, reduced into a field at the point of
 use.  The index-keyed tables below are cached once per (n, d).
 
 The odd part S⁻ is stored once, as the integer table of its left action
-ξ_g ζ_a.  Every other product with an odd factor is read off that table
-through the anti-involution ι(ξ_g) = ξ_{g*}, ι(ζ_a) = s_a ζ_{a*}
-(s = :func:`iota_sign`):
+ξ_g ζ_a.  Every other product with an odd factor is read off that table,
+one product at a time and with no copy of the table cached, through the
+anti-involution ι(ξ_g) = ξ_{g*}, ι(ζ_a) = s_a ζ_{a*} (s = :func:`iota_sign`):
 
 * mirror: the coefficient of ζ_c in ζ_a ξ_g is s_a s_c times that of
   ζ_{c*} in ξ_{g*} ζ_{a*};
@@ -720,46 +720,56 @@ def _iota_indices(n: int, d: int) -> Tuple[List[int], List[int], List[int]]:
     return [m_idx[g.star()] for g in enum_M(n, d)], [n_idx[a.star()] for a in Ns], [iota_sign(a) for a in Ns]
 
 
-@lru_cache(maxsize=None)
-def _right_dicts(n: int, d: int) -> IntTable:
-    """Per even index g: {a: {c: coeff of ζ_c in ζ_a ξ_g}} over odd indices,
-    mirrored from :func:`_left_dicts`: the coefficient is s_a s_c times that
-    of ζ_{c*} in ξ_{g*} ζ_{a*}."""
+def _mirror(col: Dict[int, int], star: List[int], sign: List[int], s: int) -> Dict[int, int]:
+    """The column {c: coeff of ζ_c in ζ_a ξ_g} from the column ``col`` =
+    {c: coeff of ζ_c in ξ_{g*} ζ_{a*}} of the left table, with ``star`` and
+    ``sign`` from :func:`_iota_indices` and s = s_a: the coefficient of ζ_c
+    is s_a s_c times that of ζ_{c*}."""
+    return {star[c]: s * sign[c] * v for c, v in col.items()}
+
+
+def _right_action(n: int, d: int, g: int) -> Dict[int, Dict[int, int]]:
+    """{a: {c: coeff of ζ_c in ζ_a ξ_g}} over odd indices, mirrored from
+    :func:`_left_dicts`.  Built anew on each call; nothing is cached."""
     gstar, star, sign = _iota_indices(n, d)
-    left = _left_dicts(n, d)
-    return tuple(
-        {star[a]: {star[c]: sign[a] * sign[c] * v for c, v in col.items()} for a, col in left[gs].items()}
-        for gs in gstar
-    )
+    return {star[a]: _mirror(col, star, sign, sign[a]) for a, col in _left_dicts(n, d)[gstar[g]].items()}
 
 
 @lru_cache(maxsize=None)
-def _odd_dicts(n: int, d: int) -> IntTable:
-    """Per odd index a: {b: {h: coeff of ξ_h in ζ_a ζ_b}}, read off
-    :func:`_left_dicts` by the trace form: the coefficient is s_b · h! times
-    that of ζ_{b*} in ξ_{h*} ζ_a, with h! = Π h_ij!."""
-    gstar, star, sign = _iota_indices(n, d)
-    left = _left_dicts(n, d)
-    out: List[Dict[int, Dict[int, int]]] = [{} for _ in star]
-    for h, g in enumerate(enum_M(n, d)):
-        fact = lambda_factorial([x for row in g.adj for x in row])
-        for a, col in left[gstar[h]].items():
-            for c, v in col.items():
-                out[a].setdefault(star[c], {})[h] = sign[c] * fact * v
-    return tuple(out)
+def _even_blocks(n: int, d: int) -> Tuple[Dict[Tuple[Margin, Margin], List[int]], List[int]]:
+    """The even indices of each weight block (lower, upper), increasing, and
+    h! = Π h_ij! per even index."""
+    Ms = enum_M(n, d)
+    blocks = _positions((g.lower_degrees, g.upper_degrees) for g in Ms)
+    return blocks, [lambda_factorial([x for row in g.adj for x in row]) for g in Ms]
 
 
 def _product(n: int, d: int, i: int, left_odd: bool, j: int, right_odd: bool) -> Dict[int, int]:
     """The product of the i-th and the j-th basis symbol of the given
     parities, as {k: integer coefficient of the k-th basis symbol of the
-    product's parity}.  Read-only: every product is read off a cached table."""
-    if left_odd and right_odd:
-        return _odd_dicts(n, d)[i].get(j, {})
-    if left_odd:
-        return _right_dicts(n, d)[j].get(i, {})
+    product's parity}.  Read-only: ξ·ξ and ξ·ζ are read off their cached
+    tables, and ζ·ξ and ζ·ζ are read off the left table one product at a
+    time, by the mirror and the trace form (see the module docstring)."""
+    if not left_odd:
+        return (_left_dicts if right_odd else _even_dicts)(n, d)[i].get(j, {})
     if right_odd:
-        return _left_dicts(n, d)[i].get(j, {})
-    return _even_dicts(n, d)[i].get(j, {})
+        lower, upper = _odd_margins(n, d)
+        if upper[i] != lower[j]:
+            return {}
+    gstar, star, sign = _iota_indices(n, d)
+    left = _left_dicts(n, d)
+    if not right_odd:
+        col = left[gstar[j]].get(star[i])
+        return _mirror(col, star, sign, sign[i]) if col else {}
+    # trace form: ξ_h in ζ_a ζ_b is s_b · h! times ζ_{b*} in ξ_{h*} ζ_a, and
+    # it is non-zero only for h in weight block (lower(a), upper(b))
+    blocks, fact = _even_blocks(n, d)
+    out = {}
+    for h in blocks.get((lower[i], upper[j]), ()):
+        v = left[gstar[h]].get(i, {}).get(star[j])
+        if v:
+            out[h] = sign[j] * fact[h] * v
+    return out
 
 
 # -- the product table and its file --------------------------------------------

@@ -27,7 +27,7 @@ import itertools
 import math
 import os
 from functools import lru_cache
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .graphs import BipartiteGraph, Word
 
@@ -71,31 +71,55 @@ def _cap(env: str, default: int, override: int | None) -> int:
 
 
 def check_power_budget(n: int, d: int, cap: int | None = None) -> None:
-    """Raise :class:`BudgetExceededError` when n^d exceeds the cap."""
+    """Raise :class:`BudgetExceededError` when n^d exceeds the cap.  For
+    n ≥ 2, n^d ≥ 2^d, so n^d is formed only when d is at most the bit length
+    of the cap, and a huge d is refused at once."""
     limit = _cap(POWER_CAP_ENV, DEFAULT_POWER_CAP, cap)
-    if n**d > limit:
-        raise BudgetExceededError(f"n^d = {n}^{d} = {n**d} exceeds the cap {limit}")
+    if (n > 1 and d > limit.bit_length()) or n**d > limit:
+        raise BudgetExceededError(f"n^d at (n,d)=({n},{d}) exceeds the cap {limit}")
 
 
 def check_basis_budget(n: int, d: int, cap: int | None = None) -> None:
     """Raise :class:`BudgetExceededError` when |M(n,d)| + |N(n,d)| exceeds the cap."""
-    check_count_budget("|M| + |N|", basis_size(n, d), n, d, cap)
+    check_count_budget(("M", "N"), n, d, cap)
 
 
-def check_count_budget(what: str, size: int, n: int, d: int, cap: int | None = None) -> None:
-    """Raise :class:`BudgetExceededError` when ``size``, the count named
-    ``what`` at (n, d), exceeds the basis cap."""
+# the binomial (m, k) with C(m, k) the size of each family at (n, d)
+_FAMILIES: Dict[str, Callable[[int, int], Tuple[int, int]]] = {
+    "M": lambda n, d: (n * n + d - 1, d),
+    "N": lambda n, d: (n * n, d),
+    "Lambda": lambda n, d: (n + d - 1, d),
+}
+
+
+def _comb_upto(m: int, k: int, limit: int) -> int:
+    """C(m, k) when it is at most ``limit``, else a number above ``limit``.
+    With k ≤ m/2 (C(m, k) = C(m, m − k)), C(m, k) ≥ 2^k and, for k ≥ 1,
+    C(m, k) ≥ m, so C(m, k) is formed only when k is at most the bit length
+    of ``limit`` and m at most ``limit``, and then it has at most about
+    log2(limit) times as many digits as ``limit``."""
+    k = min(k, m - k)
+    if k > limit.bit_length() or (k > 0 and m > limit):
+        return limit + 1
+    return math.comb(m, k) if k >= 0 else 0
+
+
+def check_count_budget(families: Sequence[str], n: int, d: int, cap: int | None = None) -> None:
+    """Raise :class:`BudgetExceededError` when the total size of the
+    ``families`` ("M", "N" or "Lambda") at (n, d) exceeds the basis cap.
+    No size far past the cap is computed (see :func:`_comb_upto`)."""
     limit = _cap(BASIS_CAP_ENV, DEFAULT_BASIS_CAP, cap)
-    if size > limit:
-        raise BudgetExceededError(f"{what} = {size} at (n,d)=({n},{d}) exceeds the cap {limit}")
+    if sum(_comb_upto(*_FAMILIES[kind](n, d), limit) for kind in families) > limit:
+        what = " + ".join(f"|{kind}|" for kind in families)
+        raise BudgetExceededError(f"{what} at (n,d)=({n},{d}) exceeds the cap {limit}")
 
 
 def count_M(n: int, d: int) -> int:
-    return math.comb(n * n + d - 1, d)
+    return math.comb(*_FAMILIES["M"](n, d))
 
 
 def count_N(n: int, d: int) -> int:
-    return math.comb(n * n, d) if d <= n * n else 0
+    return math.comb(*_FAMILIES["N"](n, d))
 
 
 def basis_size(n: int, d: int) -> int:

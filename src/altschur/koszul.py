@@ -15,9 +15,11 @@ exact arithmetic:
 
 Products are read from the integer tables of :mod:`altschur.algebra`, which
 stores S⁻ once, as the table of its left action, and reads every other
-product with an odd factor off it.  Single products go through the
-index-keyed accessor ``_product``; the relation loops read the tables at
-the generators only.  The blocks of phi and of psi's commutant, D, the hom
+product with an odd factor off it, one product at a time.  Single products
+go through the index-keyed accessor ``_product``; the relation loops read
+the tables at the generators only, and the right action is mirrored from
+the left table there alone (``_generator_mirrors``).  The blocks of phi and
+of psi's commutant, D, the hom
 spaces and the Ringel dual are each a tensor product ``_Tensor``, whose one
 loop imposes the relations ρ(g) = (x ξ_g) ⊗ y − x ⊗ (ξ_g y) from the tables
 and indices each passes it.  A hom space Hom_S(B, A) is the
@@ -63,8 +65,8 @@ times that of ζ_{b*} in ξ_{h*} ζ_a.  h ↦ h* maps the even symbols of block
 s_b nor the renaming b ↔ b* changes a rank.  So the image on block (λ, μ)
 is the rank over the field of the left-action columns
 {(a, c): coefficient of ζ_c in ξ_g ζ_a} of the ξ_g in block (μ, λ) with
-g! ≠ 0 in the field: the matrix that psi's kernel reads, on those g.  The
-ζ·ζ table is never built for phi.  ι maps block (λ, μ) onto (μ, λ) with the
+g! ≠ 0 in the field: the matrix that psi's kernel reads, on those g.  phi
+reads no ζ·ζ product.  ι maps block (λ, μ) onto (μ, λ) with the
 same image, so the columns of block (λ, μ) give the same ranks; the
 direction the trace form gives is kept, but no rank checks it.
 
@@ -138,8 +140,9 @@ from .linalg import (
     sparse_kernel,
 )
 from .graphs import gamma0_lambda
-from .enumeration import check_basis_budget, enum_Lambda, enum_M, enum_N, graph_index, lambda_factorial
-from .algebra import GradedElement, Margin, _left_dicts, _odd_margins, _positions, _product, _right_dicts, xi
+from .enumeration import check_basis_budget, enum_Lambda, enum_M, enum_N, graph_index
+from .algebra import GradedElement, Margin, _even_blocks, _left_dicts, _odd_margins, _positions, _product, xi
+from .algebra import _right_action
 
 __all__ = [
     "SModule",
@@ -440,11 +443,6 @@ def odd_smodule(n: int, d: int, field: FieldSpec) -> SModule:
 BlockKey = Tuple[Margin, Margin]
 
 
-def _even_keys(n: int, d: int) -> List[BlockKey]:
-    """Weight block (lower, upper) of every even symbol, in enum_M order."""
-    return [(g.lower_degrees, g.upper_degrees) for g in enum_M(n, d)]
-
-
 def _sn_rep(key: BlockKey) -> BlockKey:
     """The representative of the S_n-orbit of a block key (λ, μ): the boxes
     renamed so that the columns (λ_i, μ_i) increase."""
@@ -510,6 +508,13 @@ def _weights(M: SModule) -> List[Margin]:
 def _generator_columns(n: int, d: int, action: Sequence[Columns]) -> Dict[int, Dict[int, SparseVec]]:
     """The non-zero columns {y: column of ξ_g y} of each generator's map."""
     return {g: {y: col for y, col in enumerate(action[g]) if col} for g in _generators(n, d)}
+
+
+def _generator_mirrors(n: int, d: int) -> Dict[int, Dict[int, Dict[int, int]]]:
+    """The right action {a: column of ζ_a ξ_g} of each generator g, mirrored
+    from the left table (:func:`~altschur.algebra._right_action`): the only
+    part of the right action a relation loop reads."""
+    return {g: _right_action(n, d, g) for g in _generators(n, d)}
 
 
 def _by_weight(indices: Iterable[int], weights: Sequence[Margin]) -> Dict[Margin, List[int]]:
@@ -682,7 +687,7 @@ def _phi_blocks(n: int, d: int) -> Tuple[Dict[BlockKey, _Tensor], Dict[BlockKey,
     by_lower, by_upper = _positions(lower), _positions(upper)
     margins = list(zip(lower, upper))
     weights = _orbit_weights(_block_keys(margins, margins), _sn_iota_rep)
-    right, left = _right_dicts(n, d), _left_dicts(n, d)
+    right, left = _generator_mirrors(n, d), _left_dicts(n, d)
     tensors = {(lam, mu): _Tensor(n, d, by_lower[lam], upper, right, by_upper[mu], lower, left) for lam, mu in weights}
     return tensors, weights
 
@@ -701,15 +706,13 @@ def phi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) ->
     of each block, and :func:`_certified_dim` returns the quotient and the
     image together.  The image of block (λ, μ) is read by the trace form off
     the left action of the ξ_g in block (μ, λ) with g! ≠ 0 in the field
-    (:func:`_left_kernel`), not off the ζ·ζ table.  An empty tensor square
+    (:func:`_left_kernel`), not off the ζ·ζ products.  An empty tensor square
     has no blocks and comes out as 0 and 0 on the same path.
     """
     check_basis_budget(n, d, cap)
-    Ms = enum_M(n, d)
-    nM = len(Ms)
+    nM = len(enum_M(n, d))
     tensors, weights = _phi_blocks(n, d)
-    members = _positions(_even_keys(n, d))
-    factorials = [lambda_factorial([x for row in g.adj for x in row]) for g in Ms]
+    members, factorials = _even_blocks(n, d)
 
     def image(f: FieldSpec) -> Dict[BlockKey, int]:
         # block (λ, μ): the left action of the ξ_g in block (μ, λ) with g! ≠ 0
@@ -792,7 +795,7 @@ def _psi_kernel(n: int, d: int, field: FieldSpec, keys: Iterable[BlockKey]) -> D
     (h.lower, h.upper) is (c.lower, a.lower), so the kernel is the direct sum
     of the blocks' kernels, and the union of their canonical bases is the
     canonical basis of the whole kernel."""
-    members = _positions(_even_keys(n, d))
+    members = _even_blocks(n, d)[0]
     return {key: _left_kernel(n, d, field, members[key]) for key in keys}
 
 
@@ -804,14 +807,14 @@ def _psi_blocks(n: int, d: int) -> Tuple[Dict[BlockKey, _Tensor], Dict[BlockKey,
     (λ, μ), the entries θ[c, a] with lower(c) = λ and lower(a) = μ, is a
     tensor product: the ζ_a with lower(a) = μ under the right action,
     tensored with the ζ_c with lower(c) = λ under the transposed one, both
-    of weight upper.  The right action is transposed at the generators only,
-    once for all blocks."""
+    of weight upper.  The right action is mirrored and transposed at the
+    generators only, once for all blocks."""
     lower, upper = _odd_margins(n, d)
     by_lower = _positions(lower)
     margins = list(zip(lower, upper))
     weights = _orbit_weights(_block_keys(margins, [key[::-1] for key in margins]), _sn_rep)
-    right = _right_dicts(n, d)
-    transposed = {g: _transpose(right[g].items()) for g in _generators(n, d)}
+    right = _generator_mirrors(n, d)
+    transposed = {g: _transpose(columns.items()) for g, columns in right.items()}
     tensors = {
         (lam, mu): _Tensor(n, d, by_lower[mu], upper, right, by_lower[lam], upper, transposed) for lam, mu in weights
     }
@@ -840,16 +843,14 @@ def psi_analysis(n: int, d: int, field: FieldSpec, cap: Optional[int] = None) ->
     check_basis_budget(n, d, cap)
     nM = len(enum_M(n, d))
     tensors, weights = _psi_blocks(n, d)
-    even_keys = _even_keys(n, d)
-    even_count = Counter(even_keys)
-    keys = list(dict.fromkeys(even_keys))
-    reps = [key for key in keys if _sn_rep(key) == key]
+    members = _even_blocks(n, d)[0]
+    reps = [key for key in members if _sn_rep(key) == key]
 
     def image(kernel_f: Dict[BlockKey, List[SparseVec]]) -> Dict[BlockKey, int]:
-        return {key: even_count[key] - len(kernel_f.get(key, ())) for key in tensors}
+        return {key: len(members[key]) - len(kernel_f.get(key, ())) for key in tensors}
 
     kernel = _psi_kernel(n, d, field, reps)
-    others = [key for key in keys if key not in kernel and kernel[_sn_rep(key)]]
+    others = [key for key in members if key not in kernel and kernel[_sn_rep(key)]]
     kernel.update(_psi_kernel(n, d, field, others))
     # a kernel vector's largest key is its free column (sparse_kernel)
     vectors = sorted((vec for basis in kernel.values() for vec in basis), key=max)
@@ -882,7 +883,7 @@ def _tensor_quotient(M: SModule) -> Tuple[_Tensor, QuotientSpace]:
     n, d = M.n, M.d
     upper = _odd_margins(n, d)[1]
     left = _generator_columns(n, d, M.action)
-    tensor = _Tensor(n, d, range(len(upper)), upper, _right_dicts(n, d), range(M.dim), _weights(M), left)
+    tensor = _Tensor(n, d, range(len(upper)), upper, _generator_mirrors(n, d), range(M.dim), _weights(M), left)
     return tensor, QuotientSpace(M.field, len(tensor.pairs), tensor.rows())
 
 
@@ -998,8 +999,8 @@ def ringel_dual(M: SModule, validate: str = "auto") -> SModule:
     basis = _hom_vectors(odd_smodule(n, d, f), M)
     keys = [max(h) for h in basis]
     action = []
-    for per in _right_dicts(n, d):
-        rows_g, cols = _transpose(per.items()), []
+    for g in range(len(enum_M(n, d))):
+        rows_g, cols = _transpose(_right_action(n, d, g).items()), []
         for h in basis:
             image: Dict[Pair, Scalar] = {}
             for (r, k), val in h.items():

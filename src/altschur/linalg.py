@@ -240,11 +240,11 @@ def sparse_kernel(rows: Iterable[SparseVec], ncols: int, field: FieldSpec) -> Li
 
 
 class QuotientSpace:
-    """Ambient space modulo the span of relation rows, with explicit lifts.
+    """Ambient space modulo the span of relation rows.
 
     The quotient basis is the set of non-pivot coordinates of the reduced
-    relation system, in increasing order, so every basis vector lifts to a
-    unit vector of the ambient space.  :meth:`project` rewrites an ambient
+    relation system, in increasing order, so basis vector k is the class of
+    the unit vector at ``basis_coords[k]``.  :meth:`project` rewrites an ambient
     sparse vector in quotient coordinates.
 
     The relations are reduced by :func:`rref_sparse`, so they may hold
@@ -256,7 +256,6 @@ class QuotientSpace:
 
     def __init__(self, field: FieldSpec, ambient_dim: int, relations: Iterable[SparseVec]):
         self.field = field
-        self.ambient_dim = ambient_dim
         self.pivot_rows = rref_sparse(relations, field)
         pivot_set = set(self.pivot_rows)
         self.basis_coords: List[int] = [c for c in range(ambient_dim) if c not in pivot_set]
@@ -288,7 +287,3 @@ class QuotientSpace:
             if x:
                 out[k] = x
         return out
-
-    def lift(self, k: int) -> SparseVec:
-        """Ambient unit vector representing quotient basis vector ``k``."""
-        return {self.basis_coords[k]: self.field.one}

@@ -20,7 +20,6 @@ from altschur.algebra import (
     _left_dicts,
     _odd_margins,
     _product,
-    _right_dicts,
     _symbols,
     all_symbols,
     xi,
@@ -481,9 +480,19 @@ def _relation_rows(
                 yield row
 
 
+def right_table(n: int, d: int) -> Tuple[Dict[int, Dict[int, int]], ...]:
+    """Per even index g: {a: {c: coefficient of ζ_c in ζ_a ξ_g}} over the odd
+    a with a non-zero product, read pair by pair through ``_product``."""
+    nN = len(enum_N(n, d))
+    return tuple(
+        {a: col for a in range(nN) for col in [_product(n, d, a, True, g, False)] if col}
+        for g in range(len(enum_M(n, d)))
+    )
+
+
 def phi_relation_rows(n: int, d: int) -> Iterator[Dict[int, int]]:
     """phi's relations: ρ(g) on ζ_a ⊗ ζ_b over :func:`phi_coordinates`."""
-    return _relation_rows(n, d, _right_dicts(n, d), _left_dicts(n, d), phi_coordinates(n, d))
+    return _relation_rows(n, d, right_table(n, d), _left_dicts(n, d), phi_coordinates(n, d))
 
 
 def zeta_zeta_image(n: int, d: int, pairs: Iterable[Tuple[int, int]], field: FieldSpec) -> int:
@@ -511,7 +520,7 @@ def commutant_rows(n: int, d: int) -> Iterator[Dict[int, int]]:
     """Constraint rows of θ·R_g = R_g·θ over :func:`commutant_coordinates`:
     ρ(g) with θ[c, a] as the tensor coordinate (a, c), R_g acting on a from
     the right and its transpose on c."""
-    right = _right_dicts(n, d)
+    right = right_table(n, d)
     transposed: Dict[int, Dict[int, Dict[int, int]]] = {}
     for g in koszul._generators(n, d):
         rows = transposed[g] = {}
@@ -556,7 +565,7 @@ def ambient_rows(
 
 def _dual_right(n: int, d: int, field: FieldSpec) -> Dict[int, Dict[int, SparseVec]]:
     """ζ_a ↦ ζ_a ξ_g for every generator and 1_λ, coerced into ``field``."""
-    right = _right_dicts(n, d)
+    right = right_table(n, d)
     return {
         g: {a: {c: field.from_int(v) for c, v in col.items() if field.from_int(v)} for a, col in right[g].items()}
         for g in _every_generator(n, d)
@@ -630,7 +639,7 @@ def ambient_ringel_action(M: "koszul.SModule") -> List[List[SparseVec]]:
     basis = ambient_hom_vectors(koszul.odd_smodule(n, d, f), M)
     keys = [max(h) for h in basis]
     action = []
-    for per in _right_dicts(n, d):
+    for per in right_table(n, d):
         # (h ∘ R_g)[r, a] = sum_k h[r, k] (coefficient of ζ_k in ζ_a ξ_g)
         right_g = _rows_of(per.items())
         cols = []

@@ -10,7 +10,7 @@ from altschur import algebra, enumeration, koszul
 # read that was built with a different rule
 _TABLE_CACHES = (
     algebra._symbols, algebra._odd_margins, algebra._relabellings, algebra._left_dicts, algebra._even_dicts,
-    algebra._iota_indices, algebra._right_dicts, algebra._odd_dicts,
+    algebra._iota_indices, algebra._even_blocks,
 )
 
 
@@ -19,14 +19,19 @@ def _clear(*caches):
         cache.cache_clear()
 
 
+def _release_cells():
+    """Drop every per-(n, d) lru_cache and convolve's slice tables."""
+    _clear(
+        *_TABLE_CACHES, koszul._generators, enumeration.enum_M, enumeration.enum_N, enumeration.graph_index,
+        algebra._tables,
+    )
+
+
 @pytest.fixture(autouse=True)
 def _release_stretch_cells(request):
-    """After a stretch test, drop every per-(n, d) lru_cache and convolve's
-    slice tables, so that one process running the stretch suite holds the
-    tables of one cell at a time and not those of every cell it has passed."""
+    """After a stretch test, :func:`_release_cells`, so that one process
+    running the stretch suite holds the tables of one cell at a time and not
+    those of every cell it has passed."""
     yield
     if request.node.get_closest_marker("stretch"):
-        _clear(
-            *_TABLE_CACHES, koszul._generators, enumeration.enum_M, enumeration.enum_N, enumeration.graph_index,
-            algebra._tables,
-        )
+        _release_cells()

@@ -56,6 +56,7 @@ from altschur.graphs import d_of, pair_sign, u_of
 
 import bruteforce
 from bruteforce import convolution_value, convolve_by_words, kernel_value, latin_count, table_json
+from conftest import _release_cells
 
 
 def elem(sym, field=QQ, coeff=None):
@@ -996,3 +997,14 @@ def test_load_table_restores_the_gc_state(tmp_path, monkeypatch, enabled):
 def test_build_table_budget():
     with pytest.raises(BudgetExceededError):
         build_table(2, 2, cap=3)
+
+
+def test_releasing_the_cells_clears_every_algebra_cache():
+    """``_release_cells``, which the stretch tests' fixture runs, empties
+    every lru_cache that ``altschur.algebra`` defines or imports, so a new
+    per-(n, d) cache cannot outlive a stretch test unseen."""
+    caches = [f for f in vars(algebra).values() if hasattr(f, "cache_info")]
+    build_table(2, 3)  # every table and product parity, convolve's slices
+    assert [f.__name__ for f in caches if not f.cache_info().currsize] == []
+    _release_cells()
+    assert [f.__name__ for f in caches if f.cache_info().currsize] == []

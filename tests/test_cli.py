@@ -96,7 +96,7 @@ def test_enumerate_budget_counts_the_listed_family(capsys, kind, count):
 def test_enumerate_refusal_names_the_family(capsys):
     code, _, err = run(capsys, ["enumerate", "5", "3", "--kind", "N", "--max-basis", "2000"])
     assert code == 3
-    assert "|N| = 2300 at (n,d)=(5,3) exceeds the cap 2000" in err
+    assert err == "refused: |N| at (n,d)=(5,3) exceeds the cap 2000\n"
 
 
 # -- multiply ----------------------------------------------------------------
@@ -452,6 +452,27 @@ def test_verify_budget(capsys):
     code, _, err = run(capsys, ["verify", "2", "20"])
     assert code == 3
     assert "refused" in err
+
+
+@pytest.mark.parametrize(
+    "argv,quantity",
+    [
+        (["verify", "3", "10000"], "n^d at (n,d)=(3,10000) exceeds the cap 1000000"),
+        (["verify", "3", "9000"], "n^d at (n,d)=(3,9000) exceeds the cap 1000000"),
+        (["verify", "3", "100000000"], "n^d at (n,d)=(3,100000000) exceeds the cap 1000000"),
+        (["table", "1000", "10000"], "|M| + |N| at (n,d)=(1000,10000) exceeds the cap 5000"),
+        (["table", "1000", "1000000"], "|M| + |N| at (n,d)=(1000,1000000) exceeds the cap 5000"),
+        (["enumerate", "1000", "10000"], "|M| at (n,d)=(1000,10000) exceeds the cap 5000"),
+    ],
+)
+def test_budget_refuses_a_cell_far_past_the_cap(capsys, tmp_path, argv, quantity):
+    """A budget refusal is exit 3 with one line naming the quantity, (n, d)
+    and the cap, however far past the cap the cell is, and is decided
+    without forming the quantity itself."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv + (["--out", str(tmp_path / "t.json")] if argv[0] == "table" else []))
+    assert (code, out, err) == (3, "", f"refused: {quantity}\n")
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize("n,d", [(0, 2), (-1, 2), (2, -1)])

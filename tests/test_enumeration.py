@@ -12,6 +12,7 @@ from altschur.enumeration import (
     act_word,
     basis_size,
     check_basis_budget,
+    check_count_budget,
     check_power_budget,
     content,
     count_M,
@@ -233,6 +234,56 @@ def test_basis_budget():
         check_basis_budget(3, 7)  # |M| alone is 6435
     with pytest.raises(BudgetExceededError):
         check_basis_budget(2, 2, cap=15)
+
+
+def _refused(check, *args):
+    try:
+        check(*args)
+    except BudgetExceededError:
+        return True
+    return False
+
+
+def test_budgets_agree_with_the_exact_counts():
+    """Each check refuses exactly when the exact n^d, |M| + |N|, |M|, |N| or
+    |Lambda| is above the cap, on both sides of every boundary."""
+    for n in range(1, 6):
+        for d in range(9):
+            sizes = {
+                ("M", "N"): basis_size(n, d),
+                ("M",): count_M(n, d),
+                ("N",): count_N(n, d),
+                ("Lambda",): len(enum_Lambda(n, d)),
+            }
+            for cap in {0, 1, n**d // 2, n**d - 1, n**d, n**d + 1}:
+                assert _refused(check_power_budget, n, d, cap) == (n**d > cap)
+            for families, size in sizes.items():
+                for cap in {0, 1, size // 2, size - 1, size, size + 1}:
+                    assert _refused(check_count_budget, families, n, d, cap) == (size > cap)
+
+
+@pytest.mark.parametrize(
+    "check,n,d,message",
+    [
+        (check_power_budget, 3, 10**4, "n^d at (n,d)=(3,10000) exceeds the cap 1000000"),
+        (check_basis_budget, 1000, 10**6, "|M| + |N| at (n,d)=(1000,1000000) exceeds the cap 5000"),
+        (lambda n, d: check_count_budget(("N",), n, d), 1000, 10**4, "|N| at (n,d)=(1000,10000) exceeds the cap 5000"),
+    ],
+)
+def test_budgets_decide_without_computing_past_the_cap(monkeypatch, check, n, d, message):
+    """A cell far past its cap is refused at once, with the quantity, (n, d)
+    and the cap, and no count of thousands of digits is formed."""
+
+    comb = math.comb
+
+    def small_comb(m, k):
+        assert min(k, m - k) <= 64, f"C({m}, {k}) computed in full"
+        return comb(m, k)
+
+    monkeypatch.setattr(math, "comb", small_comb)
+    with pytest.raises(BudgetExceededError) as exc:
+        check(n, d)
+    assert str(exc.value) == message
 
 
 def test_budget_env_overrides(monkeypatch):

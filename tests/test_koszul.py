@@ -49,6 +49,7 @@ from bruteforce import (
     phi_coordinates,
     phi_relation_rows,
     psi_kernel_rows,
+    right_table,
     zeta_zeta_image,
 )
 
@@ -76,7 +77,7 @@ def unit_columns(dim, field):
 
 def test_bimodule_trivial_cell():
     assert odd_smodule(1, 1, QQ).action == [[{0: QQ.one}]]
-    assert algebra._right_dicts(1, 1) == ({0: {0: 1}},)
+    assert right_table(1, 1) == ({0: {0: 1}},)
 
 
 def test_bimodule_shapes():
@@ -84,7 +85,7 @@ def test_bimodule_shapes():
     assert odd.dim == 4
     assert len(odd.action) == len(enum_M(2, 3)) == 20
     assert all(len(cols) == 4 for cols in odd.action)
-    assert len(algebra._right_dicts(2, 3)) == 20
+    assert len(right_table(2, 3)) == 20
 
 
 def _apply_int(dicts, vec):
@@ -113,7 +114,7 @@ def test_bimodule_commutation_full():
     (the bimodule axiom), over the integers."""
     for n, d in [(2, 2), (2, 3), (3, 2)]:
         nN = len(enum_N(n, d))
-        assert _commutation_failure(algebra._left_dicts(n, d), algebra._right_dicts(n, d), nN) is None
+        assert _commutation_failure(algebra._left_dicts(n, d), right_table(n, d), nN) is None
 
 
 def test_bimodule_commutation_detects_corruption():
@@ -121,7 +122,7 @@ def test_bimodule_commutation_detects_corruption():
     g = next(g for g, per in enumerate(left) if len(per) > 1)
     a = next(iter(left[g]))
     left[g] = {**left[g], a: {c: 2 * v for c, v in left[g][a].items()}}
-    assert _commutation_failure(left, algebra._right_dicts(2, 2), len(enum_N(2, 2))) is not None
+    assert _commutation_failure(left, right_table(2, 2), len(enum_N(2, 2))) is not None
 
 
 def _convolved_right_dicts(n, d):
@@ -146,18 +147,18 @@ MIRROR_CELLS = [(n, d) for n in range(1, 4) for d in range(1, 6)] + [(4, 2)]
 
 @pytest.mark.parametrize("n,d", MIRROR_CELLS + [pytest.param(4, 3, marks=pytest.mark.stretch)])
 def test_right_action_is_the_mirror_of_the_left(n, d):
-    """The right action, mirrored from the left one through the
-    anti-involution, equals the convolved products ζ_a ξ_g."""
-    assert algebra._right_dicts(n, d) == _convolved_right_dicts(n, d)
+    """The products ζ_a ξ_g, read off the left table through the
+    anti-involution, equal the convolved ones on every ordered pair."""
+    assert right_table(n, d) == _convolved_right_dicts(n, d)
 
 
 def test_mirror_gate_catches_a_dropped_sign(monkeypatch):
     monkeypatch.setattr(algebra, "iota_sign", lambda g: 1)
-    _clear(algebra._iota_indices, algebra._right_dicts)
+    _clear(*_TABLE_CACHES)
     try:
-        assert any(algebra._right_dicts(n, d) != _convolved_right_dicts(n, d) for n, d in MIRROR_CELLS)
+        assert any(right_table(n, d) != _convolved_right_dicts(n, d) for n, d in MIRROR_CELLS)
     finally:
-        _clear(algebra._iota_indices, algebra._right_dicts)  # drop the tables built with the wrong sign
+        _clear(*_TABLE_CACHES)  # drop the tables built with the wrong sign
 
 
 def _convolved_odd_dicts(n, d):
@@ -176,11 +177,18 @@ def _convolved_odd_dicts(n, d):
     return tuple(out)
 
 
+def _odd_products(n, d):
+    """The products ζ_a ζ_b read pair by pair through ``_product``, for
+    every pair of odd symbols with a non-zero product."""
+    nN = len(enum_N(n, d))
+    return tuple({b: p for b in range(nN) for p in [algebra._product(n, d, a, True, b, True)] if p} for a in range(nN))
+
+
 @pytest.mark.parametrize("n,d", MIRROR_CELLS + [pytest.param(4, 3, marks=pytest.mark.stretch)])
 def test_odd_products_follow_the_trace_form(n, d):
     """The odd×odd products, read off the left action through the trace
-    form, equal the convolved products ζ_a ζ_b."""
-    assert algebra._odd_dicts(n, d) == _convolved_odd_dicts(n, d)
+    form, equal the convolved products ζ_a ζ_b on every ordered pair."""
+    assert _odd_products(n, d) == _convolved_odd_dicts(n, d)
 
 
 @pytest.mark.parametrize(
@@ -188,11 +196,11 @@ def test_odd_products_follow_the_trace_form(n, d):
 )
 def test_trace_form_gate_catches_a_mutation(monkeypatch, name, fake):
     monkeypatch.setattr(algebra, name, fake)
-    _clear(algebra._iota_indices, algebra._odd_dicts)
+    _clear(*_TABLE_CACHES)  # the signs and the h! are cached with the tables
     try:
-        assert any(algebra._odd_dicts(n, d) != _convolved_odd_dicts(n, d) for n, d in MIRROR_CELLS)
+        assert any(_odd_products(n, d) != _convolved_odd_dicts(n, d) for n, d in MIRROR_CELLS)
     finally:
-        _clear(algebra._iota_indices, algebra._odd_dicts)  # drop the tables built with the mutation
+        _clear(*_TABLE_CACHES)  # drop the tables built with the mutation
 
 
 def _convolutions(monkeypatch, run):
@@ -724,7 +732,7 @@ def test_block_tensors_number_the_representative_coordinates_only(monkeypatch):
     expected = [_representative_coordinates(3, 4, True), _representative_coordinates(3, 4, False)]
     assert counts == expected == [366, 504]
     assert len(phi_coordinates(3, 4)) == len(commutant_coordinates(3, 4)) == 2484
-    right = algebra._right_dicts(3, 4)
+    right = right_table(3, 4)
     assert transposed == [right[g] for g in koszul._generators(3, 4)]
 
 
@@ -749,14 +757,51 @@ def test_phi_image_is_the_rank_of_the_zeta_zeta_rows(n, d, field, monkeypatch):
         assert image(f) == {key: zeta_zeta_image(n, d, t.pairs, f) for key, t in tensors.items()}
 
 
-def test_phi_and_psi_leave_the_odd_table_unbuilt():
+def _product_parities(monkeypatch, run):
+    """The (left_odd, right_odd) of every ``_product`` call ``run()`` makes,
+    from koszul or from algebra."""
+    read, parities = algebra._product, []
+
+    def recording(n, d, i, left_odd, j, right_odd):
+        parities.append((left_odd, right_odd))
+        return read(n, d, i, left_odd, j, right_odd)
+
+    monkeypatch.setattr(algebra, "_product", recording)
+    monkeypatch.setattr(koszul, "_product", recording)
+    run()
+    return parities
+
+
+def test_phi_and_psi_leave_the_odd_table_unbuilt(monkeypatch):
     """phi reads its image off the left action, so neither phi nor psi
-    builds the ζ·ζ table."""
-    _clear(*_TABLE_CACHES)
-    for field in (QQ, GF(3)):
-        phi_analysis(3, 3, field)
-        psi_analysis(3, 3, field)
-    assert algebra._odd_dicts.cache_info().currsize == 0
+    reads a ζ·ζ product."""
+
+    def run():
+        for field in (QQ, GF(3)):
+            phi_analysis(3, 3, field)
+            psi_analysis(3, 3, field)
+
+    assert (True, True) not in _product_parities(monkeypatch, run)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [lambda: phi_analysis(3, 3, GF(3)), lambda: psi_analysis(3, 3, QQ), lambda: koszul_dual(regular_smodule(3, 3, GF(5)))],
+    ids=["phi", "psi", "koszul_dual"],
+)
+def test_relation_loops_mirror_the_left_table_at_the_generators_only(monkeypatch, run):
+    """phi, psi and D mirror the left table into the right action once at
+    each generator of S(n, d) and nowhere else, and read no ζ·ξ product."""
+    mirror, mirrored = algebra._right_action, []
+
+    def recording(n, d, g):
+        mirrored.append(g)
+        return mirror(n, d, g)
+
+    monkeypatch.setattr(algebra, "_right_action", recording)
+    monkeypatch.setattr(koszul, "_right_action", recording)
+    assert (True, False) not in _product_parities(monkeypatch, run)
+    assert sorted(mirrored) == list(koszul._generators(3, 3))
 
 
 def _global_rank(rows, field, bound=None):
